@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -141,10 +142,25 @@ _SCHEMAS = {
 }
 
 
+#: The suite function each command feeds, keyed by command and weakconv mode.
+_SUITES = {
+    ("oracle", None): suites.conditioning_oracle_battery,
+    ("perturb", None): suites.scripted_perturbation_suite,
+    ("exhaust", None): suites.scripted_exhaustion_study,
+    ("scaling", None): suites.scripted_scaling_suite,
+    ("weakconv", "calibration"): suites.weakconv_calibration,
+    ("weakconv", "sequence"): suites.weakconv_sequence,
+}
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
 def _load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -178,13 +194,28 @@ def _write_text(out: Path, name: str, text: str) -> str:
     return name
 
 
-def _cmd_oracle(config: dict, seed, out: Path) -> int:
-    kwargs = dict(config)
-    if seed is not None:
+def _run_suite(command: str, config: dict, seed, mode: str | None = None):
+    """Call the suite a validated config feeds; return its result and the seed it was given.
+
+    JSON lists become tuples, ``--seed`` overrides ``seed`` wherever the
+    command's schema declares one, and a key the suite does not take is a
+    config error.
+    """
+    fn = _SUITES[command, mode]
+    kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in config.items() if key != "mode"}
+    if seed is not None and "seed" in _SCHEMAS[command]["properties"]:
         kwargs["seed"] = seed
-    report = suites.conditioning_oracle_battery(**kwargs)
+    unused = sorted(set(kwargs) - set(inspect.signature(fn).parameters))
+    if unused:
+        where = command if mode is None else f"{command} mode {mode!r}"
+        raise ConfigError(f"{where} takes no {', '.join(unused)}")
+    return fn(**kwargs), kwargs.get("seed")
+
+
+def _cmd_oracle(config: dict, seed, out: Path) -> int:
+    report, seed = _run_suite("oracle", config, seed)
     outputs = [_write_text(out, "oracle.csv", report.to_csv())]
-    _write_manifest(out, "oracle", config, kwargs.get("seed"), outputs)
+    _write_manifest(out, "oracle", config, seed, outputs)
     print(report.summary())
     if not report.passed:
         print("oracle battery FAILED", file=sys.stderr)
@@ -218,12 +249,7 @@ def _cmd_induce(config: dict, seed, out: Path) -> int:
 
 
 def _cmd_perturb(config: dict, seed, out: Path) -> int:
-    kwargs = {}
-    if "n_list" in config:
-        kwargs["n_list"] = tuple(config["n_list"])
-    if "grid_points" in config:
-        kwargs["grid_points"] = config["grid_points"]
-    report = suites.scripted_perturbation_suite(**kwargs)
+    report, seed = _run_suite("perturb", config, seed)
     outputs = [_write_text(out, "perturbation.csv", report.to_csv())]
     _write_manifest(out, "perturb", config, seed, outputs)
     flags = report.monotone_flags(strict=True)
@@ -232,12 +258,7 @@ def _cmd_perturb(config: dict, seed, out: Path) -> int:
 
 
 def _cmd_exhaust(config: dict, seed, out: Path) -> int:
-    kwargs = {}
-    if "ks" in config:
-        kwargs["ks"] = tuple(config["ks"])
-    if "min_angle" in config:
-        kwargs["min_angle"] = config["min_angle"]
-    report = suites.scripted_exhaustion_study(**kwargs)
+    report, seed = _run_suite("exhaust", config, seed)
     outputs = [_write_text(out, "exhaustion.csv", report.to_csv())]
     _write_manifest(out, "exhaust", config, seed, outputs)
     last = report.rows[-1]
@@ -251,16 +272,7 @@ def _cmd_exhaust(config: dict, seed, out: Path) -> int:
 
 
 def _cmd_scaling(config: dict, seed, out: Path) -> int:
-    kwargs = {}
-    if "s_values" in config:
-        kwargs["s_values"] = tuple(config["s_values"])
-    if "n_list" in config:
-        kwargs["n_list"] = tuple(config["n_list"])
-    if "grid_points" in config:
-        kwargs["grid_points"] = config["grid_points"]
-    if "x_max" in config:
-        kwargs["x_max"] = config["x_max"]
-    reports = suites.scripted_scaling_suite(**kwargs)
+    reports, seed = _run_suite("scaling", config, seed)
     outputs = []
     all_decreasing = True
     for s, rep in reports.items():
@@ -285,30 +297,16 @@ def _cmd_tightness(config: dict, seed, out: Path) -> int:
 
 def _cmd_weakconv(config: dict, seed, out: Path) -> int:
     mode = config.get("mode", "sequence")
-    outputs = []
-    code = EXIT_OK
+    result, seed = _run_suite("weakconv", config, seed, mode)
     if mode == "calibration":
-        kwargs = {k: config[k] for k in ("repetitions", "batch_size", "permutations") if k in config}
-        if seed is not None:
-            kwargs["seed"] = seed
-        elif "seed" in config:
-            kwargs["seed"] = config["seed"]
-        p_values = suites.weakconv_calibration(**kwargs)
-        ks = suites.ks_distance_to_uniform(p_values)
-        text = "p_value\n" + "\n".join(f"{p:.17g}" for p in p_values) + "\n"
-        outputs.append(_write_text(out, "calibration_pvalues.csv", text))
+        ks = suites.ks_distance_to_uniform(result)
+        text = "p_value\n" + "\n".join(f"{p:.17g}" for p in result) + "\n"
+        outputs = [_write_text(out, "calibration_pvalues.csv", text)]
         print(f"calibration KS distance to uniform: {ks:.4f}")
         code = EXIT_OK if ks < 0.05 else EXIT_NUMERICAL
     else:
-        kwargs = {k: config[k] for k in ("batch_size", "permutations") if k in config}
-        if "n_list" in config:
-            kwargs["n_list"] = tuple(config["n_list"])
-        if seed is not None:
-            kwargs["seed"] = seed
-        elif "seed" in config:
-            kwargs["seed"] = config["seed"]
-        report = suites.weakconv_sequence(**kwargs)
-        outputs.append(_write_text(out, "weakconv.csv", report.to_csv()))
+        report = result
+        outputs = [_write_text(out, "weakconv.csv", report.to_csv())]
         print(
             f"statistics decreasing={report.decreasing}, final p={report.final_p_value:.3f}, "
             f"verdict={report.verdict}"
@@ -354,15 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--jobs", type=int, default=1, help="worker count (reserved; must be >= 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
         config = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

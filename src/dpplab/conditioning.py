@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import DppDistribution
+from .dpp import DppDistribution, occupancy_table
 from .errors import ConditioningImpossibleError, ContractError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
-from .operators import KernelOperator, project_span
+from .operators import KernelOperator, project_span, range_basis
 
 #: Values of 1 - ||sqrt(1-g) P|| at or below this count as non-invertible.
 MARGIN_TOLERANCE = 1e-10
@@ -42,6 +42,8 @@ class WeightFunction:
             raise DimensionError(f"weight function needs {self.space.n} values")
         if self.role not in ("g", "f"):
             raise ValueError("role must be 'g' or 'f'")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("weight-function values must be finite")
         if np.any(values < 0):
             raise ValueError("weight-function values must be nonnegative")
         if self.role == "g" and np.any(values > 1.0):
@@ -97,12 +99,6 @@ def check_inducibility(g: WeightFunction, P: KernelOperator) -> InducibilityChec
     return InducibilityCheck(norm_full, sqrt_norm, margin, margin > MARGIN_TOLERANCE)
 
 
-def _range_basis_counting(P: KernelOperator) -> np.ndarray:
-    """Orthonormal counting-coordinate basis of the range of a projection (columns)."""
-    eigvals, eigvecs = np.linalg.eigh(P.counting)
-    return eigvecs[:, eigvals > 0.5]
-
-
 def induced_kernel(g: WeightFunction, P: KernelOperator) -> KernelOperator:
     """The reweighted-process kernel sqrt(g) P (1 + (g-1) P)^{-1} sqrt(g).
 
@@ -116,10 +112,7 @@ def induced_kernel(g: WeightFunction, P: KernelOperator) -> KernelOperator:
         raise InducibilityError(check.margin)
     sg = g.sqrt
     if np.any(g.values == 0.0):
-        basis_hat = _range_basis_counting(P).T  # rows
-        inv_sw = 1.0 / P.space.sqrt_weights
-        weighted = (basis_hat * inv_sw) * sg  # sqrt(g) . basis, measure coordinates
-        return project_span(weighted, P.space)
+        return project_span(range_basis(P) * sg, P.space)
     phat = P.counting
     n = P.n
     system = np.eye(n) + (g.values - 1.0)[:, None] * phat
@@ -144,17 +137,21 @@ def induced_distribution(g: WeightFunction, P: KernelOperator) -> DppDistributio
     return DppDistribution(induced_kernel(g, P))
 
 
-def reweighted_distribution(g: WeightFunction, table: dict[int, float]) -> dict[int, float]:
-    """Reweight a brute-force configuration table by psi_g and renormalize."""
-    n = g.space.n
-    weights = {}
-    for mask, p in table.items():
-        w = 1.0
-        for i in range(n):
-            if mask >> i & 1:
-                w *= g.values[i]
-        weights[mask] = w * p
-    total = sum(weights.values())
+def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float]:
+    """Reweight a complete configuration law by psi_g and renormalize.
+
+    ``probs[mask]`` is the probability of the configuration with occupancy
+    bitmask ``mask``, for all 2^n masks.  Returns the renormalized law and
+    its total mass E[psi_g] before renormalization.
+    """
+    probs = np.asarray(probs, dtype=float)
+    occupancy = occupancy_table(g.space.n)
+    if probs.shape != (len(occupancy),):
+        raise DimensionError(f"a configuration law on {g.space.n} points has {len(occupancy)} entries")
+    zero = g.values == 0.0
+    psi = np.exp(occupancy @ np.log(np.where(zero, 1.0, g.values))) * (occupancy @ zero == 0)
+    weighted = psi * probs
+    total = float(weighted.sum())
     if total <= 1e-12:
         raise ConditioningImpossibleError("reweighted table has vanishing total mass")
-    return {mask: v / total for mask, v in weights.items()}
+    return weighted / total, total

@@ -41,6 +41,7 @@ class DeformationModel:
     extra: np.ndarray
     core_window: Window
     min_angle: float = DEFAULT_MIN_ANGLE
+    base_projection: KernelOperator = field(init=False, repr=False)
 
     def __post_init__(self):
         extra = np.asarray(self.extra, dtype=float)
@@ -54,17 +55,14 @@ class DeformationModel:
         self.core_window.validate(self.base.space)
         extra.flags.writeable = False
         object.__setattr__(self, "extra", extra)
-        # Enforce the independence condition at construction.
         P = project_span(self.base.basis, self.base.space)
+        object.__setattr__(self, "base_projection", P)
+        # Enforce the independence condition at construction.
         _extend_counting(P.counting, extra * self.base.space.sqrt_weights, self.min_angle)
 
     @property
     def space(self) -> GroundSpace:
         return self.base.space
-
-    @property
-    def base_projection(self) -> KernelOperator:
-        return project_span(self.base.basis, self.base.space)
 
 
 def _extend_counting(phat: np.ndarray, vs_hat: np.ndarray, min_angle: float) -> np.ndarray:
@@ -119,24 +117,26 @@ def perturbation_convergence_suite(
     return convergence_report(sequence, target, windows, steps=steps)
 
 
-def sqrtg_subspace_projection(model: DeformationModel, g: WeightFunction) -> KernelOperator:
+def sqrtg_subspace_projection(
+    model: DeformationModel, g: WeightFunction
+) -> tuple[KernelOperator, KernelOperator]:
     """Projection onto sqrt(g) (L + V), split as reweighted base plus remainder.
 
-    Computed as the reweighted base projection extended by the sqrt(g)-weighted
-    deformation vectors, then cross-checked against a direct projection onto
-    the concatenated weighted basis.
+    Returns ``(Qg, Pg)``: the reweighted base projection Qg and the full
+    projection Pg, so the remainder is ``Pg - Qg``.  Pg is computed as Qg
+    extended by the sqrt(g)-weighted deformation vectors, then cross-checked
+    against a direct projection onto the concatenated weighted basis.
     """
-    Q = model.base_projection
-    Qg = induced_kernel(g, Q)
+    Qg = induced_kernel(g, model.base_projection)
     sg = g.sqrt
     if model.extra.shape[0] == 0:
-        return Qg
+        return Qg, Qg
     weighted_extra = model.extra * sg
     result = extend_projection(Qg, weighted_extra, model.min_angle)
     direct = project_span(np.vstack([model.base.basis * sg, weighted_extra]), model.space)
     if float(np.max(np.abs(result.counting - direct.counting))) > 1e-8:
         raise ContractError("weighted-subspace projection disagrees with the direct span computation")
-    return result
+    return Qg, result
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +155,14 @@ class ExhaustionReport:
     rows: tuple[ExhaustionRow, ...]
     window_ids: tuple[str, ...]
     min_angle: float
-    decreasing: bool
-    extras: dict = field(default_factory=dict)
+
+    @property
+    def decreasing(self) -> bool:
+        """Whether the probe distances never grow along the rows whose angle holds and that did not fail."""
+        ok_rows = [r for r in self.rows if r.angle_ok and not r.failed]
+        return all(
+            np.all(np.array(b.distances) <= np.array(a.distances) + 1e-12) for a, b in zip(ok_rows, ok_rows[1:])
+        )
 
     def distance_columns(self) -> np.ndarray:
         return np.array([row.distances for row in self.rows])
@@ -183,7 +189,6 @@ def _exhaustion_row(
     space = model.space
     g = WeightFunction.indicator(space, Window(tuple(set(model.core_window.index_set) | set(window.index_set))))
     chi = g.values
-    Q = model.base_projection
     nan = float("nan")
     try:
         ang = subspace_angle(model.base.basis * chi, model.extra * chi, space)
@@ -191,14 +196,13 @@ def _exhaustion_row(
         return ExhaustionRow(step, nan, tuple(nan for _ in probe_windows), nan, False, failed=True)
     angle_ok = ang >= model.min_angle
     try:
-        Pg = sqrtg_subspace_projection(model, g)
+        Qg, Pg = sqrtg_subspace_projection(model, g)
     except (AngleDegeneracyError, ContractError):
         return ExhaustionRow(step, ang, tuple(nan for _ in probe_windows), nan, angle_ok, failed=True)
-    diff = Pg - Q
-    distances = tuple(local_trace_norm(diff, w, w) for w in probe_windows)
-    remainder = Pg - induced_kernel(g, Q)
     probe_hat = np.asarray(probe_vector, dtype=float) * space.sqrt_weights
-    probe_norm = float(np.linalg.norm(remainder.counting @ probe_hat))
+    probe_norm = float(np.linalg.norm((Pg - Qg).counting @ probe_hat))
+    diff = Pg - model.base_projection
+    distances = tuple(local_trace_norm(diff, w, w) for w in probe_windows)
     deformation_norms = tuple(weighted_norm(v, space) for v in model.extra)
     return ExhaustionRow(step, ang, distances, probe_norm, angle_ok, deformation_norms)
 
@@ -225,9 +229,4 @@ def exhaustion_suite(
         _exhaustion_row(model, w, probe_windows, probe_vector, step) for step, w in zip(steps, windows)
     )
     window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(probe_windows))
-    ok_rows = [r for r in rows if r.angle_ok and not r.failed]
-    decreasing = all(
-        np.all(np.array(b.distances) <= np.array(a.distances) + 1e-12)
-        for a, b in zip(ok_rows, ok_rows[1:])
-    )
-    return ExhaustionReport(rows, window_ids, model.min_angle, bool(decreasing))
+    return ExhaustionReport(rows, window_ids, model.min_angle)

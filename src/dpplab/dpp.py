@@ -90,9 +90,10 @@ def correlation(D: DppDistribution, A) -> float:
     return float(np.linalg.det(block))
 
 
-def _all_masks(n: int) -> np.ndarray:
+def occupancy_table(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 table whose row ``mask`` lists the points occupied in that bitmask."""
     masks = np.arange(2**n, dtype=np.uint32)
-    return (masks[:, None] >> np.arange(n)) & 1  # (2^n, n) occupancy table
+    return (masks[:, None] >> np.arange(n)) & 1
 
 
 def brute_force_distribution(D: DppDistribution) -> dict[int, float]:
@@ -104,7 +105,7 @@ def brute_force_distribution(D: DppDistribution) -> dict[int, float]:
     n = D.space.n
     if n > MAX_ENUMERATION_POINTS:
         raise EnumerationSizeError(f"{n} points exceed the enumeration limit {MAX_ENUMERATION_POINTS}")
-    occupancy = _all_masks(n)
+    occupancy = occupancy_table(n)
     signs = np.where((n - occupancy.sum(axis=1)) % 2, -1.0, 1.0)
     probs = np.empty(2**n)
     idx = np.arange(n)

@@ -39,6 +39,8 @@ class GroundSpace:
             raise ValueError("a ground space needs at least one point")
         if points.size != weights.size:
             raise DimensionError("points and weights must have equal length")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise ValueError("points and weights must be finite")
         if np.any(np.diff(points) <= 0):
             raise ValueError("points must be strictly increasing")
         if np.any(weights <= 0):

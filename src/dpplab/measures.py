@@ -9,7 +9,7 @@ test functions, using the energy distance with permutation calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .conditioning import WeightFunction, check_inducibility
 from .dpp import Configuration, DppDistribution
 from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
-from .operators import KernelOperator, subspace_angle
+from .operators import KernelOperator, range_basis, subspace_angle
 
 #: Default sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -114,7 +114,7 @@ def tightness_report(
     """Screen a family of positive contractions for tightness of the embedded laws.
 
     Each row reports tr(sqrt(f) K sqrt(f)) and its compressions to the tail
-    windows; optionally the conditioning margin 1 - ||(1-g) K|| per member and
+    windows; optionally the conditioning margin 1 - ||sqrt(1-g) K|| per member and
     the masses/tails of the deformation-vector measures f |v|^2 w.  The family
     is declared tight when the traces are finite (always, here) and the last
     (smallest) tail's supremum over the family falls below ``tail_tol``.
@@ -145,10 +145,10 @@ def tightness_report(
                 tuple(float(m[list(w.index_set)].sum()) if len(w) else 0.0 for w in tail_windows)
                 for m in masses
             )
-            basis_hat = _projection_basis(K)
+            basis = range_basis(K)
             angles = []
             for k in range(len(vs)):
-                current = np.vstack([basis_hat] + [vs[j] for j in range(k)]) if k else basis_hat
+                current = np.vstack([basis] + [vs[j] for j in range(k)]) if k else basis
                 angles.append(subspace_angle(vs[k : k + 1], current, K.space))
             min_angle = float(min(angles))
             if min_angle <= 0.0:
@@ -181,13 +181,6 @@ def tightness_report(
         angle_bound=angle_bound,
         tight=bool(bounded and vanishing),
     )
-
-
-def _projection_basis(K: KernelOperator) -> np.ndarray:
-    """Measure-coordinate basis rows for the (numerical) range of a projection-like kernel."""
-    eigvals, eigvecs = np.linalg.eigh(K.counting)
-    cols = eigvecs[:, eigvals > 0.5]
-    return (cols / K.space.sqrt_weights[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -284,7 +277,6 @@ class WeakConvergenceReport:
     decreasing: bool
     final_p_value: float
     verdict: bool
-    extras: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["n,energy_statistic,p_value"]

@@ -10,7 +10,7 @@ weighted inner product becomes the Euclidean one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,10 @@ class KernelOperator:
         n = self.space.n
         if entries.shape != (n, n):
             raise DimensionError(f"kernel entries must be {n}x{n}")
-        scale = max(float(np.max(np.abs(entries))), 1.0)
+        peak = float(np.max(np.abs(entries)))
+        if not np.isfinite(peak):
+            raise ContractError("kernel entries must be finite")
+        scale = max(peak, 1.0)
         if np.max(np.abs(entries - entries.T)) > 1e-8 * scale:
             raise ContractError("kernel entries are not symmetric")
         entries = (entries + entries.T) / 2.0  # exact symmetry by construction
@@ -106,21 +109,15 @@ class KernelOperator:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A list of spanning vectors on the grid, optionally orthonormal."""
+    """A list of spanning vectors on the grid."""
 
     space: GroundSpace
     basis: np.ndarray
-    orthonormal: bool = False
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float)).copy()
         if basis.shape[1] != self.space.n:
             raise DimensionError("basis vectors must have one value per grid point")
-        if self.orthonormal:
-            counting = basis * self.space.sqrt_weights
-            gram = counting @ counting.T
-            if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-12:
-                raise ContractError("basis flagged orthonormal but Gram matrix is not the identity")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
@@ -195,6 +192,15 @@ def project_span(basis, space: GroundSpace) -> KernelOperator:
     return KernelOperator.from_counting(space, q.T @ q)
 
 
+def range_basis(K: KernelOperator) -> np.ndarray:
+    """Measure-coordinate rows spanning the numerical range of a projection-like kernel.
+
+    The range is read off the counting form's eigenvectors with eigenvalue above 1/2.
+    """
+    eigvals, eigvecs = np.linalg.eigh(K.counting)
+    return eigvecs[:, eigvals > 0.5].T * (1.0 / K.space.sqrt_weights)
+
+
 def angle(v, P: KernelOperator) -> float:
     """Angle arcsin(||(I-P)v|| / ||v||) between a vector and the range of a projection."""
     if not P.is_projection():
@@ -229,7 +235,6 @@ class ConvergenceReport:
     steps: tuple
     window_ids: tuple[str, ...]
     distances: np.ndarray
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         distances = np.asarray(self.distances, dtype=float)

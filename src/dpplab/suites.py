@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import WeightFunction, induced_kernel, normalization_constant
-from .deformations import DeformationModel, ExhaustionReport, _exhaustion_row, perturbation_convergence_suite
+from .conditioning import WeightFunction, induced_kernel, normalization_constant, reweighted_distribution
+from .deformations import DeformationModel, ExhaustionReport, exhaustion_suite, perturbation_convergence_suite
 from .dpp import DppDistribution, brute_force_distribution, sample, total_variation
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, Subspace, project_span
@@ -94,17 +94,6 @@ class OracleBatteryReport:
         return "\n".join(lines) + "\n"
 
 
-def _reweighted_table(g: WeightFunction, probs: np.ndarray) -> np.ndarray:
-    """Vectorized psi_g reweighting of a complete brute-force table."""
-    n = g.space.n
-    masks = np.arange(len(probs), dtype=np.uint32)
-    occupancy = (masks[:, None] >> np.arange(n)) & 1
-    log_g = np.log(g.values)
-    psi = np.exp(occupancy @ log_g)
-    weighted = psi * probs
-    return weighted  # unnormalized; caller divides by the sum
-
-
 def conditioning_oracle_battery(
     trials: int = 500,
     seed: int = 20240,
@@ -135,9 +124,7 @@ def conditioning_oracle_battery(
 
         base_table = brute_force_distribution(DppDistribution(P))
         base_probs = np.array([base_table[m] for m in range(2**n)])
-        weighted = _reweighted_table(g, base_probs)
-        mean_psi = float(weighted.sum())
-        reweighted = weighted / mean_psi
+        reweighted, mean_psi = reweighted_distribution(g, base_probs)
 
         B = induced_kernel(g, P)
         induced_table = brute_force_distribution(DppDistribution(B))
@@ -204,7 +191,7 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
     [10^-(k+1), 1] keeps excluding the region carrying most of that norm.
     """
     rows = []
-    probe_ids = None
+    probe_ids = ()
     for k in ks:
         x_min = 10.0 ** -(k + 4)
         space = GroundSpace.geometric_cells(x_min, 1.0, 2**k, label=f"grid-2^{k}")
@@ -216,16 +203,13 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
             Window.from_interval(space, 0.25, 1.0, "[0.25,1]"),
             Window.from_interval(space, 0.5, 1.0, "[0.5,1]"),
         ]
-        probe_ids = tuple(w.description for w in probe_windows)
         probe = np.zeros(space.n)
         probe[list(core.index_set)] = 1.0
         probe /= weighted_norm(probe, space)
-        rows.append(_exhaustion_row(model, window, probe_windows, probe, step=k))
-    ok = [r for r in rows if r.angle_ok and not r.failed]
-    decreasing = all(
-        np.all(np.array(b.distances) <= np.array(a.distances) + 1e-12) for a, b in zip(ok, ok[1:])
-    )
-    return ExhaustionReport(tuple(rows), probe_ids, min_angle, bool(decreasing))
+        report = exhaustion_suite(model, [window], probe_windows, probe, steps=(k,))
+        rows += report.rows
+        probe_ids = report.window_ids
+    return ExhaustionReport(tuple(rows), probe_ids, min_angle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from dpplab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dpplab.cli import _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dpplab.serialization import load_json
 
 
@@ -107,6 +108,49 @@ def test_weakconv_sequence_command(tmp_path):
     assert code in (EXIT_OK, EXIT_NUMERICAL)  # statistic table is always written
 
 
-def test_jobs_flag_validation(tmp_path):
+def test_removed_jobs_option_exits_2(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"trials": 3})
-    assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("mode", ["calibration", "sequence"])
+@pytest.mark.parametrize("override, expected", [([], 5), (["--seed", "7"], 7)])
+def test_weakconv_manifest_records_seed_used(tmp_path, mode, override, expected):
+    sizes = {"repetitions": 2} if mode == "calibration" else {"n_list": [1, 2]}
+    cfg = _write(
+        tmp_path / "cfg.json", {"mode": mode, "seed": 5, "batch_size": 10, "permutations": 19, **sizes}
+    )
+    code = main(["weakconv", "--config", cfg, "--out", str(tmp_path / "run"), *override])
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
+    assert load_json(tmp_path / "run" / "manifest.json")["seed"] == expected
+
+
+def test_weakconv_key_outside_mode_rejected(tmp_path):
+    cfg = _write(tmp_path / "cfg.json", {"mode": "sequence", "repetitions": 3})
+    assert main(["weakconv", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_rejected(tmp_path, constant):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"space": {"points": [0.5, %s, 2.0], "weights": [1.0, 1.0, 1.0]}, '
+        '"basis": [[1.0, 1.0, 1.0]], "g": [1.0, 0.5, 1.0]}' % constant
+    )
+    assert main(["induce", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+
+
+def test_schema_properties_are_suite_parameters():
+    parameters: dict[str, set] = {}
+    for (command, _), fn in _SUITES.items():
+        parameters.setdefault(command, set()).update(inspect.signature(fn).parameters)
+    assert set(parameters) == {"oracle", "perturb", "exhaust", "scaling", "weakconv"}
+    for command, names in parameters.items():
+        keys = set(_SCHEMAS[command]["properties"]) - {"mode"}
+        assert keys <= names, f"{command} schema keys {keys - names} feed no suite parameter"
+    modes = {mode for command, mode in _SUITES if command == "weakconv"}
+    assert modes == set(_SCHEMAS["weakconv"]["properties"]["mode"]["enum"])

@@ -56,6 +56,14 @@ def test_weight_function_validation():
     WeightFunction(space, np.array([0.5, 1.2, 0.3]), role="f")  # f may exceed 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("role", ["g", "f"])
+def test_weight_function_rejects_non_finite_values(bad, role):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        WeightFunction(space, np.array([0.5, bad, 0.3]), role=role)
+
+
 def test_induced_matches_reweighted_brute_force():
     rng = _rng(20)
     for trial in range(25):
@@ -65,9 +73,9 @@ def test_induced_matches_reweighted_brute_force():
         P = project_span(rng.normal(size=(rank, n)), space)
         g = WeightFunction(space, rng.uniform(0.1, 1.0, n))
         base_table = brute_force_distribution(DppDistribution(P))
-        oracle = reweighted_distribution(g, base_table)
+        oracle, _ = reweighted_distribution(g, list(base_table.values()))
         induced = brute_force_distribution(induced_distribution(g, P))
-        assert total_variation(oracle, induced) < 1e-10
+        assert total_variation(dict(enumerate(oracle)), induced) < 1e-10
 
 
 def test_normalization_equals_mean_multiplicative_functional():

@@ -80,8 +80,8 @@ def test_weighted_projection_decomposition():
     extra = rng.normal(size=(1, 8))
     model = DeformationModel(Subspace(space, basis), extra, Window((0, 1), "core"))
     g = WeightFunction(space, rng.uniform(0.3, 1.0, 8))
-    Pg = sqrtg_subspace_projection(model, g)
-    Qg = induced_kernel(g, model.base_projection)
+    Qg, Pg = sqrtg_subspace_projection(model, g)
+    assert np.array_equal(Qg.entries, induced_kernel(g, model.base_projection).entries)
     remainder = Pg - Qg
     rhat = remainder.counting
     assert np.allclose(rhat @ rhat, rhat, atol=1e-9)  # remainder is a projection

@@ -31,6 +31,20 @@ def test_weights_must_be_positive():
         GroundSpace(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([0.5, np.nan, 2.0], [1.0, 1.0, 1.0]),
+        ([0.5, 1.0, np.inf], [1.0, 1.0, 1.0]),
+        ([0.5, 1.0, 2.0], [1.0, np.nan, 1.0]),
+        ([0.5, 1.0, 2.0], [1.0, np.inf, 1.0]),
+    ],
+)
+def test_non_finite_points_and_weights_rejected(points, weights):
+    with pytest.raises(ValueError, match="finite"):
+        GroundSpace(np.array(points), np.array(weights))
+
+
 def test_arrays_are_frozen():
     space = GroundSpace.uniform_cells(0.0, 1.0, 3)
     with pytest.raises(ValueError):

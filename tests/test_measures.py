@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpplab.conditioning import WeightFunction
+from dpplab.conditioning import WeightFunction, check_inducibility
 from dpplab.dpp import Configuration, DppDistribution, sample
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
@@ -15,7 +15,7 @@ from dpplab.measures import (
     tightness_report,
     weak_convergence_test,
 )
-from dpplab.operators import KernelOperator, project_span
+from dpplab.operators import KernelOperator, project_span, subspace_angle
 
 
 def _rng(seed):
@@ -62,6 +62,28 @@ def test_tightness_verdicts():
     assert not rep_bad.tight and rep_bad.sup_tails[0] == pytest.approx(1.0)
     assert rep_good.tight and rep_good.sup_tails[0] == pytest.approx(0.0)
     assert rep_good.to_csv().splitlines()[0].startswith("member,trace,tail_right")
+
+
+def test_tightness_margin_and_vector_angles():
+    rng = _rng(41)
+    space = GroundSpace.uniform_cells(0.0, 1.0, 8)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    tails = [Window.from_interval(space, 0.5, 1.0, "right")]
+    g = WeightFunction(space, rng.uniform(0.3, 1.0, 8))
+    bases = [rng.normal(size=(2, 8)) for _ in range(3)]
+    kernels = [project_span(b, space) for b in bases]
+    vectors = [rng.normal(size=(2, 8)) for _ in range(3)]
+    rep = tightness_report(kernels, f, tails, g=g, extra_vectors=vectors)
+    for K, basis, vs, row in zip(kernels, bases, vectors, rep.rows):
+        assert row.margin == check_inducibility(g, K).margin
+        direct = min(
+            subspace_angle(vs[:1], basis, space),
+            subspace_angle(vs[1:], np.vstack([basis, vs[:1]]), space),
+        )
+        assert row.min_vector_angle == pytest.approx(direct, abs=1e-10)
+        assert row.vector_masses == pytest.approx(tuple((vs**2 * space.weights).sum(axis=1)))
+    assert rep.uniform_margin == min(r.margin for r in rep.rows)
+    assert rep.angle_bound == min(r.min_vector_angle for r in rep.rows)
 
 
 def test_tail_traces_shrink_with_window():

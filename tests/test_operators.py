@@ -40,6 +40,15 @@ def test_asymmetric_entries_rejected():
         KernelOperator(space, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    entries = np.eye(3)
+    entries[1, 1] = bad
+    with pytest.raises(ContractError, match="finite"):
+        KernelOperator(space, entries)
+
+
 def test_identity_kernel_counting_is_identity():
     space = GroundSpace(np.array([1.0, 2.0, 4.0]), np.array([0.5, 2.0, 1.5]))
     I = KernelOperator.identity(space)
