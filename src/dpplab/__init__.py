@@ -49,6 +49,7 @@ from .errors import (
     DimensionError,
     EnumerationSizeError,
     InducibilityError,
+    SpecialFunctionRangeError,
 )
 from .ground import GroundSpace, Window, weighted_inner, weighted_norm
 from .measures import (

@@ -121,7 +121,9 @@ _SCHEMAS = {
         "properties": {
             "mode": {"enum": ["calibration", "sequence"]},
             "seed": {"type": "integer", "minimum": 0},
-            "repetitions": {"type": "integer", "minimum": 2},
+            # the KS distance of n p-values to the uniform law is at least 1/(2n),
+            # so the 0.05 calibration check can pass only from 11 repetitions on
+            "repetitions": {"type": "integer", "minimum": 11},
             "batch_size": {"type": "integer", "minimum": 2},
             "n_list": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
             "permutations": {"type": "integer", "minimum": 19},
@@ -195,21 +197,23 @@ def _write_text(out: Path, name: str, text: str) -> str:
 
 
 def _run_suite(command: str, config: dict, seed, mode: str | None = None):
-    """Call the suite a validated config feeds; return its result and the seed it was given.
+    """Call the suite a validated config feeds; return its result and the seed it ran with.
 
     JSON lists become tuples, ``--seed`` overrides ``seed`` wherever the
     command's schema declares one, and a key the suite does not take is a
-    config error.
+    config error.  A suite left to its default seed reports that default.
     """
     fn = _SUITES[command, mode]
     kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in config.items() if key != "mode"}
     if seed is not None and "seed" in _SCHEMAS[command]["properties"]:
         kwargs["seed"] = seed
-    unused = sorted(set(kwargs) - set(inspect.signature(fn).parameters))
+    parameters = inspect.signature(fn).parameters
+    unused = sorted(set(kwargs) - set(parameters))
     if unused:
         where = command if mode is None else f"{command} mode {mode!r}"
         raise ConfigError(f"{where} takes no {', '.join(unused)}")
-    return fn(**kwargs), kwargs.get("seed")
+    default_seed = parameters["seed"].default if "seed" in parameters else None
+    return fn(**kwargs), kwargs.get("seed", default_seed)
 
 
 def _cmd_oracle(config: dict, seed, out: Path) -> int:

@@ -21,9 +21,16 @@ from .operators import KernelOperator
 SPECTRUM_TOLERANCE = 1e-10
 
 #: Identifier of the counter-based random source used by the sampler.
-#: Replica i of a run with seed s uses an independent Philox stream keyed
-#: by (s, i); merging replicas is therefore order-independent.
+#: Replica i of a run with seed s reads the uniforms of an independent
+#: Philox stream keyed by (s, i), as ``Generator.random`` produces them:
+#: n coin uniforms, then one uniform per selected point (see ``sample``).
+#: Merging replicas is therefore order-independent.
 RNG_ALGORITHM = "numpy.random.Philox(key=[seed, replica])"
+
+#: Byte budget of the workspace of one block of replicas in ``sample``:
+#: per replica, k <= n Gram-Schmidt columns of n floats and 2n uniforms
+#: held twice (raw words and floats).  The block size follows from n.
+_BLOCK_BYTES = 1 << 22
 
 #: Largest ground space accepted by the exhaustive oracle (2^n configurations).
 MAX_ENUMERATION_POINTS = 20
@@ -131,44 +138,95 @@ def total_variation(p: dict[int, float], q: dict[int, float]) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-def _sample_projection(rng: np.random.Generator, V: np.ndarray) -> list[int]:
-    """One draw from the projection DPP with orthonormal column span V (n x k)."""
-    chosen: list[int] = []
-    V = V.copy()
-    while V.shape[1] > 0:
-        k = V.shape[1]
-        p = np.sum(V**2, axis=1) / k
-        i = int(rng.choice(len(p), p=p / p.sum()))
-        chosen.append(i)
-        # Restrict the span to functions vanishing at i, then re-orthonormalize.
-        j = int(np.argmax(np.abs(V[i])))
-        pivot = V[:, j].copy()
-        V = np.delete(V, j, axis=1)
-        V -= np.outer(pivot, V[i] / pivot[i])
-        if V.shape[1] > 0:
-            V, _ = np.linalg.qr(V)
+def _stream_uniforms(seed: int, first: int, count: int, width: int) -> np.ndarray:
+    """Row r holds the first ``width`` uniforms of replica ``first + r``'s stream.
+
+    One ``Philox`` is rewound onto each replica's key in turn (counter 0,
+    empty buffer) instead of being built anew, and its raw 64-bit words
+    are mapped to [0, 1) as ``Generator.random`` maps them.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+    raw = np.empty((count, width), dtype=np.uint64)
+    for r in range(count):
+        key[1] = first + r
+        bitgen.state = state
+        raw[r] = bitgen.random_raw(width)
+    raw >>= np.uint64(11)
+    return raw * 2.0**-53
+
+
+def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Points drawn from the projection DPP onto the span of V (n x k), one row per replica.
+
+    Gram-Schmidt form of the chain rule, advanced in lockstep over the
+    replicas: ``d`` is each replica's conditional intensity (the residual
+    diagonal of V V^T) and ``C`` holds the Gram-Schmidt columns of the
+    points chosen so far.  Step t picks point j with probability
+    d_j / (k - t) by inverse CDF on ``u[:, t]``, as ``Generator.choice``
+    does.
+    """
+    n, k = V.shape
+    B = len(u)
+    rows = np.arange(B)
+    d = np.tile(np.sum(V**2, axis=1), (B, 1))
+    C = np.zeros((B, k, n))
+    chosen = np.empty((B, k), dtype=np.intp)
+    for t in range(k):
+        cdf = d / (k - t)
+        cdf /= cdf.sum(axis=1, keepdims=True)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        j = np.count_nonzero(cdf <= u[:, t : t + 1], axis=1)
+        chosen[:, t] = j
+        col = V[j] @ V.T
+        col -= np.einsum("bs,bsn->bn", C[rows, :t, j], C[:, :t])
+        col /= np.sqrt(d[rows, j])[:, None]
+        C[:, t] = col
+        d -= np.square(col, out=col)
+        d[rows, j] = 0.0
+        np.clip(d, 0.0, None, out=d)
     return chosen
 
 
 def sample(D: DppDistribution, seed: int, count: int) -> list[Configuration]:
     """Draw exact i.i.d. samples via the spectral algorithm.
 
-    Eigenvectors are kept or dropped by independent Bernoulli(lambda_i)
-    coin flips, then the resulting projection process is sampled point by
-    point.  Each replica uses its own counter-based stream (see
-    ``RNG_ALGORITHM``), so results are reproducible and merge-order free.
+    Replica r reads the uniforms u_0, u_1, ... of its own stream (see
+    ``RNG_ALGORITHM``).  Eigenvector i is kept when u_i < lambda_i, for
+    i < n.  The kept eigenvectors span a projection process of k points,
+    drawn one at a time: the m-th point takes u_{n+m} and is the least j
+    with u_{n+m} < F_j, where F is the cumulative, normalized intensity
+    of the process conditioned on the points already drawn.  This fixes
+    every draw, so results are reproducible and merge-order free.
+
+    Replicas are drawn together in blocks, grouped by their kept set.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    space = D.space
+    n = space.n
     eigvals = D.eigenvalues
     eigvecs = D.eigenvectors
+    block = max(1, _BLOCK_BYTES // (8 * n * (n + 4)))
     out = []
-    for replica in range(count):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
-        keep = rng.random(len(eigvals)) < eigvals
-        V = eigvecs[:, keep]
-        chosen = _sample_projection(rng, V) if V.shape[1] else []
-        out.append(Configuration(D.space, frozenset(chosen)))
+    for first in range(0, count, block):
+        size = min(block, count - first)
+        u = _stream_uniforms(seed, first, size, 2 * n)
+        keep = u[:, :n] < eigvals
+        drawn: list[Configuration | None] = [None] * size
+        # Sort the replicas by kept set; each run of equal rows is one group.
+        order = np.lexsort(keep.T)
+        keep = keep[order]
+        bounds = np.flatnonzero(np.any(keep[1:] != keep[:-1], axis=1)) + 1
+        for start, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), size]):
+            kept = keep[start]
+            members = order[start:stop]
+            chosen = _chain_rule(eigvecs[:, kept], u[members, n : n + int(kept.sum())])
+            for r, row in zip(members.tolist(), chosen.tolist()):
+                drawn[r] = Configuration(space, frozenset(row))
+        out.extend(drawn)
     return out
 
 

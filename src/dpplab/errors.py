@@ -41,6 +41,19 @@ class ConditioningImpossibleError(ValueError):
     """The normalization constant of the reweighted process vanishes."""
 
 
+class SpecialFunctionRangeError(ValueError):
+    """A special function was asked for a value outside the range its evaluation is validated on."""
+
+    def __init__(self, function: str, order: float, x: float, error_bound: float):
+        self.order = order
+        self.x = x
+        self.error_bound = error_bound
+        super().__init__(
+            f"{function}({order:g}, {x:g}) cannot be evaluated reliably: rounding error bound "
+            f"{error_bound:.1e} exceeds the tolerance"
+        )
+
+
 class EnumerationSizeError(ValueError):
     """Ground space too large for exhaustive configuration enumeration."""
 

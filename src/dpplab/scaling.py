@@ -11,8 +11,11 @@ Bessel functions of the first kind are evaluated by their power series
 for arguments up to the crossover and by the Hankel asymptotic expansion
 beyond it; the two routes are validated against each other at the
 crossover.  The asymptotic branch is accurate to ~1e-10 for orders up to
-about 3, which covers every scripted parameter (s in {0, 0.5, 2} needs
-orders s-1 .. s+1 for the derivative recurrences).
+3, which covers every scripted parameter (s in {0, 0.5, 2} needs orders
+s-1 .. s+1 for the derivative recurrences).  Past the crossover, higher
+orders up to the argument come from the upward three-term recurrence,
+which is stable there; higher orders still take the series when its
+rounding error is provably small, and raise otherwise.
 """
 
 from __future__ import annotations
@@ -23,22 +26,31 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DimensionError
+from .errors import DimensionError, SpecialFunctionRangeError
 from .ground import GroundSpace, Window
 from .operators import ConvergenceReport, KernelOperator, convergence_report
 
 #: Argument at which Bessel evaluation switches from series to asymptotics.
 BESSEL_CROSSOVER = 12.0
 
+#: Highest order the Hankel expansion is used for directly past the crossover.
+HANKEL_MAX_ORDER = 3.0
 
-def _series_bessel_j(order: float, x: float) -> float:
-    """Power series sum_{m} (-1)^m (x/2)^{2m+order} / (m! Gamma(m+order+1)).
+#: Largest rounding error bound, relative to max(1, |J|), the power series may
+#: carry; beyond it ``bessel_j`` raises.
+BESSEL_TOLERANCE = 1e-10
+
+
+def _series_sum(order: float, x: float) -> tuple[float, float]:
+    """Power series sum_{m} (-1)^m (x/2)^{2m+order} / (m! Gamma(m+order+1)) and sum of |terms|.
 
     Valid for order > -2 (the derivative recurrence needs order s-1); terms
     whose Gamma argument is a nonpositive integer vanish and are skipped.
+    The sum of |terms| times a few ulps bounds the rounding error, which
+    cancellation makes large when x is large against the order.
     """
     if x == 0.0:
-        return 1.0 if order == 0.0 else 0.0
+        return (1.0 if order == 0.0 else 0.0), 0.0
     half = x / 2.0
     m0 = 0
     while True:
@@ -47,13 +59,19 @@ def _series_bessel_j(order: float, x: float) -> float:
             break
         m0 += 1
     term = (-1.0) ** m0 * half ** (2 * m0 + order) / (math.factorial(m0) * math.gamma(m0 + order + 1.0))
-    total = 0.0
+    total = magnitude = 0.0
     for m in range(m0, 250):
         total += term
+        magnitude += abs(term)
         term *= -(half * half) / ((m + 1.0) * (m + order + 1.0))
         if abs(term) < 1e-18 * max(abs(total), 1e-300) and m >= m0 + 4:
             break
-    return total
+    return total, magnitude
+
+
+def _series_bessel_j(order: float, x: float) -> float:
+    """The power series of J_order(x) alone."""
+    return _series_sum(order, x)[0]
 
 
 def _asymptotic_bessel_j(order: float, x: float) -> float:
@@ -80,19 +98,42 @@ def _asymptotic_bessel_j(order: float, x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
 
 
-def bessel_j(order: float, x, crossover: float = BESSEL_CROSSOVER):
-    """Bessel function of the first kind for real order > -2."""
+def _recurrence_bessel_j(order: float, x: float) -> float:
+    """J_order(x) by J_{v+1} = (2v/x) J_v - J_{v-1} up from Hankel values at orders <= 3.
+
+    Stable for order <= x, where J is not the recurrence's minimal solution.
+    """
+    steps = math.ceil(order - HANKEL_MAX_ORDER)
+    v = order - steps
+    below, value = _asymptotic_bessel_j(v - 1.0, x), _asymptotic_bessel_j(v, x)
+    for i in range(steps):
+        below, value = value, (2.0 * (v + i) / x) * value - below
+    return value
+
+
+def _checked_bessel_j(order: float, x: float) -> float:
+    if x > BESSEL_CROSSOVER and order <= HANKEL_MAX_ORDER:
+        return _asymptotic_bessel_j(order, x)
+    if x > BESSEL_CROSSOVER and order <= x:
+        return _recurrence_bessel_j(order, x)
+    total, magnitude = _series_sum(order, x)
+    bound = 4.0 * np.finfo(float).eps * magnitude
+    if bound > BESSEL_TOLERANCE * max(1.0, abs(total)):
+        raise SpecialFunctionRangeError("bessel_j", order, x, bound)
+    return total
+
+
+def bessel_j(order: float, x):
+    """Bessel function of the first kind for real order > -2 and x >= 0.
+
+    Accurate to about 1e-10 max(1, |J|) where it returns; raises
+    ``SpecialFunctionRangeError`` where no route is (x past the crossover
+    and below a high order, e.g. J_100(90)).
+    """
     if order <= -2:
         raise ValueError("order must exceed -2")
     xs = np.asarray(x, dtype=float)
-    flat = np.ravel(xs)
-    out = np.array(
-        [
-            _series_bessel_j(order, t) if t <= crossover else _asymptotic_bessel_j(order, t)
-            for t in flat
-        ]
-    )
-    out = out.reshape(xs.shape)
+    out = np.array([_checked_bessel_j(order, t) for t in np.ravel(xs)]).reshape(xs.shape)
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 

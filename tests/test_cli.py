@@ -118,13 +118,38 @@ def test_removed_jobs_option_exits_2(tmp_path):
 @pytest.mark.parametrize("mode", ["calibration", "sequence"])
 @pytest.mark.parametrize("override, expected", [([], 5), (["--seed", "7"], 7)])
 def test_weakconv_manifest_records_seed_used(tmp_path, mode, override, expected):
-    sizes = {"repetitions": 2} if mode == "calibration" else {"n_list": [1, 2]}
+    sizes = {"repetitions": 11} if mode == "calibration" else {"n_list": [1, 2]}
     cfg = _write(
         tmp_path / "cfg.json", {"mode": mode, "seed": 5, "batch_size": 10, "permutations": 19, **sizes}
     )
     code = main(["weakconv", "--config", cfg, "--out", str(tmp_path / "run"), *override])
     assert code in (EXIT_OK, EXIT_NUMERICAL)
     assert load_json(tmp_path / "run" / "manifest.json")["seed"] == expected
+
+
+@pytest.mark.parametrize(
+    "command, config, default",
+    [
+        ("oracle", {"trials": 3}, 20240),
+        ("weakconv", {"mode": "calibration", "repetitions": 11, "batch_size": 10, "permutations": 19}, 16000),
+        ("weakconv", {"mode": "sequence", "n_list": [1, 2], "batch_size": 10, "permutations": 19}, 11),
+    ],
+)
+def test_manifest_records_default_seed(tmp_path, command, config, default):
+    cfg = _write(tmp_path / "cfg.json", config)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
+    assert load_json(tmp_path / "run" / "manifest.json")["seed"] == default
+
+
+def test_weakconv_calibration_with_ten_repetitions_rejected(tmp_path):
+    # ten p-values sit at KS distance >= 1/20 from uniform, so the 0.05 check could never pass
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {"mode": "calibration", "repetitions": 10, "batch_size": 10, "permutations": 19, "seed": 5},
+    )
+    assert main(["weakconv", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_weakconv_key_outside_mode_rejected(tmp_path):

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpplab import dpp
 from dpplab.dpp import (
     Configuration,
     DppDistribution,
@@ -92,6 +97,87 @@ def test_sampler_prefix_reproducibility():
     short = sample(D, 7, 10)
     long = sample(D, 7, 25)
     assert [X.bitmask for X in short] == [X.bitmask for X in long[:10]]
+
+
+def _reference_projection(rng: np.random.Generator, V: np.ndarray) -> list[int]:
+    """One draw from the projection DPP with orthonormal column span V (n x k), one QR per point."""
+    chosen: list[int] = []
+    V = V.copy()
+    while V.shape[1] > 0:
+        k = V.shape[1]
+        p = np.sum(V**2, axis=1) / k
+        i = int(rng.choice(len(p), p=p / p.sum()))
+        chosen.append(i)
+        # Restrict the span to functions vanishing at i, then re-orthonormalize.
+        j = int(np.argmax(np.abs(V[i])))
+        pivot = V[:, j].copy()
+        V = np.delete(V, j, axis=1)
+        V -= np.outer(pivot, V[i] / pivot[i])
+        if V.shape[1] > 0:
+            V, _ = np.linalg.qr(V)
+    return chosen
+
+
+def _reference_sample(D: DppDistribution, seed: int, count: int) -> list[frozenset[int]]:
+    """The spectral sampler one replica at a time: a Generator, coin flips, then ``choice`` per point."""
+    out = []
+    for replica in range(count):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+        keep = rng.random(len(D.eigenvalues)) < D.eigenvalues
+        V = D.eigenvectors[:, keep]
+        out.append(frozenset(_reference_projection(rng, V) if V.shape[1] else []))
+    return out
+
+
+@st.composite
+def sampler_cases(draw):
+    """A kernel on 1-8 points: a projection of any rank, a strict contraction or a diagonal kernel."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["projection", "contraction", "diagonal"]))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    if kind == "projection":
+        rank = draw(st.integers(0, n))
+        K = project_span(rng.normal(size=(rank, n)), space) if rank else KernelOperator.zero(space)
+    elif kind == "contraction":
+        K = _random_contraction(rng, n)
+    else:
+        # eigh of a diagonal matrix gives eigenvectors with exact zero entries
+        values = rng.uniform(0.0, 1.0, n)
+        values[rng.random(n) < 0.3] = 1.0
+        values[rng.random(n) < 0.2] = 0.0
+        K = KernelOperator.from_counting(space, np.diag(values))
+    return DppDistribution(K)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    D=sampler_cases(),
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 40),
+    block=st.integers(1, 12),
+)
+def test_sampler_matches_reference_draw_for_draw(D, seed, count, block):
+    # a small replica block makes most counts cross a block boundary
+    n = D.space.n
+    with mock.patch.object(dpp, "_BLOCK_BYTES", 8 * n * (n + 4) * block):
+        drawn = [X.occupied for X in sample(D, seed, count)]
+    assert drawn == _reference_sample(D, seed, count)
+
+
+def test_sampler_matches_reference_across_default_block():
+    D = DppDistribution(_random_contraction(_rng(16), 8))
+    count = dpp._BLOCK_BYTES // (8 * 8 * 12) + 3
+    assert [X.occupied for X in sample(D, 3, count)] == _reference_sample(D, 3, count)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+def test_stream_uniforms_are_generator_random(seed):
+    # the sampler's draws are defined by Generator.random on each replica's Philox stream
+    got = dpp._stream_uniforms(seed, 5, 4, 9)
+    for r in range(4):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5 + r], dtype=np.uint64)))
+        assert np.array_equal(got[r], rng.random(9))
 
 
 def test_sampler_goodness_of_fit():

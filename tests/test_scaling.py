@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from dpplab.errors import SpecialFunctionRangeError
 from dpplab.ground import GroundSpace, Window
 from dpplab.scaling import (
     BESSEL_CROSSOVER,
@@ -29,6 +30,27 @@ def test_bessel_against_multiprecision_oracle():
         ours = bessel_j(order, xs)
         reference = np.array([float(mpmath.besselj(order, x)) for x in xs])
         assert np.max(np.abs(ours - reference)) < 1e-11
+
+
+def test_bessel_matches_scipy_over_order_argument_grid():
+    xs = np.geomspace(1e-3, 400.0, 150)
+    for order in np.arange(-1.5, 12.25, 0.25):
+        gap = np.max(np.abs(bessel_j(order, xs) - special.jv(order, xs)))
+        assert gap < 1e-8, f"order {order}: gap {gap:.2e}"
+
+
+@pytest.mark.parametrize("order, x", [(8.0, 20.0), (12.0, 40.0), (6.5, 144.5), (12.0, 12.5), (40.0, 30.0)])
+def test_bessel_high_order_against_multiprecision_oracle(order, x):
+    # past the crossover, orders above 3 leave the Hankel expansion's validated range
+    assert bessel_j(order, x) == pytest.approx(float(mpmath.besselj(order, x)), abs=1e-10)
+
+
+def test_bessel_raises_where_no_route_is_accurate():
+    # the series at J_100(90) cancels to a handful of digits; the recurrence is unstable above x
+    with pytest.raises(SpecialFunctionRangeError):
+        bessel_j(100.0, 90.0)
+    with pytest.raises(SpecialFunctionRangeError):
+        bessel_j(100.0, np.array([1.0, 90.0]))
 
 
 def test_bessel_crossover_agreement():
