@@ -236,14 +236,19 @@ def _pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=-1))
 
 
-def _energy_statistic_from_matrix(D: np.ndarray, mask: np.ndarray) -> float:
-    """Energy distance read off a pooled distance matrix for a 0/1 split mask."""
+def _energy_statistic_from_matrix(D: np.ndarray, total: float, mask: np.ndarray) -> float:
+    """Energy distance read off a pooled distance matrix with entry sum ``total`` for a 0/1 split mask.
+
+    The product with D is an ``einsum``, which runs on the calling thread:
+    a BLAS product fans out to the BLAS threads once per permutation and
+    stalls whenever another process holds one of their cores.
+    """
     nx = int(mask.sum())
     ny = len(mask) - nx
-    col = D @ mask
+    col = np.einsum("ij,j->i", D, mask)
     sxy = float(col @ (1.0 - mask))
     sxx = float(col @ mask)
-    syy = float(D.sum() - 2.0 * sxy - sxx)
+    syy = float(total - 2.0 * sxy - sxx)
     return 2.0 * sxy / (nx * ny) - sxx / (nx * nx) - syy / (ny * ny)
 
 
@@ -251,13 +256,14 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     """Observed energy distance and its permutation p-value (add-one convention)."""
     pooled = np.vstack([X, Y])
     D = _pairwise(pooled, pooled)
+    total = D.sum()
     mask = np.zeros(len(pooled))
     mask[: len(X)] = 1.0
-    observed = _energy_statistic_from_matrix(D, mask)
+    observed = _energy_statistic_from_matrix(D, total, mask)
     hits = 0
     for _ in range(permutations):
         perm = rng.permutation(len(pooled))
-        if _energy_statistic_from_matrix(D, mask[perm]) >= observed:
+        if _energy_statistic_from_matrix(D, total, mask[perm]) >= observed:
             hits += 1
     return observed, (hits + 1) / (permutations + 1)
 

@@ -141,6 +141,26 @@ def test_permutation_test_detects_shift_and_accepts_null():
     assert p_null > 0.05
 
 
+@pytest.mark.parametrize("case", range(10))
+def test_permutation_test_matches_split_by_split_energy_distance(case):
+    """On tie-free data every permuted split scores as energy_distance scores it."""
+    src = np.random.default_rng(case)
+    nx, ny = (int(v) for v in src.integers(2, 40, size=2))
+    dim = int(src.integers(1, 4))
+    X = src.normal(size=(nx, dim))
+    Y = src.normal(size=(ny, dim)) + 0.3
+    rng, ref_rng = _rng(case), _rng(case)
+    observed, p = permutation_energy_test(X, Y, 49, rng)
+    pooled = np.vstack([X, Y])
+    ref_observed = energy_distance(X, Y)
+    hits = 0
+    for _ in range(49):
+        on_x = ref_rng.permutation(len(pooled)) < nx
+        hits += energy_distance(pooled[on_x], pooled[~on_x]) >= ref_observed
+    assert observed == pytest.approx(ref_observed, rel=1e-12, abs=1e-12)
+    assert p == (hits + 1) / 50
+
+
 def test_weak_convergence_requires_disjoint_supports():
     space = GroundSpace.uniform_cells(0.0, 1.0, 4)
     f = WeightFunction.constant(space, 1.0, role="f")
