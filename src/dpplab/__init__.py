@@ -47,6 +47,7 @@ from .errors import (
     ContractError,
     DegenerateBasisError,
     DimensionError,
+    EmptyWindowError,
     EnumerationSizeError,
     InducibilityError,
     SpecialFunctionRangeError,
@@ -70,6 +71,7 @@ from .operators import (
     ConvergenceReport,
     KernelOperator,
     OperatorNorms,
+    Projection,
     Subspace,
     angle,
     convergence_report,
@@ -77,6 +79,7 @@ from .operators import (
     norms,
     orthonormalize,
     project_span,
+    projection_distance,
     subspace_angle,
 )
 from .scaling import (

@@ -100,7 +100,7 @@ _SCHEMAS = {
     "exhaust": {
         "type": "object",
         "properties": {
-            "ks": {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": 13}, "minItems": 1},
+            "ks": {"type": "array", "items": {"type": "integer", "minimum": 4, "maximum": 16}, "minItems": 1},
             "min_angle": {"type": "number", "exclusiveMinimum": 0},
         },
         "additionalProperties": False,

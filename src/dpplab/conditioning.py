@@ -5,7 +5,9 @@ and renormalizing yields another determinantal process; its kernel is
 ``sqrt(g) P (1 + (g-1) P)^{-1} sqrt(g)``, which is itself the orthogonal
 projection onto sqrt(g) applied to the range of P.  This module builds
 that kernel, diagnoses when the construction is well posed, and exposes
-the normalization constant in closed form.
+the normalization constant in closed form.  P is held as its n x r
+factor U (``Phat = U U^T``), and each of these works on n x r and r x r
+matrices only.
 
 Note on the degenerate boundary: the construction is obstructed exactly
 when the range of P contains a function supported on {g = 0} (then the
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpp import DppDistribution, occupancy_table
-from .errors import ConditioningImpossibleError, ContractError, DimensionError, InducibilityError
+from .errors import ConditioningImpossibleError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
-from .operators import KernelOperator, project_span, range_basis
+from .operators import Projection
 
 #: Values of 1 - ||sqrt(1-g) P|| at or below this count as non-invertible.
 MARGIN_TOLERANCE = 1e-10
@@ -83,54 +85,48 @@ class InducibilityCheck:
     invertible: bool
 
 
-def _require_projection(P: KernelOperator) -> None:
-    if not P.is_projection():
-        raise ContractError("operator is not a projection within tolerance")
+def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
+    """Report ||(1-g)P||, the margin 1 - ||sqrt(1-g)P||, and the invertibility verdict.
 
-
-def check_inducibility(g: WeightFunction, P: KernelOperator) -> InducibilityCheck:
-    """Report ||(1-g)P||, the margin 1 - ||sqrt(1-g)P||, and the invertibility verdict."""
-    _require_projection(P)
+    Since U has orthonormal columns, ||D U U^T|| = ||D U||: both norms are
+    spectral norms of n x r matrices.
+    """
     one_minus_g = 1.0 - g.values
-    phat = P.counting
-    norm_full = float(np.linalg.norm(one_minus_g[:, None] * phat, 2))
-    sqrt_norm = float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * phat, 2))
+    norm_full = float(np.linalg.norm(one_minus_g[:, None] * P.factor, 2))
+    sqrt_norm = float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * P.factor, 2))
     margin = 1.0 - sqrt_norm
     return InducibilityCheck(norm_full, sqrt_norm, margin, margin > MARGIN_TOLERANCE)
 
 
-def induced_kernel(g: WeightFunction, P: KernelOperator) -> KernelOperator:
+def induced_kernel(g: WeightFunction, P: Projection) -> Projection:
     """The reweighted-process kernel sqrt(g) P (1 + (g-1) P)^{-1} sqrt(g).
 
-    Strictly positive g goes through a direct solve of 1 + (g-1)P, guarded
-    by the margin check.  When g has zeros (indicator weights), the kernel
-    is computed as the projection onto sqrt(g) times the range of P, which
-    is the same operator and avoids inverting across the excluded region.
+    By Woodbury's identity the resolvent reduces to the r x r system
+    1 + U^T (g-1) U = U^T g U, and the kernel is the projection with factor
+    sqrt(g) U L^{-T}, where L L^T = U^T g U is a Cholesky factorization:
+    the projection onto sqrt(g) times the range of P.  The margin check
+    keeps U^T g U positive definite, also where g has zeros.
     """
     check = check_inducibility(g, P)
     if not check.invertible:
         raise InducibilityError(check.margin)
-    sg = g.sqrt
-    if np.any(g.values == 0.0):
-        return project_span(range_basis(P) * sg, P.space)
-    phat = P.counting
-    n = P.n
-    system = np.eye(n) + (g.values - 1.0)[:, None] * phat
-    solved = np.linalg.solve(system, phat)
-    bhat = (sg[:, None] * phat @ solved) * sg
-    bhat = (bhat + bhat.T) / 2.0
-    return KernelOperator.from_counting(P.space, bhat)
+    weighted = g.sqrt[:, None] * P.factor
+    L = np.linalg.cholesky(weighted.T @ weighted)
+    # Inverting the r x r factor first keeps the n-row product a small
+    # single-threaded one; a triangular solve with n right-hand sides fans
+    # out to the BLAS threads and stalls for milliseconds when they sleep.
+    return Projection(P.space, weighted @ np.linalg.inv(L).T)
 
 
-def normalization_constant(g: WeightFunction, P: KernelOperator) -> float:
-    """det(1 + (g-1) P): the mass of the reweighted, unnormalized process."""
-    _require_projection(P)
-    n = P.n
-    system = np.eye(n) + (g.values - 1.0)[:, None] * P.counting
-    return float(np.linalg.det(system))
+def normalization_constant(g: WeightFunction, P: Projection) -> float:
+    """det(1 + (g-1) P): the mass of the reweighted, unnormalized process.
+
+    By Sylvester's identity this is det(1 + U^T (g-1) U) = det(U^T g U).
+    """
+    return float(np.linalg.det(P.factor.T @ (g.values[:, None] * P.factor)))
 
 
-def induced_distribution(g: WeightFunction, P: KernelOperator) -> DppDistribution:
+def induced_distribution(g: WeightFunction, P: Projection) -> DppDistribution:
     """The normalized reweighted process as a DPP with the induced kernel."""
     if normalization_constant(g, P) <= 1e-12:
         raise ConditioningImpossibleError("normalization constant vanishes; reweighting is degenerate")

@@ -19,15 +19,7 @@ import numpy as np
 from .conditioning import WeightFunction, induced_kernel
 from .errors import AngleDegeneracyError, ContractError, DegenerateBasisError, DimensionError
 from .ground import GroundSpace, Window, weighted_norm
-from .operators import (
-    ConvergenceReport,
-    KernelOperator,
-    Subspace,
-    convergence_report,
-    local_trace_norm,
-    project_span,
-    subspace_angle,
-)
+from .operators import ConvergenceReport, Projection, Subspace, project_span, projection_distance, subspace_angle
 
 #: Default minimum angle (radians) each deformation vector must keep.
 DEFAULT_MIN_ANGLE = 0.05
@@ -41,7 +33,7 @@ class DeformationModel:
     extra: np.ndarray
     core_window: Window
     min_angle: float = DEFAULT_MIN_ANGLE
-    base_projection: KernelOperator = field(init=False, repr=False)
+    base_projection: Projection = field(init=False, repr=False)
 
     def __post_init__(self):
         extra = np.asarray(self.extra, dtype=float)
@@ -58,52 +50,44 @@ class DeformationModel:
         P = project_span(self.base.basis, self.base.space)
         object.__setattr__(self, "base_projection", P)
         # Enforce the independence condition at construction.
-        _extend_counting(P.counting, extra * self.base.space.sqrt_weights, self.min_angle)
+        extend_projection(P, extra, self.min_angle)
 
     @property
     def space(self) -> GroundSpace:
         return self.base.space
 
 
-def _extend_counting(phat: np.ndarray, vs_hat: np.ndarray, min_angle: float) -> np.ndarray:
-    """Sequentially absorb counting-coordinate vectors into a projection matrix."""
-    phat = phat.copy()
-    for k, vhat in enumerate(vs_hat):
+def extend_projection(P: Projection, vs, min_angle: float = DEFAULT_MIN_ANGLE) -> Projection:
+    """Projection onto range(P) plus the span of the given vectors.
+
+    Each vector is decomposed into its component in the current span and a
+    normalized residual, which is appended to the factor as a new column.  A
+    vector whose angle to the current span falls below ``min_angle`` raises
+    :class:`AngleDegeneracyError` naming it.
+    """
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    if vs.shape[1] != P.n:
+        raise DimensionError("deformation vectors must live on the operator's space")
+    U = P.factor
+    for k, vhat in enumerate(vs * P.space.sqrt_weights):
         vnorm = np.linalg.norm(vhat)
         if vnorm == 0.0:
             raise AngleDegeneracyError(k, 0.0, min_angle)
-        residual = vhat - phat @ vhat
+        residual = vhat - U @ (U.T @ vhat)
         ang = float(np.arcsin(np.clip(np.linalg.norm(residual) / vnorm, 0.0, 1.0)))
         if ang < min_angle:
             raise AngleDegeneracyError(k, ang, min_angle)
         unit = residual / np.linalg.norm(residual)
-        unit = unit - phat @ unit  # re-orthogonalization pass
+        unit = unit - U @ (U.T @ unit)  # re-orthogonalization pass
         unit /= np.linalg.norm(unit)
-        phat = phat + np.outer(unit, unit)
-    return phat
-
-
-def extend_projection(P: KernelOperator, vs, min_angle: float = DEFAULT_MIN_ANGLE) -> KernelOperator:
-    """Projection onto range(P) plus the span of the given vectors.
-
-    Each vector is decomposed into its component in the current span and a
-    normalized residual; the residual's rank-one projection is added.  A
-    vector whose angle to the current span falls below ``min_angle`` raises
-    :class:`AngleDegeneracyError` naming it.
-    """
-    if not P.is_projection():
-        raise ContractError("base operator is not a projection within tolerance")
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    if vs.shape[1] != P.n:
-        raise DimensionError("deformation vectors must live on the operator's space")
-    phat = _extend_counting(P.counting, vs * P.space.sqrt_weights, min_angle)
-    return KernelOperator.from_counting(P.space, phat)
+        U = np.column_stack([U, unit])
+    return Projection(P.space, U)
 
 
 def perturbation_convergence_suite(
-    Pn: list[KernelOperator],
+    Pn: list[Projection],
     vn: list,
-    P: KernelOperator,
+    P: Projection,
     v,
     windows: list[Window],
     min_angle: float = DEFAULT_MIN_ANGLE,
@@ -112,20 +96,28 @@ def perturbation_convergence_suite(
     """Windowed trace distances of deformed projections to the deformed limit."""
     if len(Pn) != len(vn):
         raise DimensionError("need one vector list per projection in the sequence")
+    if steps is None:
+        steps = tuple(range(1, len(Pn) + 1))
     target = extend_projection(P, v, min_angle)
-    sequence = [extend_projection(Pk, vk, min_angle) for Pk, vk in zip(Pn, vn)]
-    return convergence_report(sequence, target, windows, steps=steps)
+    table = [
+        [projection_distance(extend_projection(Pk, vk, min_angle), target, w) for w in windows]
+        for Pk, vk in zip(Pn, vn)
+    ]
+    window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(windows))
+    return ConvergenceReport(tuple(steps), window_ids, table)
 
 
-def sqrtg_subspace_projection(
-    model: DeformationModel, g: WeightFunction
-) -> tuple[KernelOperator, KernelOperator]:
+def sqrtg_subspace_projection(model: DeformationModel, g: WeightFunction) -> tuple[Projection, Projection]:
     """Projection onto sqrt(g) (L + V), split as reweighted base plus remainder.
 
     Returns ``(Qg, Pg)``: the reweighted base projection Qg and the full
     projection Pg, so the remainder is ``Pg - Qg``.  Pg is computed as Qg
-    extended by the sqrt(g)-weighted deformation vectors, then cross-checked
-    against a direct projection onto the concatenated weighted basis.
+    extended by the sqrt(g)-weighted deformation vectors, so its factor is
+    Qg's followed by the remainder's columns.  It is cross-checked against
+    a direct projection D onto the concatenated weighted basis: the ranks
+    must agree and ||D - Pg D|| (the sine of the largest principal angle,
+    which bounds every entry of the difference of the two projections)
+    must stay below 1e-8.
     """
     Qg = induced_kernel(g, model.base_projection)
     sg = g.sqrt
@@ -134,7 +126,8 @@ def sqrtg_subspace_projection(
     weighted_extra = model.extra * sg
     result = extend_projection(Qg, weighted_extra, model.min_angle)
     direct = project_span(np.vstack([model.base.basis * sg, weighted_extra]), model.space)
-    if float(np.max(np.abs(result.counting - direct.counting))) > 1e-8:
+    D, U = direct.factor, result.factor
+    if direct.rank != result.rank or float(np.linalg.norm(D - U @ (U.T @ D), 2)) > 1e-8:
         raise ContractError("weighted-subspace projection disagrees with the direct span computation")
     return Qg, result
 
@@ -200,9 +193,9 @@ def _exhaustion_row(
     except (AngleDegeneracyError, ContractError):
         return ExhaustionRow(step, ang, tuple(nan for _ in probe_windows), nan, angle_ok, failed=True)
     probe_hat = np.asarray(probe_vector, dtype=float) * space.sqrt_weights
-    probe_norm = float(np.linalg.norm((Pg - Qg).counting @ probe_hat))
-    diff = Pg - model.base_projection
-    distances = tuple(local_trace_norm(diff, w, w) for w in probe_windows)
+    remainder = Pg.factor[:, Qg.rank :]  # Pg - Qg = E E^T for these orthonormal columns E
+    probe_norm = float(np.linalg.norm(remainder.T @ probe_hat))
+    distances = tuple(projection_distance(Pg, model.base_projection, w) for w in probe_windows)
     deformation_norms = tuple(weighted_norm(v, space) for v in model.extra)
     return ExhaustionRow(step, ang, distances, probe_norm, angle_ok, deformation_norms)
 

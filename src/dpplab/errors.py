@@ -54,6 +54,10 @@ class SpecialFunctionRangeError(ValueError):
         )
 
 
+class EmptyWindowError(ValueError):
+    """A window a computation needs holds no grid point."""
+
+
 class EnumerationSizeError(ValueError):
     """Ground space too large for exhaustive configuration enumeration."""
 

@@ -17,7 +17,7 @@ from .conditioning import WeightFunction, check_inducibility
 from .dpp import Configuration, DppDistribution
 from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
-from .operators import KernelOperator, range_basis, subspace_angle
+from .operators import KernelOperator, Projection, subspace_angle
 
 #: Default sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -115,7 +115,8 @@ def tightness_report(
 
     Each row reports tr(sqrt(f) K sqrt(f)) and its compressions to the tail
     windows; optionally the conditioning margin 1 - ||sqrt(1-g) K|| per member and
-    the masses/tails of the deformation-vector measures f |v|^2 w.  The family
+    the masses/tails of the deformation-vector measures f |v|^2 w.  Both options
+    take each member as a projection (see ``Projection.from_kernel``).  The family
     is declared tight when the traces are finite (always, here) and the last
     (smallest) tail's supremum over the family falls below ``tail_tol``.
     """
@@ -133,7 +134,7 @@ def tightness_report(
         tails = tuple(_weighted_trace(khat, f.values, w.index_set) for w in tail_windows)
         margin = None
         if g is not None:
-            margin = check_inducibility(g, K).margin
+            margin = check_inducibility(g, Projection.from_kernel(K)).margin
         vec_masses: tuple[float, ...] = ()
         vec_tails: tuple[tuple[float, ...], ...] = ()
         min_angle = None
@@ -145,7 +146,7 @@ def tightness_report(
                 tuple(float(m[list(w.index_set)].sum()) if len(w) else 0.0 for w in tail_windows)
                 for m in masses
             )
-            basis = range_basis(K)
+            basis = Projection.from_kernel(K).factor.T / K.space.sqrt_weights
             angles = []
             for k in range(len(vs)):
                 current = np.vstack([basis] + [vs[j] for j in range(k)]) if k else basis

@@ -5,12 +5,18 @@ Kernels are stored relative to the grid measure: ``entries[i, j]`` is
 symmetrized counting form ``Khat = W^{1/2} K W^{1/2}``, under which
 composition of kernels becomes plain matrix multiplication and the
 weighted inner product becomes the Euclidean one.
+
+Orthogonal projections of finite rank r are held as a :class:`Projection`:
+an orthonormal n x r counting-coordinate factor U with ``Phat = U U^T``.
+Every operation on projections works on U at O(n r^2) cost; the dense
+n x n form is built only when it is read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +27,14 @@ from .ground import GroundSpace, Window
 GRAM_CONDITION_LIMIT = 1e12
 #: Residual-norm ratio matching the Gram condition limit (sqrt(1/limit)).
 _RESIDUAL_RATIO_LIMIT = 1e-6
-#: Tolerance for the idempotence check ||P^2 - P||_inf of projections.
+#: Tolerance for the orthonormality check max|U^T U - I| of projection factors,
+#: and for the idempotence check max|Khat^2 - Khat| of a dense kernel taken as a projection.
 PROJECTION_TOLERANCE = 1e-10
+
+
+def _check_same_space(a: GroundSpace, b: GroundSpace) -> None:
+    if b is not a and not (np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)):
+        raise DimensionError("operators live on different ground spaces")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,22 +90,15 @@ class KernelOperator:
         return cls(space, np.diag(1.0 / space.weights))
 
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
-        self._check_same_space(other)
+        _check_same_space(self.space, other.space)
         return KernelOperator(self.space, self.entries + other.entries)
 
     def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        self._check_same_space(other)
+        _check_same_space(self.space, other.space)
         return KernelOperator(self.space, self.entries - other.entries)
 
     def __rmul__(self, scalar: float) -> "KernelOperator":
         return KernelOperator(self.space, float(scalar) * self.entries)
-
-    def _check_same_space(self, other: "KernelOperator") -> None:
-        if other.space is not self.space and not (
-            np.array_equal(other.space.points, self.space.points)
-            and np.array_equal(other.space.weights, self.space.weights)
-        ):
-            raise DimensionError("operators live on different ground spaces")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the operator to a function on the grid (measure convention)."""
@@ -102,9 +107,68 @@ class KernelOperator:
             raise DimensionError(f"vector must have length {self.n}")
         return self.entries @ (v * self.space.weights)
 
-    def is_projection(self, tol: float = PROJECTION_TOLERANCE) -> bool:
-        khat = self.counting
-        return float(np.max(np.abs(khat @ khat - khat))) < tol
+
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """Orthogonal projection held as an orthonormal counting-coordinate factor.
+
+    ``factor`` is an n x r matrix U with orthonormal columns, and the
+    counting form of the projection is ``U U^T``.  Construction checks
+    max|U^T U - I| against ``PROJECTION_TOLERANCE`` and raises
+    :class:`ContractError` beyond it.  ``counting`` and ``entries`` are
+    the dense forms a :class:`KernelOperator` carries, built on first read.
+    """
+
+    space: GroundSpace
+    factor: np.ndarray
+
+    def __post_init__(self):
+        factor = np.array(self.factor, dtype=float)  # a copy in the memory order of the input
+        if factor.ndim != 2 or factor.shape[0] != self.space.n:
+            raise DimensionError(f"projection factor must have {self.space.n} rows")
+        residual = float(np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1])), initial=0.0))
+        if not residual < PROJECTION_TOLERANCE:
+            raise ContractError(f"projection factor is not orthonormal: max|U^T U - I| = {residual:.3e}")
+        factor.flags.writeable = False
+        object.__setattr__(self, "factor", factor)
+
+    @property
+    def n(self) -> int:
+        return self.space.n
+
+    @property
+    def rank(self) -> int:
+        return self.factor.shape[1]
+
+    @cached_property
+    def counting(self) -> np.ndarray:
+        """The dense counting form U U^T."""
+        counting = self.factor @ self.factor.T
+        counting.flags.writeable = False
+        return counting
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense kernel relative to the measure, as ``KernelOperator.from_counting`` forms it."""
+        inv = 1.0 / self.space.sqrt_weights
+        entries = self.counting * np.outer(inv, inv)
+        entries.flags.writeable = False
+        return entries
+
+    @classmethod
+    def from_kernel(cls, K) -> "Projection":
+        """The projection a dense kernel holds, factored by the eigenvectors of its counting form.
+
+        Raises :class:`ContractError` unless max|Khat^2 - Khat| < ``PROJECTION_TOLERANCE``.
+        A :class:`Projection` is returned as it is.
+        """
+        if isinstance(K, Projection):
+            return K
+        khat = K.counting
+        if not float(np.max(np.abs(khat @ khat - khat))) < PROJECTION_TOLERANCE:
+            raise ContractError("operator is not a projection within tolerance")
+        eigvals, eigvecs = np.linalg.eigh(khat)
+        return cls(K.space, eigvecs[:, eigvals > 0.5])
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +222,24 @@ def local_trace_norm(K: KernelOperator, A: Window, B: Window) -> float:
     return float(np.sum(np.linalg.svd(block, compute_uv=False)))
 
 
+def projection_distance(P: Projection, Q: Projection, A: Window) -> float:
+    """Trace norm of chi_A (Phat - Qhat) chi_A, from the factors restricted to the window.
+
+    With M = [U_A, V_A] = Q_M R (reduced QR) and S = diag(I, -I), the block
+    is M S M^T = Q_M (R S R^T) Q_M^T, so its nonzero eigenvalues are those
+    of the small matrix R S R^T.
+    """
+    _check_same_space(P.space, Q.space)
+    A.validate(P.space)
+    if not A.index_set:
+        warnings.warn("empty window in projection_distance, returning 0", stacklevel=2)
+        return 0.0
+    idx = np.asarray(A.index_set)
+    R = np.linalg.qr(np.hstack([P.factor[idx], Q.factor[idx]]), mode="r")
+    signs = np.concatenate([np.ones(P.rank), -np.ones(Q.rank)])
+    return float(np.sum(np.abs(np.linalg.eigvalsh((R * signs) @ R.T))))
+
+
 def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
     """Modified Gram-Schmidt in the weighted inner product, with re-orthogonalization.
 
@@ -186,25 +268,13 @@ def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
     return np.array(rows)
 
 
-def project_span(basis, space: GroundSpace) -> KernelOperator:
+def project_span(basis, space: GroundSpace) -> Projection:
     """Orthogonal projection (weighted inner product) onto the span of the basis."""
-    q = orthonormalize(basis, space)
-    return KernelOperator.from_counting(space, q.T @ q)
+    return Projection(space, orthonormalize(basis, space).T)
 
 
-def range_basis(K: KernelOperator) -> np.ndarray:
-    """Measure-coordinate rows spanning the numerical range of a projection-like kernel.
-
-    The range is read off the counting form's eigenvectors with eigenvalue above 1/2.
-    """
-    eigvals, eigvecs = np.linalg.eigh(K.counting)
-    return eigvecs[:, eigvals > 0.5].T * (1.0 / K.space.sqrt_weights)
-
-
-def angle(v, P: KernelOperator) -> float:
+def angle(v, P: Projection) -> float:
     """Angle arcsin(||(I-P)v|| / ||v||) between a vector and the range of a projection."""
-    if not P.is_projection():
-        raise ContractError("operator is not idempotent within tolerance")
     v = np.asarray(v, dtype=float)
     if v.shape != (P.n,):
         raise DimensionError(f"vector must have length {P.n}")
@@ -212,7 +282,8 @@ def angle(v, P: KernelOperator) -> float:
     vnorm = np.linalg.norm(vhat)
     if vnorm == 0.0:
         raise ValueError("angle of the zero vector is undefined")
-    residual = np.linalg.norm(vhat - P.counting @ vhat)
+    U = P.factor
+    residual = np.linalg.norm(vhat - U @ (U.T @ vhat))
     return float(np.arcsin(np.clip(residual / vnorm, 0.0, 1.0)))
 
 

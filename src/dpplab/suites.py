@@ -14,6 +14,7 @@ import numpy as np
 from .conditioning import WeightFunction, induced_kernel, normalization_constant, reweighted_distribution
 from .deformations import DeformationModel, ExhaustionReport, exhaustion_suite, perturbation_convergence_suite
 from .dpp import DppDistribution, brute_force_distribution, sample, total_variation
+from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, Subspace, project_span
 from .measures import WeakConvergenceReport, TightnessReport, tightness_report, weak_convergence_test
@@ -189,6 +190,8 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
     deformation vector x^{-3/4} then has diverging weighted norm (the finite
     stand-in for a deformation outside L2), while the indicator window
     [10^-(k+1), 1] keeps excluding the region carrying most of that norm.
+    Raises :class:`EmptyWindowError` when a grid has no point in the core
+    window [0.5, 1], as the grids of 2^2 and 2^3 points do.
     """
     rows = []
     probe_ids = ()
@@ -196,6 +199,8 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
         x_min = 10.0 ** -(k + 4)
         space = GroundSpace.geometric_cells(x_min, 1.0, 2**k, label=f"grid-2^{k}")
         core = Window.from_interval(space, 0.5, 1.0, "core")
+        if not core.index_set:
+            raise EmptyWindowError(f"the 2^{k}-point grid has no point in the core window [0.5, 1]")
         model = exhaustion_model(space, core, min_angle)
         b_k = 10.0 ** -(k + 1)
         window = Window.from_interval(space, b_k, 0.5, f"B_{k}")

@@ -1,0 +1,64 @@
+"""Dense n x n references for the factored projection operations.
+
+The package holds a projection as an orthonormal factor U (Phat = U U^T)
+and works on U alone.  These functions compute the same quantities from
+the full counting forms, as the package did before, so the tests can
+compare the two.  Arguments are counting forms (n x n arrays), weight
+values g and counting-coordinate vectors.
+"""
+
+import numpy as np
+
+from dpplab.errors import AngleDegeneracyError
+from dpplab.operators import PROJECTION_TOLERANCE
+
+
+def is_projection(khat: np.ndarray, tol: float = PROJECTION_TOLERANCE) -> bool:
+    """The idempotence check max|Khat^2 - Khat| < tol."""
+    return float(np.max(np.abs(khat @ khat - khat))) < tol
+
+
+def inducibility_norms(g: np.ndarray, phat: np.ndarray) -> tuple[float, float]:
+    """||(1-g) P|| and ||sqrt(1-g) P||, as spectral norms of n x n matrices."""
+    one_minus_g = 1.0 - g
+    return (
+        float(np.linalg.norm(one_minus_g[:, None] * phat, 2)),
+        float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * phat, 2)),
+    )
+
+
+def induced_counting(g: np.ndarray, phat: np.ndarray) -> np.ndarray:
+    """sqrt(g) P (1 + (g-1) P)^{-1} sqrt(g), by a dense solve of the n x n resolvent."""
+    sg = np.sqrt(g)
+    system = np.eye(len(g)) + (g - 1.0)[:, None] * phat
+    bhat = (sg[:, None] * phat @ np.linalg.solve(system, phat)) * sg
+    return (bhat + bhat.T) / 2.0
+
+
+def normalization_determinant(g: np.ndarray, phat: np.ndarray) -> float:
+    """det(1 + (g-1) P) as an n x n determinant."""
+    return float(np.linalg.det(np.eye(len(g)) + (g - 1.0)[:, None] * phat))
+
+
+def extend_counting(phat: np.ndarray, vs_hat: np.ndarray, min_angle: float) -> np.ndarray:
+    """Absorb counting-coordinate vectors into a projection matrix by rank-one updates."""
+    phat = phat.copy()
+    for k, vhat in enumerate(vs_hat):
+        vnorm = np.linalg.norm(vhat)
+        if vnorm == 0.0:
+            raise AngleDegeneracyError(k, 0.0, min_angle)
+        residual = vhat - phat @ vhat
+        ang = float(np.arcsin(np.clip(np.linalg.norm(residual) / vnorm, 0.0, 1.0)))
+        if ang < min_angle:
+            raise AngleDegeneracyError(k, ang, min_angle)
+        unit = residual / np.linalg.norm(residual)
+        unit = unit - phat @ unit
+        unit /= np.linalg.norm(unit)
+        phat = phat + np.outer(unit, unit)
+    return phat
+
+
+def windowed_trace_distance(phat: np.ndarray, qhat: np.ndarray, idx) -> float:
+    """Trace norm of the block (Phat - Qhat)[A, A], from the singular values of the dense block."""
+    block = (phat - qhat)[np.ix_(idx, idx)]
+    return float(np.sum(np.linalg.svd(block, compute_uv=False)))

@@ -73,17 +73,19 @@ def test_criterion_3_perturbation_suite(capsys):
 
 
 def test_criterion_4_exhaustion_suite(capsys):
+    start = time.perf_counter()
     report = suites.scripted_exhaustion_study()
+    elapsed = time.perf_counter() - start
     final = report.rows[-1]
     angles_ok = all(r.angle_ok and not r.failed for r in report.rows)
-    ok = report.decreasing and angles_ok and final.remainder_probe_norm < 1e-3
+    ok = report.decreasing and angles_ok and final.remainder_probe_norm < 1e-3 and elapsed < 10.0
     _report(
         capsys,
         "criterion 4 (exhaustion suite)",
         ok,
         f"probe-window distances decreasing over grids 2^8..2^12, "
         f"remainder probe norm {final.remainder_probe_norm:.2e} < 1e-3 at the finest grid, "
-        f"all angles >= {report.min_angle}",
+        f"all angles >= {report.min_angle}, runtime {elapsed:.2f}s < 10s",
     )
     assert ok
 

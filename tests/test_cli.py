@@ -98,6 +98,24 @@ def test_perturb_command(tmp_path):
     assert csv.splitlines()[0] == "n,window_id,distance"
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_exhaust_grid_without_core_point_rejected(tmp_path, k):
+    # grids of 2^2 and 2^3 points have no point in the core window [0.5, 1]
+    cfg = _write(tmp_path / "cfg.json", {"ks": [k]})
+    assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run" / "exhaustion.csv").exists()
+
+
+def test_exhaust_command_on_a_2_14_grid(tmp_path):
+    cfg = _write(tmp_path / "cfg.json", {"ks": [14]})
+    assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+    header, row = (tmp_path / "run" / "exhaustion.csv").read_text().splitlines()
+    assert header.startswith("n,") and header.endswith(",angle_ok")
+    values = row.split(",")
+    assert values[0] == "14" and values[-1] == "1"
+    assert all(np.isfinite(float(v)) for v in values)  # a failed row carries NaN
+
+
 def test_weakconv_sequence_command(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import is_projection
 from dpplab.conditioning import WeightFunction, induced_kernel
 from dpplab.deformations import (
     DeformationModel,
@@ -9,9 +10,10 @@ from dpplab.deformations import (
     perturbation_convergence_suite,
     sqrtg_subspace_projection,
 )
-from dpplab.errors import AngleDegeneracyError
+from dpplab.errors import AngleDegeneracyError, EmptyWindowError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import Subspace, angle, project_span
+from dpplab.suites import scripted_exhaustion_study
 
 
 def _rng(seed):
@@ -28,7 +30,7 @@ def test_extend_projection_rank_and_membership():
     P = project_span(rng.normal(size=(2, 8)), space)
     vs = rng.normal(size=(2, 8))
     Q = extend_projection(P, vs)
-    assert Q.is_projection()
+    assert is_projection(Q.counting)
     assert np.linalg.matrix_rank(Q.counting, tol=1e-8) == 4
     for v in vs:
         assert angle(v, Q) < 1e-7
@@ -82,8 +84,7 @@ def test_weighted_projection_decomposition():
     g = WeightFunction(space, rng.uniform(0.3, 1.0, 8))
     Qg, Pg = sqrtg_subspace_projection(model, g)
     assert np.array_equal(Qg.entries, induced_kernel(g, model.base_projection).entries)
-    remainder = Pg - Qg
-    rhat = remainder.counting
+    rhat = Pg.counting - Qg.counting
     assert np.allclose(rhat @ rhat, rhat, atol=1e-9)  # remainder is a projection
     assert np.abs(rhat @ Qg.counting).max() < 1e-9  # orthogonal to the reweighted base
     assert np.linalg.matrix_rank(rhat, tol=1e-8) == 1
@@ -122,3 +123,9 @@ def test_exhaustion_suite_smoke():
     assert report.rows[-1].remainder_probe_norm < report.rows[0].remainder_probe_norm
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("n,angle,distance_probe")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exhaustion_study_rejects_grid_without_core_point(k):
+    with pytest.raises(EmptyWindowError):
+        scripted_exhaustion_study(ks=(k,))

@@ -1,0 +1,123 @@
+"""Property tests of the factored projection operations against their dense references.
+
+Each operation on a projection P = U U^T works on the n x r factor U; the
+references in ``dense_reference`` compute the same quantity from the full
+n x n counting forms.  Cases are random weighted spaces of 2-12 points,
+projections of rank 1-3 and conditioning weights g with or without exact
+zeros, kept where the inducibility margin is at least ``MIN_MARGIN``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import dense_reference as dense
+from dpplab.conditioning import WeightFunction, check_inducibility, induced_kernel, normalization_constant
+from dpplab.deformations import extend_projection
+from dpplab.errors import AngleDegeneracyError, ContractError
+from dpplab.ground import GroundSpace, Window
+from dpplab.operators import Projection, project_span, projection_distance
+
+#: Smallest inducibility margin a drawn case must keep.
+MIN_MARGIN = 1e-2
+
+_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+@st.composite
+def projections(draw, max_rank=3):
+    """A random space of 2-12 points, a projection of rank 1-3 on it, and the rng that drew them."""
+    n = draw(st.integers(2, 12))
+    rank = draw(st.integers(1, min(max_rank, n)))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    return project_span(rng.normal(size=(rank, n)), space), rng
+
+
+@st.composite
+def conditioning_cases(draw):
+    """A projection and a weight g, with exact zeros in g or without, of margin at least MIN_MARGIN."""
+    P, _ = draw(projections())
+    value = st.floats(0.05, 1.0)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0.0), value)
+    g = np.array(draw(st.lists(value, min_size=P.n, max_size=P.n)))
+    assume(1.0 - dense.inducibility_norms(g, P.counting)[1] >= MIN_MARGIN)
+    return P, WeightFunction(P.space, g)
+
+
+@_SETTINGS
+@given(conditioning_cases())
+def test_inducibility_norms_match_dense_norms(case):
+    P, g = case
+    check = check_inducibility(g, P)
+    norm_full, sqrt_norm = dense.inducibility_norms(g.values, P.counting)
+    assert check.norm_1mg_P == pytest.approx(norm_full, abs=1e-13)
+    assert check.sqrt_norm == pytest.approx(sqrt_norm, abs=1e-13)
+    assert check.margin == pytest.approx(1.0 - sqrt_norm, abs=1e-13)
+
+
+@_SETTINGS
+@given(conditioning_cases())
+def test_induced_kernel_matches_dense_resolvent(case):
+    P, g = case
+    B = induced_kernel(g, P)
+    assert B.rank == P.rank
+    assert np.allclose(B.counting, dense.induced_counting(g.values, P.counting), rtol=0.0, atol=1e-12)
+
+
+@_SETTINGS
+@given(conditioning_cases())
+def test_normalization_constant_matches_dense_determinant(case):
+    P, g = case
+    expected = dense.normalization_determinant(g.values, P.counting)
+    assert normalization_constant(g, P) == pytest.approx(expected, abs=1e-13)
+
+
+@_SETTINGS
+@given(projections(), st.integers(1, 2))
+def test_extend_projection_matches_dense_rank_one_updates(case, count):
+    P, rng = case
+    assume(P.rank + count <= P.n)
+    vs = rng.normal(size=(count, P.n))
+    min_angle = 1e-3
+    try:
+        expected = dense.extend_counting(P.counting, vs * P.space.sqrt_weights, min_angle)
+    except AngleDegeneracyError as err:
+        with pytest.raises(AngleDegeneracyError) as raised:
+            extend_projection(P, vs, min_angle)
+        assert raised.value.index == err.index
+        return
+    Q = extend_projection(P, vs, min_angle)
+    assert Q.rank == P.rank + count
+    assert np.array_equal(Q.factor[:, : P.rank], P.factor)
+    assert np.allclose(Q.counting, expected, rtol=0.0, atol=1e-10)
+    assert np.allclose(extend_projection(P, vs[::-1], min_angle).counting, Q.counting, rtol=0.0, atol=1e-9)
+
+
+@_SETTINGS
+@given(projections(), st.integers(1, 3), st.data())
+def test_projection_distance_matches_dense_block_svd(case, other_rank, data):
+    P, rng = case
+    Q = project_span(rng.normal(size=(min(other_rank, P.n), P.n)), P.space)
+    idx = data.draw(st.lists(st.integers(0, P.n - 1), min_size=1, unique=True))
+    expected = dense.windowed_trace_distance(P.counting, Q.counting, sorted(idx))
+    assert projection_distance(P, Q, Window(tuple(idx))) == pytest.approx(expected, abs=1e-12)
+    assert projection_distance(P, P, Window(tuple(idx))) == pytest.approx(0.0, abs=1e-12)
+
+
+@_SETTINGS
+@given(projections(), st.floats(1e-9, 10.0), st.booleans())
+def test_projection_rejects_a_factor_that_is_not_orthonormal(case, stretch, poison):
+    P, _ = case
+    Projection(P.space, P.factor)  # the factor itself passes
+    bad = P.factor * (1.0 + stretch)
+    if poison:
+        bad[0, 0] = np.nan
+    with pytest.raises(ContractError):
+        Projection(P.space, bad)
