@@ -10,6 +10,7 @@ test functions, using the energy distance with permutation calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,11 @@ from .operators import KernelOperator, Projection, subspace_angle
 
 #: Default sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
+
+#: Permutation-test ties: a permuted split scores as a hit when its energy
+#: statistic reaches the observed one less this multiple of the mean pooled
+#: distance, so splits that tie mathematically count however their sums round.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,23 +211,25 @@ def chebyshev_mass_bound_check(
         raise ValueError("the mass level L must be positive")
     trace = _weighted_trace(D.kernel.counting, f.values)
     bound = trace / L
-    exceed = sum(1 for X in samples if sigma_f(X, f).total_mass > L)
-    empirical = exceed / len(samples)
+    masses = linear_statistics(samples, f, np.ones(f.space.n))[:, 0]
+    empirical = int(np.count_nonzero(masses > L)) / len(samples)
     p = max(empirical, 1.0 / len(samples))
     slack = 3.0 * float(np.sqrt(p * (1.0 - p) / len(samples)))
     return MassBoundCheck(bound, empirical, slack, empirical <= bound + slack)
 
 
 def linear_statistics(samples: list[Configuration], f: WeightFunction, phis) -> np.ndarray:
-    """Matrix of Int_{phi_i}(sigma_f(X)) over samples; rows are samples."""
+    """Matrix of Int_{phi_i}(sigma_f(X)) over samples; rows are samples.
+
+    The product with the 0/1 occupancy array is an ``einsum``, which runs on
+    the calling thread (see ``permutation_energy_test``).
+    """
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    out = np.zeros((len(samples), phis.shape[0]))
-    weighted = phis * f.values
-    for i, X in enumerate(samples):
-        idx = sorted(X.occupied)
-        if idx:
-            out[i] = weighted[:, idx].sum(axis=1)
-    return out
+    sizes = [len(X.occupied) for X in samples]
+    occupancy = np.zeros((len(samples), f.space.n))
+    points = np.fromiter(chain.from_iterable(X.occupied for X in samples), dtype=np.intp, count=sum(sizes))
+    occupancy[np.repeat(np.arange(len(samples)), sizes), points] = 1.0
+    return np.einsum("sn,kn->sk", occupancy, phis * f.values)
 
 
 def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
@@ -237,35 +245,50 @@ def _pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=-1))
 
 
-def _energy_statistic_from_matrix(D: np.ndarray, total: float, mask: np.ndarray) -> float:
-    """Energy distance read off a pooled distance matrix with entry sum ``total`` for a 0/1 split mask.
-
-    The product with D is an ``einsum``, which runs on the calling thread:
-    a BLAS product fans out to the BLAS threads once per permutation and
-    stalls whenever another process holds one of their cores.
-    """
-    nx = int(mask.sum())
-    ny = len(mask) - nx
-    col = np.einsum("ij,j->i", D, mask)
-    sxy = float(col @ (1.0 - mask))
-    sxx = float(col @ mask)
-    syy = float(total - 2.0 * sxy - sxx)
-    return 2.0 * sxy / (nx * ny) - sxx / (nx * nx) - syy / (ny * ny)
-
-
 def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng) -> tuple[float, float]:
-    """Observed energy distance and its permutation p-value (add-one convention)."""
+    """Observed energy distance and its permutation p-value (add-one convention).
+
+    Each permutation is one ``rng.permutation(len(pooled))`` of the pooled
+    rows, X stacked over Y; the rows it sends below ``len(X)`` form the X
+    side.  A split is scored from its count vector c over the m distinct
+    pooled rows: with D the m x m distance matrix of those rows and t the
+    pooled counts, the within-X, cross and within-Y distance sums are
+    c'Dc, c'D(t - c) and (t - c)'D(t - c).  That costs O(N + m^2) per
+    permutation for N pooled rows, and the N x N distance matrix is never
+    formed.  The products are ``einsum`` calls, which run on the calling
+    thread: a BLAS product fans out to the BLAS threads and stalls whenever
+    another process holds one of their cores.
+
+    Tie rule: a permuted split counts as a hit when its statistic is at
+    least the observed one less ``TIE_TOLERANCE`` times the mean pooled
+    distance t'Dt / N^2.  Splits that tie mathematically, such as those
+    with the observed count vector or, when len(X) == len(Y), the one that
+    swaps the two sides, then count as hits however their sums round.
+    """
     pooled = np.vstack([X, Y])
-    D = _pairwise(pooled, pooled)
-    total = D.sum()
-    mask = np.zeros(len(pooled))
-    mask[: len(X)] = 1.0
-    observed = _energy_statistic_from_matrix(D, total, mask)
-    hits = 0
-    for _ in range(permutations):
-        perm = rng.permutation(len(pooled))
-        if _energy_statistic_from_matrix(D, total, mask[perm]) >= observed:
-            hits += 1
+    n, nx = len(pooled), len(X)
+    ny = n - nx
+    rows, inverse = np.unique(pooled, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    m = len(rows)
+    D = _pairwise(rows, rows)
+    on_x = np.empty((permutations + 1, n), dtype=bool)
+    on_x[0] = np.arange(n) < nx
+    for k in range(1, permutations + 1):
+        on_x[k] = rng.permutation(n) < nx
+    cells = np.arange(permutations + 1)[:, None] * m + inverse
+    counts = np.bincount(cells[on_x], minlength=(permutations + 1) * m).reshape(permutations + 1, m).astype(float)
+    pooled_counts = np.bincount(inverse, minlength=m).astype(float)
+    rest = pooled_counts - counts
+    d_counts = np.einsum("ij,pj->pi", D, counts)
+    d_pooled = np.einsum("ij,j->i", D, pooled_counts)
+    sxx = np.einsum("pi,pi->p", counts, d_counts)
+    sxy = np.einsum("pi,pi->p", rest, d_counts)
+    syy = np.einsum("pi,pi->p", rest, d_pooled - d_counts)
+    statistics = 2.0 * sxy / (nx * ny) - sxx / (nx * nx) - syy / (ny * ny)
+    mean_distance = float(np.einsum("i,i->", pooled_counts, d_pooled)) / (n * n)
+    observed = float(statistics[0])
+    hits = int(np.count_nonzero(statistics[1:] >= observed - TIE_TOLERANCE * mean_distance))
     return observed, (hits + 1) / (permutations + 1)
 
 

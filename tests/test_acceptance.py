@@ -150,9 +150,18 @@ def test_criterion_7_tightness_and_chebyshev(capsys):
 
 
 def test_criterion_8_weak_convergence_calibration(capsys):
+    """Calibration uniformity and a strictly decreasing perturbed sequence at the acceptance seeds.
+
+    "Strictly decreasing" holds for sequence seed 11 but fails on 7 of 29
+    other seeds (11 + 1000 s, s = 1..29): the last steps sit inside
+    sampling noise, so this verdict is a property of the draw at seed 11,
+    not of the method.
+    """
+    start = time.perf_counter()
     p_values = suites.weakconv_calibration()
     ks = suites.ks_distance_to_uniform(p_values)
     sequence = suites.weakconv_sequence()
+    elapsed = time.perf_counter() - start
     ok = ks < 0.05 and sequence.decreasing
     _report(
         capsys,
@@ -160,6 +169,6 @@ def test_criterion_8_weak_convergence_calibration(capsys):
         ok,
         f"calibration KS distance to uniform {ks:.4f} < 0.05 over 200 repetitions; "
         f"perturbed-sequence energy statistics strictly decreasing={sequence.decreasing} "
-        f"(final p={sequence.final_p_value:.3f})",
+        f"(final p={sequence.final_p_value:.3f}), runtime {elapsed:.1f}s",
     )
     assert ok

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpplab.conditioning import WeightFunction, check_inducibility
 from dpplab.dpp import Configuration, DppDistribution, sample
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
+    TIE_TOLERANCE,
     FiniteMeasure,
     chebyshev_mass_bound_check,
     energy_distance,
@@ -122,6 +125,18 @@ def test_linear_statistics_shape_and_values():
     assert stats.tolist() == [[2.0, 0.0], [2.0, 2.0]]
 
 
+def test_linear_statistics_match_embedding_loop():
+    rng = _rng(45)
+    space = GroundSpace.uniform_cells(0.0, 1.0, 7)
+    f = WeightFunction(space, rng.uniform(0.1, 2.0, 7), role="f")
+    phis = rng.normal(size=(3, 7))
+    samples = [Configuration(space, frozenset(np.flatnonzero(rng.random(7) < q))) for q in (0.0, 0.3, 0.6, 1.0) * 5]
+    stats = linear_statistics(samples, f, phis)
+    loop = np.array([[int_phi(sigma_f(X, f), phi) for phi in phis] for X in samples])
+    np.testing.assert_allclose(stats, loop, rtol=1e-13, atol=1e-13)
+    assert linear_statistics([], f, phis).shape == (0, 3)
+
+
 def test_energy_distance_properties():
     rng = _rng(42)
     X = rng.normal(size=(60, 2))
@@ -159,6 +174,79 @@ def test_permutation_test_matches_split_by_split_energy_distance(case):
         hits += energy_distance(pooled[on_x], pooled[~on_x]) >= ref_observed
     assert observed == pytest.approx(ref_observed, rel=1e-12, abs=1e-12)
     assert p == (hits + 1) / 50
+
+
+def _split_by_split(X, Y, permutations, rng):
+    """Score every permuted split with energy_distance under the tie rule of permutation_energy_test."""
+    pooled = np.vstack([X, Y])
+    observed = energy_distance(X, Y)
+    mean_distance = np.linalg.norm(pooled[:, None, :] - pooled[None, :, :], axis=-1).mean()
+    hits = 0
+    for _ in range(permutations):
+        on_x = rng.permutation(len(pooled)) < len(X)
+        hits += energy_distance(pooled[on_x], pooled[~on_x]) >= observed - TIE_TOLERANCE * mean_distance
+    return observed, (hits + 1) / (permutations + 1)
+
+
+@st.composite
+def tied_samples(draw):
+    """Two samples of integer rows, mostly over a small alphabet as bin counts give."""
+    rows = draw(st.sampled_from(["alphabet", "one row", "all distinct"]))
+    nx = draw(st.integers(2, 25))
+    ny = nx if draw(st.booleans()) else draw(st.integers(2, 25))
+    dim = draw(st.integers(1, 3))
+    src = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rows == "alphabet":
+        pooled = src.integers(0, draw(st.integers(2, 5)), size=(nx + ny, dim))
+    elif rows == "one row":
+        pooled = np.broadcast_to(src.integers(0, 5, size=dim), (nx + ny, dim))
+    else:
+        pooled = np.column_stack([src.permutation(nx + ny), src.integers(0, 5, size=(nx + ny, dim - 1))])
+    pooled = pooled.astype(float)
+    return pooled[:nx], pooled[nx:], draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tied_samples())
+def test_permutation_test_on_tied_rows_matches_split_by_split_loop(case):
+    X, Y, seed = case
+    observed, p = permutation_energy_test(X, Y, 39, _rng(seed))
+    ref_observed, ref_p = _split_by_split(X, Y, 39, _rng(seed))
+    assert abs(observed - ref_observed) <= 1e-12
+    assert p == ref_p
+
+
+class _ScriptedPermutations:
+    """Stands in for a Generator whose permutations are given in advance."""
+
+    def __init__(self, permutations):
+        self._permutations = iter(permutations)
+
+    def permutation(self, n):
+        return next(self._permutations)
+
+
+def test_permutation_test_counts_identity_and_swapped_splits_as_hits():
+    src = np.random.default_rng(0)
+    X = src.integers(0, 3, size=(20, 3)).astype(float)
+    Y = src.integers(0, 3, size=(20, 3)).astype(float)
+    identity = np.arange(40)
+    swapped = np.roll(identity, 20)
+    _, p = permutation_energy_test(X, Y, 2, _ScriptedPermutations([identity, swapped]))
+    assert p == 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_permutation_p_value_is_translation_invariant(seed):
+    """Translated rows round their distances differently; the p-value must not move."""
+    src = np.random.default_rng(seed)
+    X = src.integers(0, 3, size=(4, 1)).astype(float)
+    Y = src.integers(0, 3, size=(4, 1)).astype(float)
+    pooled = np.vstack([X, Y])
+    assert not np.array_equal(np.abs(pooled - pooled.T), np.abs((pooled + 0.3) - (pooled + 0.3).T))
+    _, p = permutation_energy_test(X, Y, 199, _rng(seed))
+    _, p_shifted = permutation_energy_test(X + 0.3, Y + 0.3, 199, _rng(seed))
+    assert p == p_shifted
 
 
 def test_weak_convergence_requires_disjoint_supports():
