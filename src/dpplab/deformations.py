@@ -19,7 +19,15 @@ import numpy as np
 from .conditioning import WeightFunction, induced_kernel
 from .errors import AngleDegeneracyError, ContractError, DegenerateBasisError, DimensionError
 from .ground import GroundSpace, Window, weighted_norm
-from .operators import ConvergenceReport, Projection, Subspace, project_span, projection_distance, subspace_angle
+from .operators import (
+    ConvergenceReport,
+    Projection,
+    Subspace,
+    project_span,
+    projection_distance,
+    scaled_norm,
+    subspace_angle,
+)
 
 #: Default minimum angle (radians) each deformation vector must keep.
 DEFAULT_MIN_ANGLE = 0.05
@@ -70,7 +78,7 @@ def extend_projection(P: Projection, vs, min_angle: float = DEFAULT_MIN_ANGLE) -
         raise DimensionError("deformation vectors must live on the operator's space")
     U = P.factor
     for k, vhat in enumerate(vs * P.space.sqrt_weights):
-        vnorm = np.linalg.norm(vhat)
+        vhat, vnorm = scaled_norm(vhat)
         if vnorm == 0.0:
             raise AngleDegeneracyError(k, 0.0, min_angle)
         residual = vhat - U @ (U.T @ vhat)

@@ -2,19 +2,21 @@
 
 Exact configuration probabilities, a brute-force enumeration oracle,
 spectral exact sampling, correlation minors and intensities, all driven
-by the counting form of the kernel.
+by the counting form of the kernel.  A configuration law is a (2^n,)
+array indexed by occupancy bitmask: bit i is set when point i is occupied.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, EnumerationSizeError
 from .ground import GroundSpace
-from .operators import KernelOperator
+from .operators import KernelOperator, Projection
 
 #: Eigenvalues of the counting form may stray this far outside [0, 1]
 #: (machine noise from spectral factorizations of projections).
@@ -34,6 +36,9 @@ _BLOCK_BYTES = 1 << 22
 
 #: Largest ground space accepted by the exhaustive oracle (2^n configurations).
 MAX_ENUMERATION_POINTS = 20
+
+#: Most matrices the exhaustive oracle stacks into one determinant call.
+_DET_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +60,6 @@ class Configuration:
 
     def __len__(self) -> int:
         return len(self.occupied)
-
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.occupied))
 
     @classmethod
     def from_bitmask(cls, space: GroundSpace, mask: int) -> "Configuration":
@@ -103,39 +105,68 @@ def occupancy_table(n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n)) & 1
 
 
-def brute_force_distribution(D: DppDistribution) -> dict[int, float]:
-    """Exact probability of every configuration, keyed by occupancy bitmask.
-
-    Uses the block identity P(X = S) = (-1)^{n - |S|} det(Khat - I_{S^c}),
-    evaluated for all 2^n subsets in one stacked determinant call.
-    """
-    n = D.space.n
+def _check_law_size(n: int) -> None:
     if n > MAX_ENUMERATION_POINTS:
         raise EnumerationSizeError(f"{n} points exceed the enumeration limit {MAX_ENUMERATION_POINTS}")
+
+
+def _subset_law(U: np.ndarray) -> np.ndarray:
+    """P(X = S) = det(U_S)^2 on the r-subsets S of a rank-r projection with factor U (n x r), else 0."""
+    n, r = U.shape
+    count = math.comb(n, r)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), r)), dtype=np.intp, count=count * r)
+    subsets = subsets.reshape(count, r)
+    masks = (1 << subsets).sum(axis=1)
+    law = np.zeros(2**n)
+    for start in range(0, count, _DET_CHUNK):
+        chunk = slice(start, start + _DET_CHUNK)
+        law[masks[chunk]] = np.linalg.det(U[subsets[chunk]]) ** 2
+    return law
+
+
+def _block_identity_law(khat: np.ndarray) -> np.ndarray:
+    """P(X = S) = (-1)^{n - |S|} det(Khat - I_{S^c}) for all 2^n subsets, in stacked determinant calls."""
+    n = len(khat)
     occupancy = occupancy_table(n)
     signs = np.where((n - occupancy.sum(axis=1)) % 2, -1.0, 1.0)
     probs = np.empty(2**n)
     idx = np.arange(n)
-    chunk = 1 << 14  # cap the stacked-determinant workspace
-    for start in range(0, 2**n, chunk):
-        occ = occupancy[start : start + chunk]
-        stacked = np.broadcast_to(D.kernel.counting, (len(occ), n, n)).copy()
+    for start in range(0, 2**n, _DET_CHUNK):
+        occ = occupancy[start : start + _DET_CHUNK]
+        stacked = np.broadcast_to(khat, (len(occ), n, n)).copy()
         stacked[:, idx, idx] -= 1.0 - occ
         probs[start : start + len(occ)] = np.linalg.det(stacked)
-    probs *= signs
+    return probs * signs
+
+
+def brute_force_distribution(D: DppDistribution) -> np.ndarray:
+    """Exact probability of every configuration, as a (2^n,) array indexed by occupancy bitmask.
+
+    A rank-r :class:`Projection` kernel with factor U puts its mass on the
+    C(n, r) subsets S of size r, where P(X = S) = det(U_S)^2 (Cauchy-Binet);
+    every other entry is exactly 0.  Any other kernel uses the block
+    identity P(X = S) = (-1)^{n - |S|} det(Khat - I_{S^c}) on all 2^n subsets.
+    """
+    n = D.space.n
+    _check_law_size(n)
+    K = D.kernel
+    probs = _subset_law(K.factor) if isinstance(K, Projection) else _block_identity_law(K.counting)
     if probs.min() < -1e-12:
         raise ContractError(f"negative configuration probability {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, None)
+    np.clip(probs, 0.0, None, out=probs)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise ContractError(f"configuration probabilities sum to {total!r}")
-    return {int(mask): float(p) for mask, p in enumerate(probs)}
+    return probs
 
 
-def total_variation(p: dict[int, float], q: dict[int, float]) -> float:
-    """Half the l1 distance between two configuration tables; missing keys count as 0."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """Half the l1 distance between two configuration laws indexed by bitmask."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise DimensionError(f"configuration laws of shapes {p.shape} and {q.shape} differ")
+    return 0.5 * float(np.abs(p - q).sum())
 
 
 def _stream_uniforms(seed: int, first: int, count: int, width: int) -> np.ndarray:
@@ -238,15 +269,21 @@ def intensity(D: DppDistribution):
     return FiniteMeasure(D.space, np.clip(atoms, 0.0, None))
 
 
-def empirical_distribution(samples: list[Configuration]) -> dict[int, float]:
-    table: dict[int, float] = {}
-    for X in samples:
-        table[X.bitmask] = table.get(X.bitmask, 0.0) + 1.0
-    return {k: v / len(samples) for k, v in table.items()}
+def empirical_distribution(samples: list[Configuration]) -> np.ndarray:
+    """Share of the samples in each configuration, as a (2^n,) array indexed by occupancy bitmask."""
+    if not samples:
+        raise ValueError("the empirical law of no samples is undefined")
+    n = samples[0].space.n
+    _check_law_size(n)
+    masks = np.array([X.bitmask for X in samples], dtype=np.int64)
+    return np.bincount(masks, minlength=2**n) / len(samples)
 
 
 def chi_square_gof(samples: list[Configuration], expected: dict[int, float], min_expected: float = 5.0):
-    """Chi-square goodness of fit of sampled configurations against an exact table.
+    """Chi-square goodness of fit of sampled configurations against an exact law.
+
+    ``expected`` maps occupancy bitmasks to probabilities; for a law held
+    as an array, pass ``dict(enumerate(law))``.
 
     Categories with expected count below ``min_expected`` are pooled into
     a single tail bin.  Returns (statistic, dof, p_value).

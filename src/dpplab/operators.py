@@ -27,6 +27,10 @@ from .ground import GroundSpace, Window
 GRAM_CONDITION_LIMIT = 1e12
 #: Residual-norm ratio matching the Gram condition limit (sqrt(1/limit)).
 _RESIDUAL_RATIO_LIMIT = 1e-6
+#: Norms in this open range are taken from a vector as it is (see ``scaled_norm``):
+#: their squares, and those of residuals down to _RESIDUAL_RATIO_LIMIT times them,
+#: neither overflow nor underflow.
+SAFE_NORM_RANGE = (2.0**-400, 2.0**400)
 #: Tolerance for the orthonormality check max|U^T U - I| of projection factors,
 #: and for the idempotence check max|Khat^2 - Khat| of a dense kernel taken as a projection.
 PROJECTION_TOLERANCE = 1e-10
@@ -240,13 +244,32 @@ def projection_distance(P: Projection, Q: Projection, A: Window) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh((R * signs) @ R.T))))
 
 
+def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """A vector and its Euclidean norm, rescaled first when that norm would over- or underflow.
+
+    When the norm of ``v`` as given lies outside ``SAFE_NORM_RANGE``, ``v``
+    is divided by the least power of two above its max-abs entry and the
+    norm is taken again.  Dividing by a power of two is exact (only entries
+    below 2^-1022 times the peak lose bits), so ratios of norms, and every
+    result built from them, do not depend on the vector's scale.
+    """
+    with np.errstate(over="ignore"):  # an overflow shows as inf and is handled below
+        norm = float(np.linalg.norm(v))
+    if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
+        return v, norm
+    _, exponent = np.frexp(np.abs(v).max())
+    v = np.ldexp(v, -exponent)
+    return v, float(np.linalg.norm(v))
+
+
 def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
     """Modified Gram-Schmidt in the weighted inner product, with re-orthogonalization.
 
-    Returns the orthonormal vectors in counting coordinates (rows).  Raises
-    :class:`DegenerateBasisError` when a vector is numerically dependent on
-    its predecessors, i.e. when the Gram conditioning would exceed
-    ``GRAM_CONDITION_LIMIT``.
+    Returns the orthonormal vectors in counting coordinates (rows).  Norms
+    are taken with :func:`scaled_norm`, so the result does not depend on
+    the vectors' scales.  Raises :class:`DegenerateBasisError` when a vector
+    is zero or numerically dependent on its predecessors, i.e. when the
+    Gram conditioning would exceed ``GRAM_CONDITION_LIMIT``.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.shape[1] != space.n:
@@ -254,7 +277,7 @@ def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
     hat = basis * space.sqrt_weights
     rows = []
     for k, v in enumerate(hat):
-        original = np.linalg.norm(v)
+        v, original = scaled_norm(v)
         if original == 0.0:
             raise DegenerateBasisError(k, f"basis vector {k} is zero")
         r = v.copy()
@@ -278,8 +301,7 @@ def angle(v, P: Projection) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (P.n,):
         raise DimensionError(f"vector must have length {P.n}")
-    vhat = v * P.space.sqrt_weights
-    vnorm = np.linalg.norm(vhat)
+    vhat, vnorm = scaled_norm(v * P.space.sqrt_weights)
     if vnorm == 0.0:
         raise ValueError("angle of the zero vector is undefined")
     U = P.factor

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .dpp import Configuration
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .ground import GroundSpace
 from .operators import KernelOperator
 
@@ -58,18 +58,28 @@ def kernel_from_dict(payload: dict) -> KernelOperator:
     return KernelOperator(space, np.asarray(payload["entries"], dtype=float))
 
 
-def distribution_to_dict(table: dict[int, float], n_points: int) -> dict:
+def distribution_to_dict(law: np.ndarray, n_points: int) -> dict:
+    """A configuration law held as a (2^n,) array, written with one probability per bitmask."""
+    law = np.asarray(law, dtype=float)
+    if law.shape != (2**n_points,):
+        raise DimensionError(f"a configuration law on {n_points} points has {2**n_points} entries")
     return {
         "format_version": FORMAT_VERSION,
         "kind": "distribution",
         "n_points": n_points,
-        "probabilities": {str(mask): float(p) for mask, p in sorted(table.items())},
+        "probabilities": {str(mask): p for mask, p in enumerate(law.tolist())},
     }
 
 
-def distribution_from_dict(payload: dict) -> dict[int, float]:
+def distribution_from_dict(payload: dict) -> np.ndarray:
+    """The (2^n,) law a distribution payload holds; bitmasks it does not list have probability 0."""
     _check_version(payload, "distribution")
-    return {int(mask): float(p) for mask, p in payload["probabilities"].items()}
+    law = np.zeros(2 ** payload["n_points"])
+    for mask, p in payload["probabilities"].items():
+        if not 0 <= int(mask) < len(law):
+            raise DimensionError(f"bitmask {mask} does not fit {payload['n_points']} points")
+        law[int(mask)] = p
+    return law
 
 
 def samples_to_csv(samples: list[Configuration]) -> str:

@@ -123,15 +123,9 @@ def conditioning_oracle_battery(
         P, basis = random_projection(rng, space, rank)
         g = WeightFunction(space, rng.uniform(g_low, 1.0, size=n))
 
-        base_table = brute_force_distribution(DppDistribution(P))
-        base_probs = np.array([base_table[m] for m in range(2**n)])
-        reweighted, mean_psi = reweighted_distribution(g, base_probs)
-
+        reweighted, mean_psi = reweighted_distribution(g, brute_force_distribution(DppDistribution(P)))
         B = induced_kernel(g, P)
-        induced_table = brute_force_distribution(DppDistribution(B))
-        induced_probs = np.array([induced_table[m] for m in range(2**n)])
-
-        tv = 0.5 * float(np.abs(reweighted - induced_probs).sum())
+        tv = total_variation(reweighted, brute_force_distribution(DppDistribution(B)))
         norm_err = abs(normalization_constant(g, P) - mean_psi)
         direct = project_span(basis * g.sqrt, space)
         proj_err = float(np.max(np.abs(B.entries - direct.entries)))
@@ -191,8 +185,11 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
     stand-in for a deformation outside L2), while the indicator window
     [10^-(k+1), 1] keeps excluding the region carrying most of that norm.
     Raises :class:`EmptyWindowError` when a grid has no point in the core
-    window [0.5, 1], as the grids of 2^2 and 2^3 points do.
+    window [0.5, 1], as the grids of 2^2 and 2^3 points do, and
+    ``ValueError`` when ``ks`` is not strictly increasing.
     """
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be increasing")
     rows = []
     probe_ids = ()
     for k in ks:

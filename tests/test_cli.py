@@ -106,6 +106,14 @@ def test_exhaust_grid_without_core_point_rejected(tmp_path, k):
     assert not (tmp_path / "run" / "exhaustion.csv").exists()
 
 
+@pytest.mark.parametrize("ks", [[10, 8], [9, 9]])
+def test_exhaust_rejects_ks_that_do_not_increase(tmp_path, ks):
+    # as scaling rejects an n_list that does not increase
+    cfg = _write(tmp_path / "cfg.json", {"ks": ks})
+    assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run" / "exhaustion.csv").exists()
+
+
 def test_exhaust_command_on_a_2_14_grid(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"ks": [14]})
     assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK

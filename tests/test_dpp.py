@@ -20,7 +20,7 @@ from dpplab.dpp import (
 )
 from dpplab.errors import ContractError, DimensionError, EnumerationSizeError
 from dpplab.ground import GroundSpace
-from dpplab.operators import KernelOperator, project_span
+from dpplab.operators import KernelOperator, Projection, project_span
 
 
 def _rng(seed):
@@ -53,8 +53,8 @@ def test_brute_force_sums_to_one_and_is_nonnegative():
     rng = _rng(10)
     for trial in range(20):
         n = int(rng.integers(2, 8))
-        table = brute_force_distribution(DppDistribution(_random_contraction(rng, n)))
-        probs = np.array(list(table.values()))
+        probs = brute_force_distribution(DppDistribution(_random_contraction(rng, n)))
+        assert probs.shape == (2**n,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert probs.min() >= 0.0
 
@@ -66,6 +66,58 @@ def test_enumeration_size_guard():
         brute_force_distribution(D)
 
 
+@st.composite
+def factored_projections(draw):
+    """A random space of 1-10 points and a projection of any rank 0..n on it, held as a factor."""
+    n = draw(st.integers(1, 10))
+    rank = draw(st.integers(0, n))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    return Projection(space, np.linalg.qr(rng.normal(size=(n, rank)))[0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(factored_projections(), st.integers(1, 64))
+def test_projection_law_from_subset_minors_matches_block_identity(P, chunk):
+    # the dense kernel is not a Projection, so it takes the block-identity path;
+    # a small determinant chunk makes both paths cross chunk boundaries
+    dense = KernelOperator.from_counting(P.space, P.counting)
+    with mock.patch.object(dpp, "_DET_CHUNK", chunk):
+        law = brute_force_distribution(DppDistribution(P))
+        reference = brute_force_distribution(DppDistribution(dense))
+    assert law.shape == reference.shape == (2**P.n,)
+    assert np.max(np.abs(law - reference)) < 1e-12
+    sizes = np.array([bin(mask).count("1") for mask in range(2**P.n)])
+    assert np.all(law[sizes != P.rank] == 0.0)
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_projection_law_at_rank_zero_and_full_rank(rank):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    U = np.linalg.qr(_rng(17).normal(size=(4, rank)))[0]
+    law = brute_force_distribution(DppDistribution(Projection(space, U)))
+    expected = np.zeros(16)
+    expected[(1 << rank) - 1] = 1.0  # the empty set at rank 0, all four points at rank 4
+    assert np.allclose(law, expected, rtol=0.0, atol=1e-14)
+
+
+def test_total_variation_of_laws():
+    p = np.array([0.5, 0.25, 0.25, 0.0])
+    q = np.array([0.25, 0.25, 0.25, 0.25])
+    assert total_variation(p, q) == pytest.approx(0.25, abs=1e-15)
+    assert total_variation(p, p) == 0.0
+    with pytest.raises(DimensionError):
+        total_variation(p, q[:2])
+
+
+def test_empirical_distribution_counts_bitmasks():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 2)
+    samples = [Configuration(space, frozenset(s)) for s in [{0}, {0, 1}, {0}, set()]]
+    assert np.array_equal(empirical_distribution(samples), [0.25, 0.5, 0.0, 0.25])
+    with pytest.raises(ValueError):
+        empirical_distribution([])
+
+
 def test_correlation_matches_inclusion_sums():
     # rho(A) = det Khat_A must equal the brute-force mass of {S : S >= A}
     rng = _rng(11)
@@ -75,7 +127,7 @@ def test_correlation_matches_inclusion_sums():
         table = brute_force_distribution(D)
         A = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         mask_a = sum(1 << i for i in A)
-        total = sum(p for mask, p in table.items() if mask & mask_a == mask_a)
+        total = sum(p for mask, p in enumerate(table) if mask & mask_a == mask_a)
         assert correlation(D, A) == pytest.approx(total, abs=1e-11)
     assert correlation(D, set()) == 1.0
 
@@ -185,7 +237,7 @@ def test_sampler_goodness_of_fit():
     D = DppDistribution(_random_contraction(rng, 4))
     samples = sample(D, 2024, 4000)
     expected = brute_force_distribution(D)
-    stat, dof, p = chi_square_gof(samples, expected)
+    stat, dof, p = chi_square_gof(samples, dict(enumerate(expected)))
     assert p > 1e-3
     emp = empirical_distribution(samples)
     assert total_variation(emp, expected) < 0.05

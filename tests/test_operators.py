@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,22 @@ def test_angle_requires_projection():
     K = KernelOperator(space, np.full((3, 3), 0.7))
     with pytest.raises(ContractError):
         angle(np.ones(3), Projection.from_kernel(K))
+
+
+def test_vectors_of_extreme_scale():
+    # norms of the raw vectors would overflow (1e200) or underflow (1e-170),
+    # or lose bits in squares below the normal range (2^-530)
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    unit = project_span([[1.0, 3.0, 0.0]], space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert subspace_angle([[1e200, 1e200, 0.0]], [[1.0, 1.0, 0.0]], space) < 1e-7
+        for scale in (1e200, 1e-170, 2.0**-530):
+            P = project_span([[scale, 3.0 * scale, 0.0]], space)
+            assert np.allclose(P.counting, unit.counting, rtol=0.0, atol=1e-15)
+            assert angle(np.array([0.0, 0.0, scale]), unit) == pytest.approx(np.pi / 2, abs=1e-15)
+    with pytest.raises(DegenerateBasisError, match="basis vector 1 is zero"):
+        project_span([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], space)
 
 
 def test_subspace_angle_orthogonal_vectors():

@@ -5,6 +5,8 @@ references in ``dense_reference`` compute the same quantity from the full
 n x n counting forms.  Cases are random weighted spaces of 2-12 points,
 projections of rank 1-3 and conditioning weights g with or without exact
 zeros, kept where the inducibility margin is at least ``MIN_MARGIN``.
+The last test checks that the span operations do not depend on the
+scales of the vectors they are given.
 """
 
 import numpy as np
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from dpplab.conditioning import WeightFunction, check_inducibility, induced_kernel, normalization_constant
 from dpplab.deformations import extend_projection
-from dpplab.errors import AngleDegeneracyError, ContractError
+from dpplab.errors import AngleDegeneracyError, ContractError, DegenerateBasisError
 from dpplab.ground import GroundSpace, Window
-from dpplab.operators import Projection, project_span, projection_distance
+from dpplab.operators import Projection, angle, project_span, projection_distance, subspace_angle
 
 #: Smallest inducibility margin a drawn case must keep.
 MIN_MARGIN = 1e-2
@@ -121,3 +123,55 @@ def test_projection_rejects_a_factor_that_is_not_orthonormal(case, stretch, pois
         bad[0, 0] = np.nan
     with pytest.raises(ContractError):
         Projection(P.space, bad)
+
+
+@st.composite
+def scaled_vectors(draw):
+    """A base basis of rank 1-3 and 1-3 further vectors on 2-12 points, and the same vectors scaled.
+
+    Each vector is multiplied by its own 2^j, j in [-1000, 1000], which is exact in binary.
+    """
+    n = draw(st.integers(2, 12))
+    rank = draw(st.integers(1, min(3, n)))
+    count = draw(st.integers(1, 3))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    vectors = rng.normal(size=(rank + count, n))
+    exponents = draw(st.lists(st.integers(-1000, 1000), min_size=rank + count, max_size=rank + count))
+    scaled = np.ldexp(vectors, np.array(exponents)[:, None])
+    return space, rank, vectors, scaled
+
+
+def _outcome(fn, *args):
+    """The value of the call, or the type of the typed error it raised and the vector that error names."""
+    try:
+        return fn(*args), None
+    except (DegenerateBasisError, AngleDegeneracyError) as err:
+        return None, (type(err), err.index)
+
+
+@_SETTINGS
+@given(scaled_vectors())
+def test_span_operations_do_not_depend_on_vector_scales(case):
+    space, rank, vectors, scaled = case
+    P, error = _outcome(project_span, vectors, space)
+    P_scaled, error_scaled = _outcome(project_span, scaled, space)
+    assert error == error_scaled
+    if P is not None:
+        assert np.allclose(P_scaled.counting, P.counting, rtol=0.0, atol=1e-12)
+
+    base = project_span(vectors[:rank], space)
+    assert np.allclose(project_span(scaled[:rank], space).counting, base.counting, rtol=0.0, atol=1e-12)
+    for v, v_scaled in zip(vectors[rank:], scaled[rank:]):
+        assert angle(v_scaled, base) == pytest.approx(angle(v, base), abs=1e-12)
+    got, error_scaled = _outcome(subspace_angle, scaled[rank:], scaled[:rank], space)
+    expected, error = _outcome(subspace_angle, vectors[rank:], vectors[:rank], space)
+    assert error == error_scaled
+    if expected is not None:
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    Q, error = _outcome(extend_projection, base, vectors[rank:], 1e-3)
+    Q_scaled, error_scaled = _outcome(extend_projection, base, scaled[rank:], 1e-3)
+    assert error == error_scaled
+    if Q is not None:
+        assert np.allclose(Q_scaled.counting, Q.counting, rtol=0.0, atol=1e-12)

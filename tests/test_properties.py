@@ -49,7 +49,7 @@ def _loop_weights(g, probs):
 
 
 def _base_law(P):
-    return np.array(list(brute_force_distribution(DppDistribution(P)).values()))
+    return brute_force_distribution(DppDistribution(P))
 
 
 @_SETTINGS
@@ -76,5 +76,5 @@ def test_normalization_constant_is_reweighted_mass(case):
 def test_induced_law_is_reweighted_law(case):
     P, g = case
     weights = _loop_weights(g, _base_law(P))
-    induced = np.array(list(brute_force_distribution(induced_distribution(g, P)).values()))
+    induced = brute_force_distribution(induced_distribution(g, P))
     assert 0.5 * np.abs(induced - weights / weights.sum()).sum() < 1e-9

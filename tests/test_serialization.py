@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpplab.dpp import Configuration
-from dpplab.errors import ConfigError
+from dpplab.errors import ConfigError, DimensionError
 from dpplab.ground import GroundSpace
 from dpplab.operators import project_span
 from dpplab.serialization import (
@@ -42,9 +42,20 @@ def test_kernel_round_trip():
 
 
 def test_distribution_round_trip():
-    table = {0: 0.25, 3: 0.5, 5: 0.25}
-    back = distribution_from_dict(distribution_to_dict(table, 3))
-    assert back == table
+    law = np.array([0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0])
+    payload = distribution_to_dict(law, 3)
+    assert list(payload["probabilities"]) == [str(mask) for mask in range(8)]
+    assert np.array_equal(distribution_from_dict(payload), law)
+
+
+def test_distribution_payload_lists_masks_sparsely():
+    payload = {"format_version": 1, "kind": "distribution", "n_points": 3, "probabilities": {"3": 0.5, "5": 0.5}}
+    assert np.array_equal(distribution_from_dict(payload), [0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0])
+    payload["probabilities"]["8"] = 0.0
+    with pytest.raises(DimensionError):
+        distribution_from_dict(payload)
+    with pytest.raises(DimensionError):
+        distribution_to_dict(np.ones(4) / 4, 3)
 
 
 def test_unknown_version_rejected():
