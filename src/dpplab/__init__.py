@@ -32,6 +32,7 @@ from .deformations import (
 from .dpp import (
     Configuration,
     DppDistribution,
+    Samples,
     brute_force_distribution,
     chi_square_gof,
     correlation,

@@ -331,7 +331,7 @@ def _cmd_sample(config: dict, seed, out: Path) -> int:
     samples = sample(DppDistribution(K), run_seed, config["count"])
     outputs = [_write_text(out, "samples.csv", samples_to_csv(samples))]
     _write_manifest(out, "sample", config, run_seed, outputs)
-    mean_size = sum(len(X) for X in samples) / len(samples)
+    mean_size = samples.occupancy.sum(axis=1).mean()
     print(f"{len(samples)} samples written, mean configuration size {mean_size:.4f}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ array indexed by occupancy bitmask: bit i is set when point i is occupied.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -64,6 +65,33 @@ class Configuration:
     @classmethod
     def from_bitmask(cls, space: GroundSpace, mask: int) -> "Configuration":
         return cls(space, frozenset(i for i in range(space.n) if mask >> i & 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Draws on a ground space: row r of the read-only (count, n) bool ``occupancy`` marks draw r's points."""
+
+    space: GroundSpace
+    occupancy: np.ndarray
+
+    def __post_init__(self):
+        occupancy = np.array(self.occupancy, dtype=bool)
+        if occupancy.ndim != 2 or occupancy.shape[1] != self.space.n:
+            raise DimensionError(f"samples on {self.space.n} points need a (count, {self.space.n}) occupancy array")
+        occupancy.flags.writeable = False
+        object.__setattr__(self, "occupancy", occupancy)
+
+    def __len__(self) -> int:
+        return len(self.occupancy)
+
+    def __getitem__(self, r) -> Configuration:
+        return Configuration(self.space, frozenset(np.flatnonzero(self.occupancy[operator.index(r)]).tolist()))
+
+    @property
+    def bitmasks(self) -> np.ndarray:
+        """The occupancy bitmask of each draw, as an int64 array."""
+        _check_law_size(self.space.n)
+        return self.occupancy @ (1 << np.arange(self.space.n, dtype=np.int64))
 
 
 class DppDistribution:
@@ -221,7 +249,7 @@ def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def sample(D: DppDistribution, seed: int, count: int) -> list[Configuration]:
+def sample(D: DppDistribution, seed: int, count: int) -> Samples:
     """Draw exact i.i.d. samples via the spectral algorithm.
 
     Replica r reads the uniforms u_0, u_1, ... of its own stream (see
@@ -233,6 +261,7 @@ def sample(D: DppDistribution, seed: int, count: int) -> list[Configuration]:
     every draw, so results are reproducible and merge-order free.
 
     Replicas are drawn together in blocks, grouped by their kept set.
+    Row r of the returned occupancy array is replica r's draw.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -241,12 +270,11 @@ def sample(D: DppDistribution, seed: int, count: int) -> list[Configuration]:
     eigvals = D.eigenvalues
     eigvecs = D.eigenvectors
     block = max(1, _BLOCK_BYTES // (8 * n * (n + 4)))
-    out = []
+    occupancy = np.zeros((count, n), dtype=bool)
     for first in range(0, count, block):
         size = min(block, count - first)
         u = _stream_uniforms(seed, first, size, 2 * n)
         keep = u[:, :n] < eigvals
-        drawn: list[Configuration | None] = [None] * size
         # Sort the replicas by kept set; each run of equal rows is one group.
         order = np.lexsort(keep.T)
         keep = keep[order]
@@ -255,10 +283,8 @@ def sample(D: DppDistribution, seed: int, count: int) -> list[Configuration]:
             kept = keep[start]
             members = order[start:stop]
             chosen = _chain_rule(eigvecs[:, kept], u[members, n : n + int(kept.sum())])
-            for r, row in zip(members.tolist(), chosen.tolist()):
-                drawn[r] = Configuration(space, frozenset(row))
-        out.extend(drawn)
-    return out
+            occupancy[first + members[:, None], chosen] = True
+    return Samples(space, occupancy)
 
 
 def intensity(D: DppDistribution):
@@ -269,36 +295,38 @@ def intensity(D: DppDistribution):
     return FiniteMeasure(D.space, np.clip(atoms, 0.0, None))
 
 
-def empirical_distribution(samples: list[Configuration]) -> np.ndarray:
+def empirical_distribution(samples: Samples) -> np.ndarray:
     """Share of the samples in each configuration, as a (2^n,) array indexed by occupancy bitmask."""
     if not samples:
         raise ValueError("the empirical law of no samples is undefined")
-    n = samples[0].space.n
-    _check_law_size(n)
-    masks = np.array([X.bitmask for X in samples], dtype=np.int64)
-    return np.bincount(masks, minlength=2**n) / len(samples)
+    return np.bincount(samples.bitmasks, minlength=2**samples.space.n) / len(samples)
 
 
-def chi_square_gof(samples: list[Configuration], expected: dict[int, float], min_expected: float = 5.0):
+def chi_square_gof(samples: Samples, expected: dict[int, float], min_expected: float = 5.0):
     """Chi-square goodness of fit of sampled configurations against an exact law.
 
     ``expected`` maps occupancy bitmasks to probabilities; for a law held
-    as an array, pass ``dict(enumerate(law))``.
+    as an array, pass ``dict(enumerate(law))``.  Bitmasks it does not list
+    have probability 0.
 
     Categories with expected count below ``min_expected`` are pooled into
-    a single tail bin.  Returns (statistic, dof, p_value).
+    a single tail bin.  Returns (statistic, dof, p_value).  A draw of a
+    configuration of probability 0 gives statistic inf and p-value 0.
     """
     from scipy import stats
 
     n_samples = len(samples)
-    observed: dict[int, int] = {}
-    for X in samples:
-        observed[X.bitmask] = observed.get(X.bitmask, 0) + 1
+    observed = np.bincount(samples.bitmasks, minlength=2**samples.space.n).tolist()
     exp_counts, obs_counts = [], []
     tail_exp = tail_obs = 0.0
+    possible = 0
     for mask, p in expected.items():
+        if not 0 <= mask < len(observed):
+            raise DimensionError(f"bitmask {mask} does not fit {samples.space.n} points")
         e = p * n_samples
-        o = observed.get(mask, 0)
+        o = observed[mask]
+        if p > 0:
+            possible += o
         if e < min_expected:
             tail_exp += e
             tail_obs += o
@@ -308,11 +336,13 @@ def chi_square_gof(samples: list[Configuration], expected: dict[int, float], min
     if tail_exp > 0:
         exp_counts.append(tail_exp)
         obs_counts.append(tail_obs)
+    dof = max(len(exp_counts) - 1, 1)
+    if possible < n_samples:
+        return math.inf, dof, 0.0
     exp_arr = np.asarray(exp_counts)
     obs_arr = np.asarray(obs_counts)
     exp_arr *= obs_arr.sum() / exp_arr.sum()  # guard tiny truncation of the table
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    dof = max(len(exp_arr) - 1, 1)
     return stat, dof, float(stats.chi2.sf(stat, dof))
 
 

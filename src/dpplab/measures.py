@@ -10,12 +10,11 @@ test functions, using the energy distance with permutation calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .conditioning import WeightFunction, check_inducibility
-from .dpp import Configuration, DppDistribution
+from .dpp import Configuration, DppDistribution, Samples
 from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
 from .operators import KernelOperator, Projection, subspace_angle
@@ -138,9 +137,10 @@ def tightness_report(
         khat = K.counting
         trace = _weighted_trace(khat, f.values)
         tails = tuple(_weighted_trace(khat, f.values, w.index_set) for w in tail_windows)
+        P = Projection.from_kernel(K) if g is not None or extra_vectors is not None else None
         margin = None
         if g is not None:
-            margin = check_inducibility(g, Projection.from_kernel(K)).margin
+            margin = check_inducibility(g, P).margin
         vec_masses: tuple[float, ...] = ()
         vec_tails: tuple[tuple[float, ...], ...] = ()
         min_angle = None
@@ -152,7 +152,7 @@ def tightness_report(
                 tuple(float(m[list(w.index_set)].sum()) if len(w) else 0.0 for w in tail_windows)
                 for m in masses
             )
-            basis = Projection.from_kernel(K).factor.T / K.space.sqrt_weights
+            basis = P.factor.T / K.space.sqrt_weights
             angles = []
             for k in range(len(vs)):
                 current = np.vstack([basis] + [vs[j] for j in range(k)]) if k else basis
@@ -199,7 +199,7 @@ class MassBoundCheck:
 
 
 def chebyshev_mass_bound_check(
-    D: DppDistribution, f: WeightFunction, L: float, samples: list[Configuration]
+    D: DppDistribution, f: WeightFunction, L: float, samples: Samples
 ) -> MassBoundCheck:
     """Markov/Chebyshev control of the embedded total mass against samples.
 
@@ -218,18 +218,16 @@ def chebyshev_mass_bound_check(
     return MassBoundCheck(bound, empirical, slack, empirical <= bound + slack)
 
 
-def linear_statistics(samples: list[Configuration], f: WeightFunction, phis) -> np.ndarray:
+def linear_statistics(samples: Samples, f: WeightFunction, phis) -> np.ndarray:
     """Matrix of Int_{phi_i}(sigma_f(X)) over samples; rows are samples.
 
     The product with the 0/1 occupancy array is an ``einsum``, which runs on
     the calling thread (see ``permutation_energy_test``).
     """
+    if samples.space.n != f.space.n:
+        raise DimensionError(f"samples on {samples.space.n} points, embedding weight on {f.space.n}")
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    sizes = [len(X.occupied) for X in samples]
-    occupancy = np.zeros((len(samples), f.space.n))
-    points = np.fromiter(chain.from_iterable(X.occupied for X in samples), dtype=np.intp, count=sum(sizes))
-    occupancy[np.repeat(np.arange(len(samples)), sizes), points] = 1.0
-    return np.einsum("sn,kn->sk", occupancy, phis * f.values)
+    return np.einsum("sn,kn->sk", samples.occupancy.astype(float), phis * f.values)
 
 
 def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
@@ -316,8 +314,8 @@ class WeakConvergenceReport:
 
 
 def weak_convergence_test(
-    samples_n: list[list[Configuration]],
-    samples_limit: list[Configuration],
+    samples_n: list[Samples],
+    samples_limit: Samples,
     f: WeightFunction,
     phis,
     permutations: int = 199,

@@ -310,11 +310,20 @@ def angle(v, P: Projection) -> float:
 
 
 def subspace_angle(basis_a, basis_b, space: GroundSpace) -> float:
-    """Smallest principal angle between the spans of two bases."""
+    """Smallest principal angle between the spans of two bases.
+
+    Its cosine is the largest singular value of qa qb^T and its sine the
+    smallest singular value of qa's residual off the span of qb, for
+    orthonormal rows qa and qb; ``arctan2`` of the two resolves the angle
+    to full precision near 0 and near pi/2 alike, where arccos or arcsin
+    alone would lose digits.
+    """
     qa = orthonormalize(basis_a, space)
     qb = orthonormalize(basis_b, space)
-    top = np.linalg.svd(qa @ qb.T, compute_uv=False)[0]
-    return float(np.arccos(np.clip(top, -1.0, 1.0)))
+    overlap = qa @ qb.T
+    cos = np.linalg.svd(overlap, compute_uv=False)[0]
+    sin = np.linalg.svd(qa - overlap @ qb, compute_uv=False)[-1]
+    return float(np.arctan2(sin, cos))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .dpp import Configuration
+from .dpp import Samples
 from .errors import ConfigError, DimensionError
 from .ground import GroundSpace
 from .operators import KernelOperator
@@ -82,17 +82,20 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
     return law
 
 
-def samples_to_csv(samples: list[Configuration]) -> str:
-    """One line per configuration: space-separated occupied indices (may be empty)."""
-    return "\n".join(" ".join(str(i) for i in sorted(X.occupied)) for X in samples) + "\n"
+def samples_to_csv(samples: Samples) -> str:
+    """One line per draw: space-separated occupied indices (may be empty)."""
+    return "\n".join(" ".join(map(str, np.flatnonzero(row).tolist())) for row in samples.occupancy) + "\n"
 
 
-def samples_from_csv(text: str, space: GroundSpace) -> list[Configuration]:
-    samples = []
-    for line in text.splitlines():
-        idx = frozenset(int(tok) for tok in line.split())
-        samples.append(Configuration(space, idx))
-    return samples
+def samples_from_csv(text: str, space: GroundSpace) -> Samples:
+    lines = text.splitlines()
+    occupancy = np.zeros((len(lines), space.n), dtype=bool)
+    for row, line in zip(occupancy, lines):
+        idx = [int(tok) for tok in line.split()]
+        if any(not 0 <= i < space.n for i in idx):
+            raise DimensionError("occupied indices out of bounds")
+        row[idx] = True
+    return Samples(space, occupancy)
 
 
 def save_json(payload: dict, path) -> None:

@@ -6,6 +6,8 @@ the run log.
 
 import time
 
+import numpy as np
+
 from dpplab import suites
 from dpplab.dpp import DppDistribution, brute_force_distribution, chi_square_gof, sample
 
@@ -120,7 +122,7 @@ def test_criterion_6_sampler_correctness(capsys):
         details.append(f"{name} p={p:.3f}")
         if D.is_projection():
             rank = D.rank()
-            rigid = all(len(X) == rank for X in samples)
+            rigid = bool(np.all(samples.occupancy.sum(axis=1) == rank))
             ok &= rigid
             details.append(f"{name} rank rigidity={rigid}")
     _report(

@@ -9,6 +9,7 @@ from dpplab import dpp
 from dpplab.dpp import (
     Configuration,
     DppDistribution,
+    Samples,
     brute_force_distribution,
     chi_square_gof,
     configurations_of_size,
@@ -110,12 +111,55 @@ def test_total_variation_of_laws():
         total_variation(p, q[:2])
 
 
+def test_samples_rows_are_configurations():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    samples = Samples(space, [[True, False, True], [False, False, False]])
+    assert len(samples) == 2
+    assert [X.occupied for X in samples] == [frozenset({0, 2}), frozenset()]
+    assert samples[-1].occupied == frozenset()
+    assert samples.bitmasks.tolist() == [0b101, 0]
+    with pytest.raises(ValueError):
+        samples.occupancy[0, 0] = False
+    with pytest.raises(TypeError):
+        samples[:1]
+    with pytest.raises(DimensionError):
+        Samples(space, np.zeros((2, 4), dtype=bool))
+
+
 def test_empirical_distribution_counts_bitmasks():
     space = GroundSpace.uniform_cells(0.0, 1.0, 2)
-    samples = [Configuration(space, frozenset(s)) for s in [{0}, {0, 1}, {0}, set()]]
+    samples = Samples(space, [[True, False], [True, True], [True, False], [False, False]])
     assert np.array_equal(empirical_distribution(samples), [0.25, 0.5, 0.0, 0.25])
     with pytest.raises(ValueError):
-        empirical_distribution([])
+        empirical_distribution(Samples(space, np.zeros((0, 2), dtype=bool)))
+
+
+def test_sample_laws_refuse_wide_spaces():
+    # 2^21 counts per law: the bitmask view is refused before anything is allocated
+    space = GroundSpace.uniform_cells(0.0, 1.0, 21)
+    samples = Samples(space, np.ones((3, 21), dtype=bool))
+    with pytest.raises(EnumerationSizeError):
+        samples.bitmasks
+    with pytest.raises(EnumerationSizeError):
+        empirical_distribution(samples)
+    with pytest.raises(EnumerationSizeError):
+        chi_square_gof(samples, {2**21 - 1: 1.0})
+
+
+def test_chi_square_rejects_draws_of_impossible_configurations():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 2)
+    rows = [[True, False]] * 50 + [[False, True]] * 50 + [[True, True]] * 30
+    samples = Samples(space, rows)
+    stat, _, p = chi_square_gof(samples, {0: 0.0, 1: 0.5, 2: 0.5, 3: 0.0})
+    assert stat == np.inf and p == 0.0
+    # a bitmask the law does not list has probability 0 as well
+    stat, _, p = chi_square_gof(samples, {1: 0.5, 2: 0.5})
+    assert stat == np.inf and p == 0.0
+    stat, dof, p = chi_square_gof(Samples(space, rows[:100]), {0: 0.0, 1: 0.5, 2: 0.5, 3: 0.0})
+    assert (stat, dof, p) == (0.0, 1, 1.0)
+    for mask in (4, -1):
+        with pytest.raises(DimensionError):
+            chi_square_gof(samples, {1: 0.5, 2: 0.5, mask: 0.0})
 
 
 def test_correlation_matches_inclusion_sums():
@@ -148,7 +192,7 @@ def test_sampler_prefix_reproducibility():
     D = DppDistribution(_random_contraction(rng, 5))
     short = sample(D, 7, 10)
     long = sample(D, 7, 25)
-    assert [X.bitmask for X in short] == [X.bitmask for X in long[:10]]
+    assert np.array_equal(short.bitmasks, long.bitmasks[:10])
 
 
 def _reference_projection(rng: np.random.Generator, V: np.ndarray) -> list[int]:
@@ -248,11 +292,7 @@ def test_intensity_matches_sampled_counts():
     D = DppDistribution(_random_contraction(rng, 5))
     xi = intensity(D)
     samples = sample(D, 5, 4000)
-    counts = np.zeros(5)
-    for X in samples:
-        for i in X.occupied:
-            counts[i] += 1
-    counts /= len(samples)
+    counts = samples.occupancy.mean(axis=0)
     # 4 standard errors of a Bernoulli proportion
     se = np.sqrt(np.maximum(xi.atoms * (1 - xi.atoms), 1e-4) / len(samples))
     assert np.all(np.abs(counts - xi.atoms) < 4 * se + 1e-3)

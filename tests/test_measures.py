@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.conditioning import WeightFunction, check_inducibility
-from dpplab.dpp import Configuration, DppDistribution, sample
+from dpplab.dpp import Configuration, DppDistribution, Samples, sample
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
     TIE_TOLERANCE,
@@ -119,7 +119,7 @@ def test_linear_statistics_shape_and_values():
     space = GroundSpace.uniform_cells(0.0, 1.0, 4)
     f = WeightFunction.constant(space, 2.0, role="f")
     phis = np.eye(4)[:2]
-    samples = [Configuration(space, frozenset({0})), Configuration(space, frozenset({0, 1}))]
+    samples = Samples(space, [[True, False, False, False], [True, True, False, False]])
     stats = linear_statistics(samples, f, phis)
     assert stats.shape == (2, 2)
     assert stats.tolist() == [[2.0, 0.0], [2.0, 2.0]]
@@ -130,11 +130,11 @@ def test_linear_statistics_match_embedding_loop():
     space = GroundSpace.uniform_cells(0.0, 1.0, 7)
     f = WeightFunction(space, rng.uniform(0.1, 2.0, 7), role="f")
     phis = rng.normal(size=(3, 7))
-    samples = [Configuration(space, frozenset(np.flatnonzero(rng.random(7) < q))) for q in (0.0, 0.3, 0.6, 1.0) * 5]
+    samples = Samples(space, [rng.random(7) < q for q in (0.0, 0.3, 0.6, 1.0) * 5])
     stats = linear_statistics(samples, f, phis)
     loop = np.array([[int_phi(sigma_f(X, f), phi) for phi in phis] for X in samples])
     np.testing.assert_allclose(stats, loop, rtol=1e-13, atol=1e-13)
-    assert linear_statistics([], f, phis).shape == (0, 3)
+    assert linear_statistics(Samples(space, np.zeros((0, 7), dtype=bool)), f, phis).shape == (0, 3)
 
 
 def test_energy_distance_properties():
@@ -253,7 +253,7 @@ def test_weak_convergence_requires_disjoint_supports():
     space = GroundSpace.uniform_cells(0.0, 1.0, 4)
     f = WeightFunction.constant(space, 1.0, role="f")
     phis = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
-    batch = [Configuration(space, frozenset({0}))] * 4
+    batch = Samples(space, [[True, False, False, False]] * 4)
     with pytest.raises(ValueError):
         weak_convergence_test([batch], batch, f, phis)
 

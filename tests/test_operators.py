@@ -165,6 +165,10 @@ def test_subspace_angle_orthogonal_vectors():
     a = np.array([[1.0, 0.0]])
     b = np.array([[0.0, 1.0]])
     assert subspace_angle(a, b, space) == pytest.approx(np.pi / 2)
+    # small angles too: arccos of the top singular value alone bottoms out near 2e-8
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    assert subspace_angle([[1.0, 1.0, 0.0]], [[1.0, 1.0, 0.0]], space) < 1e-15
+    assert subspace_angle([[1.0, 1.0, 0.0]], [[1.0, 1.0, 1e-9]], space) == pytest.approx(1e-9 / np.sqrt(2), rel=1e-6)
 
 
 def test_convergence_report_columns_and_csv():

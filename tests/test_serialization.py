@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpplab.dpp import Configuration
+from dpplab.dpp import Samples
 from dpplab.errors import ConfigError, DimensionError
 from dpplab.ground import GroundSpace
 from dpplab.operators import project_span
@@ -67,12 +67,12 @@ def test_unknown_version_rejected():
 
 def test_samples_round_trip():
     space = _space()
-    samples = [
-        Configuration(space, frozenset({0, 2})),
-        Configuration(space, frozenset()),
-        Configuration(space, frozenset({1})),
-    ]
+    samples = Samples(space, [[i in s for i in range(space.n)] for s in ({0, 2}, set(), {1})])
     text = samples_to_csv(samples)
     assert text == "0 2\n\n1\n"
     back = samples_from_csv(text, space)
-    assert [X.occupied for X in back] == [X.occupied for X in samples]
+    assert np.array_equal(back.occupancy, samples.occupancy)
+    with pytest.raises(DimensionError):
+        samples_from_csv(f"0 {space.n}\n", space)
+    with pytest.raises(DimensionError):
+        samples_from_csv("-1\n", space)
