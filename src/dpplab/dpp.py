@@ -24,15 +24,35 @@ from .operators import KernelOperator, Projection
 SPECTRUM_TOLERANCE = 1e-10
 
 #: Identifier of the counter-based random source used by the sampler.
-#: Replica i of a run with seed s reads the uniforms of an independent
-#: Philox stream keyed by (s, i), as ``Generator.random`` produces them:
-#: n coin uniforms, then one uniform per selected point (see ``sample``).
-#: Merging replicas is therefore order-independent.
+#: Replica i of a run with seed s reads the uniforms of its own
+#: Philox4x64-10 stream (Salmon et al., SC11) under the key (s, i): block
+#: j of four 64-bit words is the cipher of the counter (j + 1, 0, 0, 0),
+#: and a word w becomes the uniform (w >> 11) * 2^-53.  These are bit for
+#: bit the uniforms ``Generator.random`` draws from
+#: ``numpy.random.Philox(key=[s, i])``; ``_stream_uniforms`` enciphers
+#: them for all replicas at once.  A replica reads n coin uniforms, then
+#: one uniform per selected point (see ``sample``).  Merging replicas is
+#: therefore order-independent.
 RNG_ALGORITHM = "numpy.random.Philox(key=[seed, replica])"
+
+#: Philox4x64-10: the multipliers of words 0 and 2, their 32-bit halves,
+#: and the Weyl increments of the two key words.  The mask and shift are
+#: 0-d arrays, not numpy scalars, which cost ufuncs more per call.
+_PHILOX_ROUNDS = 10
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & _LOW32
+_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 
 #: Byte budget of the workspace of one block of replicas in ``sample``:
 #: per replica, k <= n Gram-Schmidt columns of n floats and 2n uniforms
-#: held twice (raw words and floats).  The block size follows from n.
+#: held twice (raw words and floats).  The stream's uint64 workspace, its
+#: two lanes and their temporaries, peaks at about eight arrays of
+#: 2 x ceil(2n / 4) words, 128 ceil(n / 2) bytes per replica: within the
+#: budget for n >= 4, 1.3 times it at n = 2 and 3.2 times it at n = 1.
+#: The block size follows from n.
 _BLOCK_BYTES = 1 << 22
 
 #: Largest ground space accepted by the exhaustive oracle (2^n configurations).
@@ -197,23 +217,60 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``_PHILOX_M * a``; ``a`` is overwritten.
+
+    numpy has no 128-bit integers, so the high word is assembled from the
+    32-bit halves of both factors, none of whose partial sums overflows.
+    """
+    lo = a * _PHILOX_M
+    a_lo = a & _LOW32
+    a_hi = np.right_shift(a, _SHIFT32, out=a)
+    t = a_lo * _PHILOX_M_LO
+    t >>= _SHIFT32
+    u = a_hi * _PHILOX_M_LO
+    u += t
+    v = np.multiply(a_lo, _PHILOX_M_HI, out=a_lo)
+    v += np.bitwise_and(u, _LOW32, out=t)
+    u >>= _SHIFT32
+    v >>= _SHIFT32
+    hi = np.multiply(a_hi, _PHILOX_M_HI, out=a_hi)
+    hi += u
+    hi += v
+    return hi, lo
+
+
 def _stream_uniforms(seed: int, first: int, count: int, width: int) -> np.ndarray:
     """Row r holds the first ``width`` uniforms of replica ``first + r``'s stream.
 
-    One ``Philox`` is rewound onto each replica's key in turn (counter 0,
-    empty buffer) instead of being built anew, and its raw 64-bit words
-    are mapped to [0, 1) as ``Generator.random`` maps them.
+    The stream is Philox4x64-10 under the key (seed, first + r): 64-bit
+    word 4j + i of a replica is word i of the cipher of the counter
+    (j + 1, 0, 0, 0), and a word w maps to (w >> 11) * 2^-53.  This is
+    bit for bit what ``numpy.random.Philox(key=[seed, first + r])`` feeds
+    ``Generator.random``: numpy increments the counter before each block.
+
+    All replicas and blocks are enciphered at once.  The state is held as
+    two lanes, (x0, x2) and (x1, x3), each a (2, count, blocks) array, so
+    one round is x0, x2 <- hi(M1 x2) ^ x1 ^ k0, hi(M0 x0) ^ x3 ^ k1 and
+    x1, x3 <- lo(M1 x2), lo(M0 x0), after which the key is bumped by the
+    Weyl increments.
     """
-    bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
-    state = bitgen.state
-    key = state["state"]["key"]
-    raw = np.empty((count, width), dtype=np.uint64)
-    for r in range(count):
-        key[1] = first + r
-        bitgen.state = state
-        raw[r] = bitgen.random_raw(width)
-    raw >>= np.uint64(11)
-    return raw * 2.0**-53
+    blocks = -(-width // 4)
+    key = np.empty((2, count, 1), dtype=np.uint64)
+    key[0] = seed
+    key[1, :, 0] = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    even = np.zeros((2, count, blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for _ in range(_PHILOX_ROUNDS):
+        hi, lo = _mulhilo(even)
+        odd ^= key
+        odd ^= hi[::-1]
+        even, odd = odd, lo[::-1]
+        key += _PHILOX_W
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(count, 4 * blocks)[:, :width]
+    words >>= np.uint64(11)
+    return words * 2.0**-53
 
 
 def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -83,8 +83,16 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
 
 
 def samples_to_csv(samples: Samples) -> str:
-    """One line per draw: space-separated occupied indices (may be empty)."""
-    return "\n".join(" ".join(map(str, np.flatnonzero(row).tolist())) for row in samples.occupancy) + "\n"
+    """One line per draw: space-separated occupied indices (may be empty); no draws give "".
+
+    Each distinct occupancy row is formatted once: rows are packed into
+    byte keys, and ``np.unique`` maps every draw to its row's line.
+    """
+    packed = np.packbits(samples.occupancy, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    lines = [" ".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in samples.occupancy[first]]
+    return "".join([lines[i] for i in inverse.tolist()])
 
 
 def samples_from_csv(text: str, space: GroundSpace) -> Samples:

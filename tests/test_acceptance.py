@@ -112,6 +112,7 @@ def test_criterion_5_hard_edge_scaling_suite(capsys):
 
 
 def test_criterion_6_sampler_correctness(capsys):
+    start = time.perf_counter()
     kernels = suites.scripted_sampler_kernels()
     details, ok = [], True
     for name, K in kernels.items():
@@ -125,11 +126,12 @@ def test_criterion_6_sampler_correctness(capsys):
             rigid = bool(np.all(samples.occupancy.sum(axis=1) == rank))
             ok &= rigid
             details.append(f"{name} rank rigidity={rigid}")
+    elapsed = time.perf_counter() - start
     _report(
         capsys,
         "criterion 6 (sampler correctness)",
         ok,
-        "chi-square GOF on 1e5 samples per kernel, all p > 0.001; " + ", ".join(details),
+        "chi-square GOF on 1e5 samples per kernel, all p > 0.001; " + ", ".join(details) + f", runtime {elapsed:.1f}s",
     )
     assert ok
 

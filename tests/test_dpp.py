@@ -276,6 +276,21 @@ def test_stream_uniforms_are_generator_random(seed):
         assert np.array_equal(got[r], rng.random(9))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**63 - 1),
+    count=st.integers(0, 50),
+    width=st.integers(1, 20),
+)
+def test_stream_uniforms_match_philox_generators(seed, first, count, width):
+    got = dpp._stream_uniforms(seed, first, count, width)
+    assert got.shape == (count, width)
+    for r in range(count):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, first + r], dtype=np.uint64)))
+        assert np.array_equal(got[r], rng.random(width))
+
+
 def test_sampler_goodness_of_fit():
     rng = _rng(14)
     D = DppDistribution(_random_contraction(rng, 4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpplab.dpp import Samples
 from dpplab.errors import ConfigError, DimensionError
@@ -65,14 +67,42 @@ def test_unknown_version_rejected():
         space_from_dict(payload)
 
 
+def _reference_samples_to_csv(samples: Samples) -> str:
+    """The writer formatted row by row: one line of occupied indices per draw."""
+    return "".join(" ".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in samples.occupancy)
+
+
 def test_samples_round_trip():
     space = _space()
-    samples = Samples(space, [[i in s for i in range(space.n)] for s in ({0, 2}, set(), {1})])
-    text = samples_to_csv(samples)
-    assert text == "0 2\n\n1\n"
-    back = samples_from_csv(text, space)
-    assert np.array_equal(back.occupancy, samples.occupancy)
+    for sets, expected in [
+        (({0, 2}, set(), {1}), "0 2\n\n1\n"),
+        ((set(),), "\n"),
+        ((), ""),
+    ]:
+        occupancy = np.array([[i in s for i in range(space.n)] for s in sets], dtype=bool)
+        samples = Samples(space, occupancy.reshape(-1, space.n))
+        text = samples_to_csv(samples)
+        assert text == expected
+        back = samples_from_csv(text, space)
+        assert np.array_equal(back.occupancy, samples.occupancy)
     with pytest.raises(DimensionError):
         samples_from_csv(f"0 {space.n}\n", space)
     with pytest.raises(DimensionError):
         samples_from_csv("-1\n", space)
+
+
+@st.composite
+def occupancy_cases(draw):
+    """Occupancy arrays on 1-70 points (packed keys of 1-9 bytes), 0-60 draws, from few distinct rows."""
+    n = draw(st.integers(1, 70))
+    count = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = rng.random((draw(st.integers(1, 8)), n)) < rng.random()
+    patterns[0] = draw(st.booleans())  # an all-empty or all-full row
+    return Samples(GroundSpace.uniform_cells(0.0, 1.0, n), patterns[rng.integers(0, len(patterns), count)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(samples=occupancy_cases())
+def test_samples_to_csv_matches_row_by_row_writer(samples):
+    assert samples_to_csv(samples) == _reference_samples_to_csv(samples)
