@@ -76,6 +76,7 @@ from .operators import (
     Subspace,
     angle,
     convergence_report,
+    is_positive_contraction,
     local_trace_norm,
     norms,
     orthonormalize,
@@ -93,7 +94,6 @@ from .scaling import (
     cd_kernel_sum,
     gauss_jacobi,
     heine_mehler_suite,
-    is_positive_contraction,
     jacobi_cd_kernel,
     jacobi_polynomials,
     jacobi_recurrence,

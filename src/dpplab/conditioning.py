@@ -65,7 +65,7 @@ class WeightFunction:
     def indicator(cls, space: GroundSpace, window: Window, role: str = "g") -> "WeightFunction":
         window.validate(space)
         values = np.zeros(space.n)
-        values[list(window.index_set)] = 1.0
+        values[window.index_set] = 1.0
         return cls(space, values, role)
 
 

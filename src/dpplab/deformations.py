@@ -188,7 +188,7 @@ def _exhaustion_row(
 ) -> ExhaustionRow:
     """One exhaustion step: indicator weight on core + window, distances to the base."""
     space = model.space
-    g = WeightFunction.indicator(space, Window(tuple(set(model.core_window.index_set) | set(window.index_set))))
+    g = WeightFunction.indicator(space, Window(np.concatenate([model.core_window.index_set, window.index_set])))
     chi = g.values
     nan = float("nan")
     try:

@@ -23,6 +23,10 @@ from .operators import KernelOperator, Projection
 #: (machine noise from spectral factorizations of projections).
 SPECTRUM_TOLERANCE = 1e-10
 
+#: Eigenvalues within this of 1 count as kept in ``DppDistribution.rank``, and
+#: within this of 0 or 1 as a projection's in ``DppDistribution.is_projection``.
+EIGENVALUE_TOLERANCE = 1e-8
+
 #: Identifier of the counter-based random source used by the sampler.
 #: Replica i of a run with seed s reads the uniforms of its own
 #: Philox4x64-10 stream (Salmon et al., SC11) under the key (s, i): block
@@ -131,11 +135,12 @@ class DppDistribution:
     def space(self) -> GroundSpace:
         return self.kernel.space
 
-    def rank(self, tol: float = 1e-8) -> int:
-        return int(np.sum(self.eigenvalues > 1.0 - tol))
+    def rank(self) -> int:
+        return int(np.sum(self.eigenvalues > 1.0 - EIGENVALUE_TOLERANCE))
 
     def is_projection(self) -> bool:
-        return bool(np.all((self.eigenvalues < 1e-8) | (self.eigenvalues > 1.0 - 1e-8)))
+        ev = self.eigenvalues
+        return bool(np.all((ev < EIGENVALUE_TOLERANCE) | (ev > 1.0 - EIGENVALUE_TOLERANCE)))
 
 
 def correlation(D: DppDistribution, A) -> float:

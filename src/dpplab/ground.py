@@ -53,10 +53,9 @@ class GroundSpace:
     def n(self) -> int:
         return self.points.size
 
-    def indices_in(self, lo: float, hi: float) -> tuple[int, ...]:
-        """Indices of grid points lying in the closed interval [lo, hi]."""
-        mask = (self.points >= lo) & (self.points <= hi)
-        return tuple(int(i) for i in np.nonzero(mask)[0])
+    def indices_in(self, lo: float, hi: float) -> np.ndarray:
+        """Sorted indices of grid points lying in the closed interval [lo, hi]."""
+        return np.flatnonzero((self.points >= lo) & (self.points <= hi))
 
     @classmethod
     def uniform_cells(cls, lo: float, hi: float, n: int, label: str = "") -> "GroundSpace":
@@ -73,35 +72,47 @@ class GroundSpace:
         return cls(points, np.diff(edges), label=label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
     """A subset of ground-space indices, standing in for a bounded Borel set.
 
-    Empty windows are representable so that windowed diagnostics can report
-    a zero value with a warning instead of refusing the computation.
+    ``index_set`` is a sorted, duplicate-free, read-only ``np.intp`` array,
+    so it indexes grid arrays directly.  Empty windows are representable so
+    that windowed diagnostics can report a zero value with a warning instead
+    of refusing the computation; test emptiness with ``len(window) == 0``,
+    since a one-point window at index 0 is falsy as an array.
     """
 
-    index_set: tuple[int, ...]
+    index_set: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.index_set)))
-        if any(i < 0 for i in idx):
+        idx = np.asarray(self.index_set, dtype=np.intp)
+        if idx.ndim != 1:
+            raise DimensionError("window indices must be one-dimensional")
+        idx = np.sort(idx)
+        if idx.size and idx[0] < 0:
             raise ValueError("window indices must be nonnegative")
+        keep = np.ones(idx.size, dtype=bool)
+        keep[1:] = idx[1:] != idx[:-1]
+        idx = idx[keep]
+        idx.flags.writeable = False
         object.__setattr__(self, "index_set", idx)
 
     def __len__(self) -> int:
-        return len(self.index_set)
+        return self.index_set.size
 
     def validate(self, space: GroundSpace) -> None:
-        if self.index_set and self.index_set[-1] >= space.n:
+        if len(self) and self.index_set[-1] >= space.n:
             raise DimensionError(
                 f"window '{self.description}' has index {self.index_set[-1]} outside a {space.n}-point space"
             )
 
     def complement(self, space: GroundSpace, description: str = "") -> "Window":
-        inside = set(self.index_set)
-        return Window(tuple(i for i in range(space.n) if i not in inside), description)
+        self.validate(space)
+        outside = np.ones(space.n, dtype=bool)
+        outside[self.index_set] = False
+        return Window(np.flatnonzero(outside), description)
 
     @classmethod
     def from_interval(cls, space: GroundSpace, lo: float, hi: float, description: str = "") -> "Window":
@@ -109,7 +120,7 @@ class Window:
 
     @classmethod
     def full(cls, space: GroundSpace, description: str = "full") -> "Window":
-        return cls(tuple(range(space.n)), description)
+        return cls(np.arange(space.n), description)
 
 
 def weighted_inner(u, v, space: GroundSpace) -> float:

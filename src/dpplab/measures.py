@@ -17,7 +17,7 @@ from .conditioning import WeightFunction, check_inducibility
 from .dpp import Configuration, DppDistribution, Samples
 from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
-from .operators import KernelOperator, Projection, subspace_angle
+from .operators import KernelOperator, Projection, _check_same_space, is_positive_contraction, subspace_angle
 
 #: Default sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -50,7 +50,7 @@ class FiniteMeasure:
 
     def mass_on(self, window: Window) -> float:
         window.validate(self.space)
-        return float(self.atoms[list(window.index_set)].sum()) if window.index_set else 0.0
+        return float(self.atoms[window.index_set].sum())
 
 
 def sigma_f(X: Configuration, f: WeightFunction) -> FiniteMeasure:
@@ -69,11 +69,10 @@ def int_phi(eta: FiniteMeasure, phi) -> float:
     return float(np.sum(phi * eta.atoms))
 
 
-def _weighted_trace(khat: np.ndarray, f: np.ndarray, indices=None) -> float:
-    diag = np.diag(khat) * f
-    if indices is not None:
-        diag = diag[list(indices)] if len(indices) else np.zeros(1)
-    return float(diag.sum())
+def _weighted_diagonal(K: KernelOperator, f: WeightFunction) -> np.ndarray:
+    """The diagonal of sqrt(f) Khat sqrt(f); its sum is tr(sqrt(f) K sqrt(f))."""
+    _check_same_space(K.space, f.space)
+    return np.diag(K.counting) * f.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +130,11 @@ def tightness_report(
         w.validate(kernels[0].space)
     rows = []
     for alpha, K in enumerate(kernels):
-        eigvals = np.linalg.eigvalsh(K.counting)
-        if eigvals[0] < -1e-8 or eigvals[-1] > 1.0 + 1e-8:
+        diag = _weighted_diagonal(K, f)
+        if not is_positive_contraction(K):
             raise ContractError(f"family member {alpha} is not a positive contraction")
-        khat = K.counting
-        trace = _weighted_trace(khat, f.values)
-        tails = tuple(_weighted_trace(khat, f.values, w.index_set) for w in tail_windows)
+        trace = float(diag.sum())
+        tails = tuple(float(diag[w.index_set].sum()) for w in tail_windows)
         P = Projection.from_kernel(K) if g is not None or extra_vectors is not None else None
         margin = None
         if g is not None:
@@ -148,10 +146,7 @@ def tightness_report(
             vs = np.atleast_2d(np.asarray(extra_vectors[alpha], dtype=float))
             masses = f.values * vs**2 * K.space.weights
             vec_masses = tuple(float(m.sum()) for m in masses)
-            vec_tails = tuple(
-                tuple(float(m[list(w.index_set)].sum()) if len(w) else 0.0 for w in tail_windows)
-                for m in masses
-            )
+            vec_tails = tuple(tuple(float(m[w.index_set].sum()) for w in tail_windows) for m in masses)
             basis = P.factor.T / K.space.sqrt_weights
             angles = []
             for k in range(len(vs)):
@@ -209,7 +204,7 @@ def chebyshev_mass_bound_check(
     """
     if L <= 0:
         raise ValueError("the mass level L must be positive")
-    trace = _weighted_trace(D.kernel.counting, f.values)
+    trace = float(_weighted_diagonal(D.kernel, f).sum())
     bound = trace / L
     masses = linear_statistics(samples, f, np.ones(f.space.n))[:, 0]
     empirical = int(np.count_nonzero(masses > L)) / len(samples)
@@ -224,8 +219,7 @@ def linear_statistics(samples: Samples, f: WeightFunction, phis) -> np.ndarray:
     The product with the 0/1 occupancy array is an ``einsum``, which runs on
     the calling thread (see ``permutation_energy_test``).
     """
-    if samples.space.n != f.space.n:
-        raise DimensionError(f"samples on {samples.space.n} points, embedding weight on {f.space.n}")
+    _check_same_space(samples.space, f.space)
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     return np.einsum("sn,kn->sk", samples.occupancy.astype(float), phis * f.values)
 

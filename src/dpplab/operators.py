@@ -38,7 +38,7 @@ PROJECTION_TOLERANCE = 1e-10
 
 def _check_same_space(a: GroundSpace, b: GroundSpace) -> None:
     if b is not a and not (np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)):
-        raise DimensionError("operators live on different ground spaces")
+        raise DimensionError("the arguments live on different ground spaces")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +215,17 @@ def norms(K: KernelOperator) -> OperatorNorms:
     )
 
 
+def is_positive_contraction(K: KernelOperator) -> bool:
+    """Whether the counting form's spectrum lies in [0, 1] up to 1e-8."""
+    eigvals = np.linalg.eigvalsh(K.counting)
+    return bool(eigvals[0] >= -1e-8 and eigvals[-1] <= 1.0 + 1e-8)
+
+
 def local_trace_norm(K: KernelOperator, A: Window, B: Window) -> float:
     """Trace norm of the counting-form block chi_A Khat chi_B."""
     A.validate(K.space)
     B.validate(K.space)
-    if not A.index_set or not B.index_set:
+    if len(A) == 0 or len(B) == 0:
         warnings.warn("empty window in local_trace_norm, returning 0", stacklevel=2)
         return 0.0
     block = K.counting[np.ix_(A.index_set, B.index_set)]
@@ -235,11 +241,10 @@ def projection_distance(P: Projection, Q: Projection, A: Window) -> float:
     """
     _check_same_space(P.space, Q.space)
     A.validate(P.space)
-    if not A.index_set:
+    if len(A) == 0:
         warnings.warn("empty window in projection_distance, returning 0", stacklevel=2)
         return 0.0
-    idx = np.asarray(A.index_set)
-    R = np.linalg.qr(np.hstack([P.factor[idx], Q.factor[idx]]), mode="r")
+    R = np.linalg.qr(np.hstack([P.factor[A.index_set], Q.factor[A.index_set]]), mode="r")
     signs = np.concatenate([np.ones(P.rank), -np.ones(Q.rank)])
     return float(np.sum(np.abs(np.linalg.eigvalsh((R * signs) @ R.T))))
 
@@ -351,14 +356,9 @@ class ConvergenceReport:
     def last_values(self) -> dict[str, float]:
         return {w: float(self.distances[-1, j]) for j, w in enumerate(self.window_ids)}
 
-    def monotone_flags(self, strict: bool = False, tol: float = 0.0) -> dict[str, bool]:
-        """Whether each window's distance column is (strictly) decreasing."""
-        flags = {}
-        for j, w in enumerate(self.window_ids):
-            col = self.distances[:, j]
-            diffs = np.diff(col)
-            flags[w] = bool(np.all(diffs < tol) if strict else np.all(diffs <= tol))
-        return flags
+    def monotone_flags(self) -> dict[str, bool]:
+        """Whether each window's distance column is strictly decreasing."""
+        return {w: bool(np.all(np.diff(self.distances[:, j]) < 0)) for j, w in enumerate(self.window_ids)}
 
     def to_csv(self) -> str:
         lines = ["n,window_id,distance"]

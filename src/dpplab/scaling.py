@@ -28,7 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionError, SpecialFunctionRangeError
 from .ground import GroundSpace, Window
-from .operators import ConvergenceReport, KernelOperator, convergence_report
+from .operators import ConvergenceReport, KernelOperator, convergence_report, is_positive_contraction  # noqa: F401
 
 #: Argument at which Bessel evaluation switches from series to asymptotics.
 BESSEL_CROSSOVER = 12.0
@@ -285,11 +285,6 @@ def bessel_kernel(s: float, grid: GroundSpace) -> KernelOperator:
     return KernelOperator(grid, entries)
 
 
-def is_positive_contraction(K: KernelOperator, tol: float = 1e-8) -> bool:
-    eigvals = np.linalg.eigvalsh(K.counting)
-    return bool(eigvals[0] >= -tol and eigvals[-1] <= 1.0 + tol)
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingReport:
     """Heine-Mehler convergence table with distance ratios per refinement."""
@@ -302,7 +297,7 @@ class ScalingReport:
         return self.report.steps
 
     def strictly_decreasing(self) -> bool:
-        return all(self.report.monotone_flags(strict=True).values())
+        return all(self.report.monotone_flags().values())
 
     def ratios(self) -> np.ndarray:
         d = self.report.distances

@@ -196,7 +196,7 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
         x_min = 10.0 ** -(k + 4)
         space = GroundSpace.geometric_cells(x_min, 1.0, 2**k, label=f"grid-2^{k}")
         core = Window.from_interval(space, 0.5, 1.0, "core")
-        if not core.index_set:
+        if len(core) == 0:
             raise EmptyWindowError(f"the 2^{k}-point grid has no point in the core window [0.5, 1]")
         model = exhaustion_model(space, core, min_angle)
         b_k = 10.0 ** -(k + 1)
@@ -206,7 +206,7 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
             Window.from_interval(space, 0.5, 1.0, "[0.5,1]"),
         ]
         probe = np.zeros(space.n)
-        probe[list(core.index_set)] = 1.0
+        probe[core.index_set] = 1.0
         probe /= weighted_norm(probe, space)
         report = exhaustion_suite(model, [window], probe_windows, probe, steps=(k,))
         rows += report.rows

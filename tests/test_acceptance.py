@@ -61,7 +61,7 @@ def test_criterion_2_projection_identity(capsys):
 
 def test_criterion_3_perturbation_suite(capsys):
     report = suites.scripted_perturbation_suite()
-    flags = report.monotone_flags(strict=True)
+    flags = report.monotone_flags()
     final = max(report.last_values().values())
     ok = all(flags.values()) and final < 1e-6
     _report(

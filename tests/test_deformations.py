@@ -102,7 +102,7 @@ def test_perturbation_suite_reports_decreasing_distances():
     vn = [v + e * d2 for e in eps]
     windows = [Window.full(space, "all")]
     rep = perturbation_convergence_suite(Pn, vn, P, v, windows)
-    assert rep.monotone_flags(strict=True)["all"]
+    assert rep.monotone_flags()["all"]
 
 
 def test_exhaustion_suite_smoke():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpplab.errors import DimensionError
 from dpplab.ground import GroundSpace, Window, weighted_inner, weighted_norm
@@ -59,13 +61,13 @@ def test_sqrt_weights_cached():
 def test_indices_in():
     space = GroundSpace.uniform_cells(0.0, 1.0, 10)
     idx = space.indices_in(0.0, 0.5)
-    assert idx == tuple(range(5))
+    assert np.array_equal(idx, range(5))
 
 
 def test_window_from_interval_and_complement():
     space = GroundSpace.uniform_cells(0.0, 1.0, 10)
     w = Window.from_interval(space, 0.0, 0.3, "left")
-    assert w.index_set == (0, 1, 2)
+    assert np.array_equal(w.index_set, (0, 1, 2))
     comp = w.complement(space)
     assert set(comp.index_set) == set(range(3, 10))
     full = Window.full(space)
@@ -77,6 +79,29 @@ def test_empty_window_is_allowed():
     w = Window.from_interval(space, 2.0, 3.0, "empty")
     assert len(w) == 0
     w.validate(space)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    idx=st.lists(st.integers(0, 40), max_size=30),
+    n=st.integers(1, 40),
+    lo=st.floats(-0.2, 1.2),
+    width=st.floats(0.0, 1.4),
+)
+def test_window_matches_set_forms(idx, n, lo, width):
+    w = Window(idx)
+    assert w.index_set.dtype == np.intp and not w.index_set.flags.writeable
+    assert w.index_set.tolist() == sorted(set(idx))
+    assert len(w) == len(set(idx))
+    space = GroundSpace.uniform_cells(0.0, 1.0, n)
+    inside = [i for i in idx if i < n]
+    assert Window(inside).complement(space).index_set.tolist() == sorted(set(range(n)) - set(inside))
+    hi = lo + width
+    expected = [i for i, x in enumerate(space.points) if lo <= x <= hi]
+    assert Window.from_interval(space, lo, hi).index_set.tolist() == expected
+    assert Window.full(space).index_set.tolist() == list(range(n))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Window(idx + [-1 - len(idx)])
 
 
 def test_window_validate_rejects_out_of_range():

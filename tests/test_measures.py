@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dpplab.conditioning import WeightFunction, check_inducibility
 from dpplab.dpp import Configuration, DppDistribution, Samples, sample
+from dpplab.errors import DimensionError
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
     TIE_TOLERANCE,
@@ -18,7 +19,7 @@ from dpplab.measures import (
     tightness_report,
     weak_convergence_test,
 )
-from dpplab.operators import KernelOperator, project_span, subspace_angle
+from dpplab.operators import KernelOperator, local_trace_norm, project_span, projection_distance, subspace_angle
 
 
 def _rng(seed):
@@ -98,6 +99,39 @@ def test_tail_traces_shrink_with_window():
     row = tightness_report([P], f, tails).rows[0]
     assert row.tail_traces[0] >= row.tail_traces[1] >= row.tail_traces[2]
     assert row.trace == pytest.approx(3.0, abs=1e-9)  # rank of the projection
+
+
+def test_one_point_window_at_index_zero():
+    # a one-point window at index 0 holds a falsy array; every windowed sum must still see the point
+    rng = _rng(42)
+    space = GroundSpace.uniform_cells(0.0, 1.0, 6)
+    w0 = Window((0,))
+    P, Q = (project_span(rng.normal(size=(2, 6)), space) for _ in range(2))
+    f = WeightFunction(space, rng.uniform(0.5, 2.0, 6), role="f")
+    vs = rng.normal(size=(1, 6))
+    assert local_trace_norm(P, w0, w0) == pytest.approx(P.counting[0, 0], rel=1e-12)
+    assert projection_distance(P, Q, w0) == pytest.approx(abs(P.counting[0, 0] - Q.counting[0, 0]), rel=1e-10)
+    atoms = rng.uniform(0.0, 1.0, 6)
+    assert FiniteMeasure(space, atoms).mass_on(w0) == atoms[0]
+    assert WeightFunction.indicator(space, w0).values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    row = tightness_report([P], f, [w0], extra_vectors=[vs]).rows[0]
+    assert row.tail_traces == (P.counting[0, 0] * f.values[0],)
+    assert row.vector_tails == ((f.values[0] * vs[0, 0] ** 2 * space.weights[0],),)
+
+
+@pytest.mark.parametrize("f_points", [6, 7], ids=["same_n", "different_n"])
+def test_measures_reject_weights_on_another_space(f_points):
+    rng = _rng(43)
+    space = GroundSpace.uniform_cells(0.0, 1.0, 6)
+    P = project_span(rng.normal(size=(2, 6)), space)
+    f = WeightFunction.constant(GroundSpace.uniform_cells(0.0, 3.0, f_points), 1.0, role="f")
+    samples = sample(DppDistribution(P), 3, 20)
+    with pytest.raises(DimensionError):
+        tightness_report([P], f, [Window.full(space)])
+    with pytest.raises(DimensionError):
+        chebyshev_mass_bound_check(DppDistribution(P), f, 1.0, samples)
+    with pytest.raises(DimensionError):
+        linear_statistics(samples, f, np.ones(f_points))
 
 
 def test_chebyshev_bound_holds():

@@ -182,7 +182,7 @@ def test_convergence_report_columns_and_csv():
     windows = [Window.full(space, "all"), Window(tuple(range(3)), "half")]
     rep = convergence_report(seq, target, windows, steps=(2, 4, 8, 16))
     assert rep.distances.shape == (4, 2)
-    assert rep.monotone_flags(strict=True) == {"all": True, "half": True}
+    assert rep.monotone_flags() == {"all": True, "half": True}
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "n,window_id,distance"
     assert len(csv.splitlines()) == 9
