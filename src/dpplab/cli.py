@@ -236,18 +236,15 @@ def _cmd_induce(config: dict, seed, out: Path) -> int:
     P = project_span(basis, space)
     check = check_inducibility(g, P)
     B = induced_kernel(g, P)
-    outputs = []
     save_json(kernel_to_dict(B), out / "induced_kernel.json")
-    outputs.append("induced_kernel.json")
     summary = {
         "margin": check.margin,
         "invertible": check.invertible,
         "normalization_constant": normalization_constant(g, P),
-        "rank": DppDistribution(B).rank(),
+        "rank": B.rank,
     }
     save_json({"format_version": 1, **summary}, out / "induce_summary.json")
-    outputs.append("induce_summary.json")
-    _write_manifest(out, "induce", config, seed, outputs)
+    _write_manifest(out, "induce", config, seed, ["induced_kernel.json", "induce_summary.json"])
     print(json.dumps(summary))
     return EXIT_OK
 

@@ -24,7 +24,7 @@ import numpy as np
 from .dpp import DppDistribution, occupancy_table
 from .errors import ConditioningImpossibleError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
-from .operators import Projection
+from .operators import Projection, _check_same_space
 
 #: Values of 1 - ||sqrt(1-g) P|| at or below this count as non-invertible.
 MARGIN_TOLERANCE = 1e-10
@@ -89,8 +89,10 @@ def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
     """Report ||(1-g)P||, the margin 1 - ||sqrt(1-g)P||, and the invertibility verdict.
 
     Since U has orthonormal columns, ||D U U^T|| = ||D U||: both norms are
-    spectral norms of n x r matrices.
+    spectral norms of n x r matrices.  Raises :class:`DimensionError` when g
+    and P live on different ground spaces.
     """
+    _check_same_space(g.space, P.space)
     one_minus_g = 1.0 - g.values
     norm_full = float(np.linalg.norm(one_minus_g[:, None] * P.factor, 2))
     sqrt_norm = float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * P.factor, 2))
@@ -105,7 +107,8 @@ def induced_kernel(g: WeightFunction, P: Projection) -> Projection:
     1 + U^T (g-1) U = U^T g U, and the kernel is the projection with factor
     sqrt(g) U L^{-T}, where L L^T = U^T g U is a Cholesky factorization:
     the projection onto sqrt(g) times the range of P.  The margin check
-    keeps U^T g U positive definite, also where g has zeros.
+    keeps U^T g U positive definite, also where g has zeros, and raises
+    :class:`DimensionError` when g and P live on different ground spaces.
     """
     check = check_inducibility(g, P)
     if not check.invertible:
@@ -122,7 +125,9 @@ def normalization_constant(g: WeightFunction, P: Projection) -> float:
     """det(1 + (g-1) P): the mass of the reweighted, unnormalized process.
 
     By Sylvester's identity this is det(1 + U^T (g-1) U) = det(U^T g U).
+    Raises :class:`DimensionError` when g and P live on different ground spaces.
     """
+    _check_same_space(g.space, P.space)
     return float(np.linalg.det(P.factor.T @ (g.values[:, None] * P.factor)))
 
 

@@ -18,18 +18,18 @@ import numpy as np
 
 from .conditioning import WeightFunction, induced_kernel
 from .errors import AngleDegeneracyError, ContractError, DegenerateBasisError, DimensionError
-from .ground import GroundSpace, Window, weighted_norm
+from .ground import GroundSpace, Window
 from .operators import (
     ConvergenceReport,
     Projection,
     Subspace,
+    _residual_angle,
     project_span,
     projection_distance,
-    scaled_norm,
     subspace_angle,
 )
 
-#: Default minimum angle (radians) each deformation vector must keep.
+#: Minimum angle (radians) each deformation vector must keep, unless a model or caller sets its own.
 DEFAULT_MIN_ANGLE = 0.05
 
 
@@ -78,14 +78,13 @@ def extend_projection(P: Projection, vs, min_angle: float = DEFAULT_MIN_ANGLE) -
         raise DimensionError("deformation vectors must live on the operator's space")
     U = P.factor
     for k, vhat in enumerate(vs * P.space.sqrt_weights):
-        vhat, vnorm = scaled_norm(vhat)
-        if vnorm == 0.0:
+        split = _residual_angle(vhat, U)
+        if split is None:
             raise AngleDegeneracyError(k, 0.0, min_angle)
-        residual = vhat - U @ (U.T @ vhat)
-        ang = float(np.arcsin(np.clip(np.linalg.norm(residual) / vnorm, 0.0, 1.0)))
+        residual, rnorm, ang = split
         if ang < min_angle:
             raise AngleDegeneracyError(k, ang, min_angle)
-        unit = residual / np.linalg.norm(residual)
+        unit = residual / rnorm
         unit = unit - U @ (U.T @ unit)  # re-orthogonalization pass
         unit /= np.linalg.norm(unit)
         U = np.column_stack([U, unit])
@@ -98,17 +97,16 @@ def perturbation_convergence_suite(
     P: Projection,
     v,
     windows: list[Window],
-    min_angle: float = DEFAULT_MIN_ANGLE,
     steps=None,
 ) -> ConvergenceReport:
-    """Windowed trace distances of deformed projections to the deformed limit."""
+    """Windowed trace distances of deformed projections to the deformed limit, extended at ``DEFAULT_MIN_ANGLE``."""
     if len(Pn) != len(vn):
         raise DimensionError("need one vector list per projection in the sequence")
     if steps is None:
         steps = tuple(range(1, len(Pn) + 1))
-    target = extend_projection(P, v, min_angle)
+    target = extend_projection(P, v)
     table = [
-        [projection_distance(extend_projection(Pk, vk, min_angle), target, w) for w in windows]
+        [projection_distance(extend_projection(Pk, vk), target, w) for w in windows]
         for Pk, vk in zip(Pn, vn)
     ]
     window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(windows))
@@ -147,7 +145,6 @@ class ExhaustionRow:
     distances: tuple[float, ...]
     remainder_probe_norm: float
     angle_ok: bool
-    deformation_norms: tuple[float, ...] = ()
     failed: bool = False
 
 
@@ -164,9 +161,6 @@ class ExhaustionReport:
         return all(
             np.all(np.array(b.distances) <= np.array(a.distances) + 1e-12) for a, b in zip(ok_rows, ok_rows[1:])
         )
-
-    def distance_columns(self) -> np.ndarray:
-        return np.array([row.distances for row in self.rows])
 
     def to_csv(self) -> str:
         header = "n,angle," + ",".join(f"distance_{w}" for w in self.window_ids) + ",probe_norm,angle_ok"
@@ -204,8 +198,7 @@ def _exhaustion_row(
     remainder = Pg.factor[:, Qg.rank :]  # Pg - Qg = E E^T for these orthonormal columns E
     probe_norm = float(np.linalg.norm(remainder.T @ probe_hat))
     distances = tuple(projection_distance(Pg, model.base_projection, w) for w in probe_windows)
-    deformation_norms = tuple(weighted_norm(v, space) for v in model.extra)
-    return ExhaustionRow(step, ang, distances, probe_norm, angle_ok, deformation_norms)
+    return ExhaustionRow(step, ang, distances, probe_norm, angle_ok)
 
 
 def exhaustion_suite(

@@ -27,6 +27,9 @@ SPECTRUM_TOLERANCE = 1e-10
 #: within this of 0 or 1 as a projection's in ``DppDistribution.is_projection``.
 EIGENVALUE_TOLERANCE = 1e-8
 
+#: Fewest expected draws a configuration needs for its own bin in ``chi_square_gof``.
+GOF_MIN_EXPECTED = 5.0
+
 #: Identifier of the counter-based random source used by the sampler.
 #: Replica i of a run with seed s reads the uniforms of its own
 #: Philox4x64-10 stream (Salmon et al., SC11) under the key (s, i): block
@@ -364,14 +367,14 @@ def empirical_distribution(samples: Samples) -> np.ndarray:
     return np.bincount(samples.bitmasks, minlength=2**samples.space.n) / len(samples)
 
 
-def chi_square_gof(samples: Samples, expected: dict[int, float], min_expected: float = 5.0):
+def chi_square_gof(samples: Samples, expected: dict[int, float]):
     """Chi-square goodness of fit of sampled configurations against an exact law.
 
     ``expected`` maps occupancy bitmasks to probabilities; for a law held
     as an array, pass ``dict(enumerate(law))``.  Bitmasks it does not list
     have probability 0.
 
-    Categories with expected count below ``min_expected`` are pooled into
+    Categories with expected count below ``GOF_MIN_EXPECTED`` are pooled into
     a single tail bin.  Returns (statistic, dof, p_value).  A draw of a
     configuration of probability 0 gives statistic inf and p-value 0.
     """
@@ -389,7 +392,7 @@ def chi_square_gof(samples: Samples, expected: dict[int, float], min_expected: f
         o = observed[mask]
         if p > 0:
             possible += o
-        if e < min_expected:
+        if e < GOF_MIN_EXPECTED:
             tail_exp += e
             tail_obs += o
         else:

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionError
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
+def _frozen_array(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float).copy()
     arr.flags.writeable = False
     return arr
 

@@ -19,8 +19,11 @@ from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
 from .operators import KernelOperator, Projection, _check_same_space, is_positive_contraction, subspace_angle
 
-#: Default sup-of-tail-traces level under which a family counts as tight.
+#: Sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
+
+#: Final permutation p-value a weak-convergence verdict must exceed.
+P_VALUE_THRESHOLD = 0.01
 
 #: Permutation-test ties: a permuted split scores as a hit when its energy
 #: statistic reaches the observed one less this multiple of the mean pooled
@@ -92,8 +95,6 @@ class TightnessReport:
     tail_window_ids: tuple[str, ...]
     sup_trace: float
     sup_tails: tuple[float, ...]
-    bounded_trace: bool
-    vanishing_tail: bool
     uniform_margin: float | None
     angle_bound: float | None
     tight: bool
@@ -113,7 +114,6 @@ def tightness_report(
     tail_windows: list[Window],
     g: WeightFunction | None = None,
     extra_vectors=None,
-    tail_tol: float = TAIL_TOLERANCE,
 ) -> TightnessReport:
     """Screen a family of positive contractions for tightness of the embedded laws.
 
@@ -122,7 +122,7 @@ def tightness_report(
     the masses/tails of the deformation-vector measures f |v|^2 w.  Both options
     take each member as a projection (see ``Projection.from_kernel``).  The family
     is declared tight when the traces are finite (always, here) and the last
-    (smallest) tail's supremum over the family falls below ``tail_tol``.
+    (smallest) tail's supremum over the family falls below ``TAIL_TOLERANCE``.
     """
     if not kernels:
         raise ValueError("empty kernel family")
@@ -168,20 +168,17 @@ def tightness_report(
         )
     sup_trace = max(r.trace for r in rows)
     sup_tails = tuple(max(r.tail_traces[j] for r in rows) for j in range(len(tail_windows)))
-    vanishing = (min(sup_tails) < tail_tol) if sup_tails else True
+    vanishing = min(sup_tails) < TAIL_TOLERANCE if sup_tails else True
     uniform_margin = min((r.margin for r in rows), default=None) if g is not None else None
     angle_bound = min((r.min_vector_angle for r in rows), default=None) if extra_vectors is not None else None
-    bounded = np.isfinite(sup_trace)
     return TightnessReport(
         rows=tuple(rows),
         tail_window_ids=tuple(w.description or f"tail{j}" for j, w in enumerate(tail_windows)),
         sup_trace=sup_trace,
         sup_tails=sup_tails,
-        bounded_trace=bool(bounded),
-        vanishing_tail=bool(vanishing),
         uniform_margin=uniform_margin,
         angle_bound=angle_bound,
-        tight=bool(bounded and vanishing),
+        tight=bool(np.isfinite(sup_trace) and vanishing),
     )
 
 
@@ -314,7 +311,6 @@ def weak_convergence_test(
     phis,
     permutations: int = 199,
     seed: int = 0,
-    p_threshold: float = 0.01,
     steps=None,
 ) -> WeakConvergenceReport:
     """Compare sampled ensembles to a limit batch through embedded joint laws.
@@ -323,7 +319,7 @@ def weak_convergence_test(
     (disjointly supported) test functions is compared to the limit batch by
     the energy distance; the last batch additionally gets a permutation
     p-value.  Verdict: statistics decrease along the sequence and the final
-    p-value clears ``p_threshold``.
+    p-value exceeds ``P_VALUE_THRESHOLD``.
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     _check_disjoint_supports(phis)
@@ -351,5 +347,5 @@ def weak_convergence_test(
         p_values=tuple(p_values),
         decreasing=decreasing,
         final_p_value=final_p,
-        verdict=decreasing and final_p > p_threshold,
+        verdict=decreasing and final_p > P_VALUE_THRESHOLD,
     )

@@ -41,6 +41,12 @@ def _check_same_space(a: GroundSpace, b: GroundSpace) -> None:
         raise DimensionError("the arguments live on different ground spaces")
 
 
+def _measure_entries(space: GroundSpace, counting: np.ndarray) -> np.ndarray:
+    """The kernel relative to the measure, W^{-1/2} Khat W^{-1/2}, of a counting form Khat."""
+    inv = 1.0 / space.sqrt_weights
+    return counting * np.outer(inv, inv)
+
+
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
     """Real symmetric kernel on a ground space, stored relative to the measure."""
@@ -67,22 +73,17 @@ class KernelOperator:
     def n(self) -> int:
         return self.space.n
 
-    @property
+    @cached_property
     def counting(self) -> np.ndarray:
-        """The symmetrized counting form W^{1/2} K W^{1/2} (cached)."""
-        cached = self.__dict__.get("_counting")
-        if cached is None:
-            sw = self.space.sqrt_weights
-            cached = self.entries * np.outer(sw, sw)
-            cached.flags.writeable = False
-            object.__setattr__(self, "_counting", cached)
-        return cached
+        """The symmetrized counting form W^{1/2} K W^{1/2}."""
+        sw = self.space.sqrt_weights
+        counting = self.entries * np.outer(sw, sw)
+        counting.flags.writeable = False
+        return counting
 
     @classmethod
     def from_counting(cls, space: GroundSpace, counting: np.ndarray) -> "KernelOperator":
-        counting = np.asarray(counting, dtype=float)
-        inv = 1.0 / space.sqrt_weights
-        return cls(space, counting * np.outer(inv, inv))
+        return cls(space, _measure_entries(space, np.asarray(counting, dtype=float)))
 
     @classmethod
     def zero(cls, space: GroundSpace) -> "KernelOperator":
@@ -154,8 +155,7 @@ class Projection:
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense kernel relative to the measure, as ``KernelOperator.from_counting`` forms it."""
-        inv = 1.0 / self.space.sqrt_weights
-        entries = self.counting * np.outer(inv, inv)
+        entries = _measure_entries(self.space, self.counting)
         entries.flags.writeable = False
         return entries
 
@@ -188,10 +188,6 @@ class Subspace:
             raise DimensionError("basis vectors must have one value per grid point")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
 
 
 @dataclass(frozen=True)
@@ -301,17 +297,28 @@ def project_span(basis, space: GroundSpace) -> Projection:
     return Projection(space, orthonormalize(basis, space).T)
 
 
+def _residual_angle(vhat: np.ndarray, U: np.ndarray):
+    """The first-pass residual r = vhat - U (U^T vhat) of ``vhat`` rescaled by :func:`scaled_norm`.
+
+    Returns ``(r, ||r||, arcsin(||r|| / ||vhat||))``, or None for the zero vector.
+    """
+    vhat, vnorm = scaled_norm(vhat)
+    if vnorm == 0.0:
+        return None
+    residual = vhat - U @ (U.T @ vhat)
+    rnorm = float(np.linalg.norm(residual))
+    return residual, rnorm, float(np.arcsin(np.clip(rnorm / vnorm, 0.0, 1.0)))
+
+
 def angle(v, P: Projection) -> float:
     """Angle arcsin(||(I-P)v|| / ||v||) between a vector and the range of a projection."""
     v = np.asarray(v, dtype=float)
     if v.shape != (P.n,):
         raise DimensionError(f"vector must have length {P.n}")
-    vhat, vnorm = scaled_norm(v * P.space.sqrt_weights)
-    if vnorm == 0.0:
+    split = _residual_angle(v * P.space.sqrt_weights, P.factor)
+    if split is None:
         raise ValueError("angle of the zero vector is undefined")
-    U = P.factor
-    residual = np.linalg.norm(vhat - U @ (U.T @ vhat))
-    return float(np.arcsin(np.clip(residual / vnorm, 0.0, 1.0)))
+    return split[2]
 
 
 def subspace_angle(basis_a, basis_b, space: GroundSpace) -> float:

@@ -28,7 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionError, SpecialFunctionRangeError
 from .ground import GroundSpace, Window
-from .operators import ConvergenceReport, KernelOperator, convergence_report, is_positive_contraction  # noqa: F401
+from .operators import ConvergenceReport, KernelOperator, convergence_report
 
 #: Argument at which Bessel evaluation switches from series to asymptotics.
 BESSEL_CROSSOVER = 12.0
@@ -157,11 +157,10 @@ def jacobi_recurrence(s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n, dtype=float)
     alpha = np.empty(n)
     alpha[0] = -s / (s + 2.0)
-    kk1 = k[1:]
-    alpha[1:] = -(s * s) / ((2 * kk1 + s) * (2 * kk1 + s + 2.0))
+    kk = k[1:]
+    alpha[1:] = -(s * s) / ((2 * kk + s) * (2 * kk + s + 2.0))
     beta = np.empty(n)
     beta[0] = 2.0 ** (s + 1.0) / (s + 1.0)
-    kk = k[1:]
     beta[1:] = 4.0 * kk**2 * (kk + s) ** 2 / ((2 * kk + s) ** 2 * ((2 * kk + s) ** 2 - 1.0))
     return alpha, beta
 
@@ -291,10 +290,6 @@ class ScalingReport:
 
     s: float
     report: ConvergenceReport
-
-    @property
-    def n_values(self) -> tuple:
-        return self.report.steps
 
     def strictly_decreasing(self) -> bool:
         return all(self.report.monotone_flags().values())

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import WeightFunction, induced_kernel, normalization_constant, reweighted_distribution
-from .deformations import DeformationModel, ExhaustionReport, exhaustion_suite, perturbation_convergence_suite
+from .deformations import DEFAULT_MIN_ANGLE, DeformationModel, ExhaustionReport, exhaustion_suite
+from .deformations import perturbation_convergence_suite
 from .dpp import DppDistribution, brute_force_distribution, sample, total_variation
 from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
@@ -27,6 +28,21 @@ from .scaling import (
     heine_mehler_suite,
     jacobi_polynomials,
 )
+
+#: Largest total-variation, normalization and elementwise projection errors the oracle battery passes with.
+ORACLE_TV_TOLERANCE = 1e-9
+ORACLE_NORMALIZATION_TOLERANCE = 1e-10
+ORACLE_PROJECTION_TOLERANCE = 1e-9
+
+#: The windows (label, lo, hi) of the scripted perturbation suite on (0, 1].
+PERTURBATION_WINDOWS = (("full", 0.0, 1.0), ("left", 0.0, 0.5))
+
+#: Bessel orders compared at ``BESSEL_CROSSOVER`` by ``bessel_crossover_gap``.
+CROSSOVER_ORDERS = (-0.5, 0.0, 0.5, 1.0, 2.0)
+
+#: Draws per kernel and base seed of ``scripted_chebyshev_checks``.
+CHEBYSHEV_SAMPLES = 2000
+CHEBYSHEV_SEED = 97
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -57,30 +73,38 @@ class OracleTrial:
 
 @dataclass(frozen=True, eq=False)
 class OracleBatteryReport:
+    """The oracle trials; maxima and verdict are read off them against the ``ORACLE_*`` tolerances."""
+
     trials: tuple[OracleTrial, ...]
-    max_tv: float
-    max_normalization_error: float
-    max_projection_error: float
-    tv_tolerance: float
-    normalization_tolerance: float
-    projection_tolerance: float
+
+    @property
+    def max_tv(self) -> float:
+        return max(t.tv_distance for t in self.trials)
+
+    @property
+    def max_normalization_error(self) -> float:
+        return max(t.normalization_error for t in self.trials)
+
+    @property
+    def max_projection_error(self) -> float:
+        return max(t.projection_error for t in self.trials)
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_tv < self.tv_tolerance
-            and self.max_normalization_error < self.normalization_tolerance
-            and self.max_projection_error < self.projection_tolerance
+            self.max_tv < ORACLE_TV_TOLERANCE
+            and self.max_normalization_error < ORACLE_NORMALIZATION_TOLERANCE
+            and self.max_projection_error < ORACLE_PROJECTION_TOLERANCE
         )
 
     def summary(self) -> str:
         good = sum(
             1
             for t in self.trials
-            if t.tv_distance < self.tv_tolerance and t.normalization_error < self.normalization_tolerance
+            if t.tv_distance < ORACLE_TV_TOLERANCE and t.normalization_error < ORACLE_NORMALIZATION_TOLERANCE
         )
         return (
-            f"{good}/{len(self.trials)} trials TV < {self.tv_tolerance:g} "
+            f"{good}/{len(self.trials)} trials TV < {ORACLE_TV_TOLERANCE:g} "
             f"(max TV {self.max_tv:.3e}, max normalization error {self.max_normalization_error:.3e}, "
             f"max projection error {self.max_projection_error:.3e})"
         )
@@ -101,9 +125,6 @@ def conditioning_oracle_battery(
     max_points: int = 10,
     max_rank: int = 3,
     g_low: float = 0.05,
-    tv_tolerance: float = 1e-9,
-    normalization_tolerance: float = 1e-10,
-    projection_tolerance: float = 1e-9,
 ) -> OracleBatteryReport:
     """Reweighting oracle: the induced-kernel law must match brute-force reweighting.
 
@@ -112,7 +133,7 @@ def conditioning_oracle_battery(
     the brute-force law of the induced kernel with the directly reweighted,
     renormalized brute-force law of the base projection, and checks the
     closed-form normalization determinant and the weighted-span projection
-    identity.
+    identity.  The report judges them against the ``ORACLE_*`` tolerances.
     """
     results = []
     for trial in range(trials):
@@ -130,27 +151,15 @@ def conditioning_oracle_battery(
         direct = project_span(basis * g.sqrt, space)
         proj_err = float(np.max(np.abs(B.entries - direct.entries)))
         results.append(OracleTrial(trial, n, rank, tv, norm_err, proj_err))
-    return OracleBatteryReport(
-        trials=tuple(results),
-        max_tv=max(t.tv_distance for t in results),
-        max_normalization_error=max(t.normalization_error for t in results),
-        max_projection_error=max(t.projection_error for t in results),
-        tv_tolerance=tv_tolerance,
-        normalization_tolerance=normalization_tolerance,
-        projection_tolerance=projection_tolerance,
-    )
+    return OracleBatteryReport(tuple(results))
 
 
 # ---------------------------------------------------------------------------
 # Finite-rank perturbation script
 
 
-def scripted_perturbation_suite(
-    n_list=(2, 4, 8, 16, 32, 64),
-    grid_points: int = 32,
-    windows: list[Window] | None = None,
-) -> ConvergenceReport:
-    """Deformed projections converging to a deformed limit at rate n^{-4}."""
+def scripted_perturbation_suite(n_list=(2, 4, 8, 16, 32, 64), grid_points: int = 32) -> ConvergenceReport:
+    """Deformed projections converging to a deformed limit at rate n^{-4}, on ``PERTURBATION_WINDOWS``."""
     space = GroundSpace.uniform_cells(0.0, 1.0, grid_points)
     x = space.points
     base = np.vstack([np.sin(np.pi * x), x * (1.0 - x)])
@@ -160,8 +169,7 @@ def scripted_perturbation_suite(
     P = project_span(base, space)
     Pn = [project_span(base + 0.1 * n**-4 * d_basis, space) for n in n_list]
     vn = [v + 0.1 * n**-4 * d_vec for n in n_list]
-    if windows is None:
-        windows = [Window.from_interval(space, 0.0, 1.0, "full"), Window.from_interval(space, 0.0, 0.5, "left")]
+    windows = [Window.from_interval(space, lo, hi, label) for label, lo, hi in PERTURBATION_WINDOWS]
     return perturbation_convergence_suite(Pn, vn, P, v, windows, steps=n_list)
 
 
@@ -169,7 +177,7 @@ def scripted_perturbation_suite(
 # Exhaustion-under-refinement script
 
 
-def exhaustion_model(space: GroundSpace, core_window: Window, min_angle: float = 0.05) -> DeformationModel:
+def exhaustion_model(space: GroundSpace, core_window: Window, min_angle: float) -> DeformationModel:
     """Bounded base span plus an x^{-3/4} deformation vector on a positive grid."""
     x = space.points
     base = Subspace(space, np.vstack([x**0.25, x**0.25 * (1.0 - x)]))
@@ -177,7 +185,7 @@ def exhaustion_model(space: GroundSpace, core_window: Window, min_angle: float =
     return DeformationModel(base, extra, core_window, min_angle)
 
 
-def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) -> ExhaustionReport:
+def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = DEFAULT_MIN_ANGLE) -> ExhaustionReport:
     """Grid-refinement exhaustion: indicator windows opening toward the singular endpoint.
 
     For each k, a geometric grid of 2^k points reaches down to 10^-(k+4); the
@@ -218,17 +226,20 @@ def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = 0.05) ->
 # Scripted sampler kernels (small spaces; used by the GOF diagnostics)
 
 
+def _random_contraction(rng: np.random.Generator, space: GroundSpace, headroom: float) -> KernelOperator:
+    """The strict contraction with counting form A A^T / (lambda_max headroom), A an n x n normal draw."""
+    A = rng.normal(size=(space.n, space.n))
+    sym = A @ A.T
+    return KernelOperator.from_counting(space, sym / (np.linalg.eigvalsh(sym)[-1] * headroom))
+
+
 def scripted_sampler_kernels() -> dict[str, KernelOperator]:
     space5 = GroundSpace.uniform_cells(0.0, 1.0, 5)
     x5 = space5.points
     proj2 = project_span(np.vstack([np.ones(5), x5]), space5)
 
     space4 = GroundSpace(np.arange(1.0, 5.0), np.full(4, 1.0))
-    rng = _trial_rng(71, 0)
-    A = rng.normal(size=(4, 4))
-    sym = A @ A.T
-    contraction_hat = sym / (np.linalg.eigvalsh(sym)[-1] * 1.25)
-    contraction = KernelOperator.from_counting(space4, contraction_hat)
+    contraction = _random_contraction(_trial_rng(71, 0), space4, 1.25)
 
     space6 = GroundSpace.uniform_cells(0.0, 2.0, 6)
     x6 = space6.points
@@ -252,22 +263,20 @@ def scripted_scaling_suite(
     return {s: heine_mehler_suite(s, n_list, windows, grid) for s in s_values}
 
 
-def jacobi_orthonormality_residual(s: float, degree: int, quad_points: int | None = None) -> float:
-    """Max |<p_i, p_j> - delta_ij| under the exact Gauss rule for the weight (1-u)^s."""
-    if quad_points is None:
-        quad_points = degree + 1
-    nodes, qweights = gauss_jacobi(s, quad_points)
+def jacobi_orthonormality_residual(s: float, degree: int) -> float:
+    """Max |<p_i, p_j> - delta_ij| up to ``degree`` under the exact (degree + 1)-point Gauss rule for (1-u)^s."""
+    nodes, qweights = gauss_jacobi(s, degree + 1)
     vals = jacobi_polynomials(s, degree + 1, nodes)
     gram = (vals * qweights) @ vals.T
     return float(np.max(np.abs(gram - np.eye(degree + 1))))
 
 
-def bessel_crossover_gap(orders=(-0.5, 0.0, 0.5, 1.0, 2.0), crossover: float = BESSEL_CROSSOVER) -> float:
-    """Largest series-vs-asymptotic disagreement at the internal switch point."""
+def bessel_crossover_gap() -> float:
+    """Largest series-vs-asymptotic disagreement at ``BESSEL_CROSSOVER`` over ``CROSSOVER_ORDERS``."""
     worst = 0.0
-    for s in orders:
-        lo = _series_bessel_j(s, crossover)
-        hi = _asymptotic_bessel_j(s, crossover)
+    for s in CROSSOVER_ORDERS:
+        lo = _series_bessel_j(s, BESSEL_CROSSOVER)
+        hi = _asymptotic_bessel_j(s, BESSEL_CROSSOVER)
         worst = max(worst, abs(lo - hi))
     return worst
 
@@ -297,12 +306,13 @@ def scripted_tightness_cases() -> dict[str, TightnessReport]:
     }
 
 
-def scripted_chebyshev_checks(samples_per_case: int = 2000, seed: int = 97):
+def scripted_chebyshev_checks():
     """Markov bounds on embedded total mass, checked against sampled ensembles.
 
     Five scripted kernels (projections of ranks 1-3 and two strict
     contractions) with nonconstant embedding weights; each level L is set
-    where the bound is informative (below 1).
+    where the bound is informative (below 1).  Each kernel gets
+    ``CHEBYSHEV_SAMPLES`` draws, seeded from ``CHEBYSHEV_SEED``.
     """
     from .measures import chebyshev_mass_bound_check
 
@@ -314,10 +324,8 @@ def scripted_chebyshev_checks(samples_per_case: int = 2000, seed: int = 97):
     cases.append(("rank1", project_span(np.ones((1, 6)), space)))
     cases.append(("rank2", project_span(np.vstack([np.ones(6), x]), space)))
     cases.append(("rank3", project_span(np.vstack([np.ones(6), x, x**2]), space)))
-    rng = _trial_rng(seed, 0)
-    A = rng.normal(size=(6, 6))
-    sym = A @ A.T
-    cases.append(("contraction_a", KernelOperator.from_counting(space, sym / (np.linalg.eigvalsh(sym)[-1] * 1.5))))
+    rng = _trial_rng(CHEBYSHEV_SEED, 0)
+    cases.append(("contraction_a", _random_contraction(rng, space, 1.5)))
     cases.append(("contraction_b", KernelOperator.from_counting(space, np.diag(rng.uniform(0.1, 0.9, 6)))))
 
     results = {}
@@ -325,7 +333,7 @@ def scripted_chebyshev_checks(samples_per_case: int = 2000, seed: int = 97):
         D = DppDistribution(K)
         trace = float(np.sum(np.diag(K.counting) * f.values))
         L = 1.6 * trace
-        samples = sample(D, seed + 10 * j, samples_per_case)
+        samples = sample(D, CHEBYSHEV_SEED + 10 * j, CHEBYSHEV_SAMPLES)
         results[name] = chebyshev_mass_bound_check(D, f, L, samples)
     return results
 
@@ -334,13 +342,14 @@ def scripted_chebyshev_checks(samples_per_case: int = 2000, seed: int = 97):
 # Weak-convergence scripts
 
 
-def _default_test_functions(space: GroundSpace) -> np.ndarray:
-    edges = np.quantile(space.points, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    phis = np.zeros((3, space.n))
-    phis[0] = (space.points <= edges[1]).astype(float)
-    phis[1] = ((space.points > edges[1]) & (space.points <= edges[2])).astype(float)
-    phis[2] = (space.points > edges[2]).astype(float)
-    return phis
+def _weakconv_setting():
+    """The 8-point space, the limit projection, f = 1 and the indicators of the three tertile bins."""
+    space = GroundSpace.uniform_cells(0.0, 1.0, 8)
+    limit = project_span(np.vstack([np.ones(8), space.points]), space)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    edges = np.quantile(space.points, [1.0 / 3.0, 2.0 / 3.0])
+    phis = (np.searchsorted(edges, space.points) == np.arange(3)[:, None]).astype(float)
+    return space, limit, f, phis
 
 
 def weakconv_calibration(
@@ -350,12 +359,8 @@ def weakconv_calibration(
     seed: int = 16000,
 ) -> np.ndarray:
     """Same-law two-sample p-values; should be close to uniform on [0, 1]."""
-    space = GroundSpace.uniform_cells(0.0, 1.0, 8)
-    x = space.points
-    K = project_span(np.vstack([np.ones(8), x]), space)
-    D = DppDistribution(K)
-    f = WeightFunction.constant(space, 1.0, role="f")
-    phis = _default_test_functions(space)
+    _, limit, f, phis = _weakconv_setting()
+    D = DppDistribution(limit)
     p_values = np.empty(repetitions)
     for rep in range(repetitions):
         batch_a = sample(D, seed + 1000 + 2 * rep, batch_size)
@@ -380,12 +385,9 @@ def weakconv_sequence(
     seed: int = 11,
 ) -> WeakConvergenceReport:
     """Energy statistics against the limit law for a 1/n-perturbed kernel sequence."""
-    space = GroundSpace.uniform_cells(0.0, 1.0, 8)
+    space, limit, f, phis = _weakconv_setting()
     x = space.points
-    limit = project_span(np.vstack([np.ones(8), x]), space)
     drift = project_span(np.vstack([np.sin(2.0 * np.pi * x), np.cos(2.0 * np.pi * x)]), space)
-    f = WeightFunction.constant(space, 1.0, role="f")
-    phis = _default_test_functions(space)
     limit_batch = sample(DppDistribution(limit), seed, batch_size)
     batches = []
     for n in n_list:

@@ -1,10 +1,17 @@
+import contextlib
 import inspect
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpplab.cli import _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dpplab.cli import _COMMANDS, _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dpplab.serialization import load_json
 
 
@@ -205,3 +212,111 @@ def test_schema_properties_are_suite_parameters():
         assert keys <= names, f"{command} schema keys {keys - names} feed no suite parameter"
     modes = {mode for command, mode in _SUITES if command == "weakconv"}
     assert modes == set(_SCHEMAS["weakconv"]["properties"]["mode"]["enum"])
+
+
+# Schema-valid configs for every command, with sizes bounded so that each run takes milliseconds.
+_SEEDS = st.integers(0, 2**32 - 1)
+_WEAKCONV_SIZES = {"batch_size": st.integers(2, 12), "permutations": st.integers(19, 30)}
+
+
+@st.composite
+def _induce_configs(draw):
+    n = draw(st.integers(1, 4))
+    start = draw(st.floats(-10.0, 10.0))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    points = np.cumsum([start, *gaps]).tolist()
+    weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+    g_size = draw(st.sampled_from([n, n, n, n + 1]))  # now and then a g on the wrong number of points
+    rows = draw(st.integers(1, n))
+    basis = draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n), min_size=rows, max_size=rows))
+    g = draw(st.lists(st.floats(0.0, 1.0), min_size=g_size, max_size=g_size))
+    return {"space": {"points": points, "weights": weights}, "basis": basis, "g": g}
+
+
+@st.composite
+def _kernel_payloads(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from([{}, {"format_version": 1}, {"format_version": 1, "space": {}}]))
+    n = draw(st.integers(1, 4))
+    A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    sym = A @ A.T
+    scale = draw(st.floats(0.0, 1.5)) / max(float(np.linalg.eigvalsh(sym)[-1]), 1e-3)
+    space = {"format_version": 1, "points": list(range(1, n + 1)), "weights": [1.0] * n}
+    return {"format_version": 1, "space": space, "entries": (scale * sym).tolist()}
+
+
+@st.composite
+def _sample_configs(draw):
+    config = draw(st.fixed_dictionaries({"count": st.integers(1, 50)}, optional={"seed": _SEEDS}))
+    source = draw(st.sampled_from(["scripted", "kernel", "scripted", "kernel", "both", "neither"]))
+    if source in ("scripted", "both"):
+        config["scripted"] = draw(st.sampled_from(_SCHEMAS["sample"]["properties"]["scripted"]["enum"]))
+    if source in ("kernel", "both"):
+        config["kernel"] = draw(_kernel_payloads())
+    return config
+
+
+_CONFIGS = {
+    "oracle": st.fixed_dictionaries(
+        {"trials": st.integers(1, 4)},
+        optional={
+            "seed": _SEEDS,
+            "max_points": st.integers(2, 8),
+            "max_rank": st.integers(1, 6),
+            "g_low": st.floats(0.0, 1.0, exclude_min=True),
+        },
+    ),
+    "induce": _induce_configs(),
+    "perturb": st.fixed_dictionaries(
+        {},
+        optional={
+            "n_list": st.lists(st.integers(1, 200), min_size=2, max_size=4),
+            "grid_points": st.integers(2, 40),
+        },
+    ),
+    "exhaust": st.fixed_dictionaries(
+        {"ks": st.lists(st.integers(4, 9), min_size=1, max_size=3, unique=True).map(sorted)},
+        optional={"min_angle": st.floats(0.0, 4.0, exclude_min=True)},
+    ),
+    "scaling": st.fixed_dictionaries(
+        {
+            "n_list": st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True).map(sorted),
+            "grid_points": st.integers(2, 24),
+        },
+        optional={
+            "s_values": st.lists(st.floats(-1.0, 3.0, exclude_min=True), min_size=1, max_size=2),
+            "x_max": st.floats(0.0, 60.0, exclude_min=True),
+        },
+    ),
+    "tightness": st.just({}),
+    "weakconv": st.one_of(
+        st.fixed_dictionaries(
+            {"mode": st.just("calibration"), "repetitions": st.integers(11, 12), **_WEAKCONV_SIZES},
+            optional={"seed": _SEEDS},
+        ),
+        st.fixed_dictionaries(
+            {"n_list": st.lists(st.integers(1, 64), min_size=2, max_size=3), **_WEAKCONV_SIZES},
+            optional={"mode": st.just("sequence"), "seed": _SEEDS},
+        ),
+    ),
+    "sample": _sample_configs(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_schema_valid_config_exits_with_a_contract_code(command, data):
+    """Exit 0, 2 or 3 without a traceback, and a manifest on exit 0."""
+    config = data.draw(_CONFIGS[command], label="config")
+    jsonschema.validate(config, _SCHEMAS[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "run")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            assert (Path(tmp) / "run" / "manifest.json").is_file()

@@ -12,7 +12,7 @@ from dpplab.conditioning import (
     reweighted_distribution,
 )
 from dpplab.dpp import Configuration, DppDistribution, brute_force_distribution, total_variation
-from dpplab.errors import InducibilityError
+from dpplab.errors import DimensionError, InducibilityError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import project_span
 
@@ -143,3 +143,16 @@ def test_continuity_in_g():
         dists.append(np.abs(induced_kernel(gn, P).entries - target.entries).max())
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 0.1
+
+
+@pytest.mark.parametrize("g_points", [6, 7], ids=["same_n", "different_n"])
+def test_conditioning_rejects_weights_on_another_space(g_points):
+    rng = _rng(44)
+    P = project_span(rng.normal(size=(2, 6)), GroundSpace.uniform_cells(0.0, 1.0, 6))
+    g = WeightFunction(GroundSpace.uniform_cells(0.0, 3.0, g_points), rng.uniform(0.3, 0.9, g_points))
+    with pytest.raises(DimensionError):
+        check_inducibility(g, P)
+    with pytest.raises(DimensionError):
+        induced_kernel(g, P)
+    with pytest.raises(DimensionError):
+        normalization_constant(g, P)

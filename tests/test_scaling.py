@@ -6,6 +6,7 @@ from scipy import special
 from dense_reference import is_projection
 from dpplab.errors import SpecialFunctionRangeError
 from dpplab.ground import GroundSpace, Window
+from dpplab.operators import is_positive_contraction
 from dpplab.scaling import (
     BESSEL_CROSSOVER,
     ClassicalKernelSpec,
@@ -18,7 +19,6 @@ from dpplab.scaling import (
     cd_kernel_sum,
     gauss_jacobi,
     heine_mehler_suite,
-    is_positive_contraction,
     jacobi_cd_kernel,
     jacobi_polynomials,
     jacobi_recurrence,
