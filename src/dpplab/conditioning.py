@@ -104,21 +104,26 @@ def induced_kernel(g: WeightFunction, P: Projection) -> Projection:
     """The reweighted-process kernel sqrt(g) P (1 + (g-1) P)^{-1} sqrt(g).
 
     By Woodbury's identity the resolvent reduces to the r x r system
-    1 + U^T (g-1) U = U^T g U, and the kernel is the projection with factor
-    sqrt(g) U L^{-T}, where L L^T = U^T g U is a Cholesky factorization:
-    the projection onto sqrt(g) times the range of P.  The margin check
-    keeps U^T g U positive definite, also where g has zeros, and raises
-    :class:`DimensionError` when g and P live on different ground spaces.
+    1 + U^T (g-1) U = U^T g U, and the kernel is the projection onto
+    sqrt(g) times the range of P.  Its factor comes from CholeskyQR2: with
+    W = sqrt(g) U, the first pass W L^{-T}, where L L^T = W^T W, is
+    orthonormal only to about cond(W^T W) times the rounding unit, and a
+    second Cholesky pass on that result restores orthonormality to the
+    rounding unit.  The margin check keeps W^T W positive definite, also
+    where g has zeros, and raises :class:`DimensionError` when g and P live
+    on different ground spaces.
     """
     check = check_inducibility(g, P)
     if not check.invertible:
         raise InducibilityError(check.margin)
-    weighted = g.sqrt[:, None] * P.factor
-    L = np.linalg.cholesky(weighted.T @ weighted)
-    # Inverting the r x r factor first keeps the n-row product a small
-    # single-threaded one; a triangular solve with n right-hand sides fans
-    # out to the BLAS threads and stalls for milliseconds when they sleep.
-    return Projection(P.space, weighted @ np.linalg.inv(L).T)
+    factor = g.sqrt[:, None] * P.factor
+    for _ in range(2):
+        L = np.linalg.cholesky(factor.T @ factor)
+        # Inverting the r x r factor first keeps the n-row product a small
+        # single-threaded one; a triangular solve with n right-hand sides fans
+        # out to the BLAS threads and stalls for milliseconds when they sleep.
+        factor = factor @ np.linalg.inv(L).T
+    return Projection(P.space, factor)
 
 
 def normalization_constant(g: WeightFunction, P: Projection) -> float:

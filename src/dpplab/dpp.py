@@ -31,14 +31,16 @@ EIGENVALUE_TOLERANCE = 1e-8
 GOF_MIN_EXPECTED = 5.0
 
 #: Identifier of the counter-based random source used by the sampler.
-#: Replica i of a run with seed s reads the uniforms of its own
+#: Replica i of a batch with seed s reads the uniforms of its own
 #: Philox4x64-10 stream (Salmon et al., SC11) under the key (s, i): block
 #: j of four 64-bit words is the cipher of the counter (j + 1, 0, 0, 0),
 #: and a word w becomes the uniform (w >> 11) * 2^-53.  These are bit for
 #: bit the uniforms ``Generator.random`` draws from
 #: ``numpy.random.Philox(key=[s, i])``; ``_stream_uniforms`` enciphers
-#: them for all replicas at once.  A replica reads n coin uniforms, then
-#: one uniform per selected point (see ``sample``).  Merging replicas is
+#: them for many replicas at once.  A replica reads n coin uniforms, then
+#: one uniform per selected point (see ``sample``).  Every coin of a
+#: projection keeps, so for a rank-r projection only words n .. n + r - 1
+#: are read, and only their blocks are enciphered.  Merging replicas is
 #: therefore order-independent.
 RNG_ALGORITHM = "numpy.random.Philox(key=[seed, replica])"
 
@@ -53,13 +55,8 @@ _PHILOX_M_LO = _PHILOX_M & _LOW32
 _PHILOX_M_HI = _PHILOX_M >> _SHIFT32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 
-#: Byte budget of the workspace of one block of replicas in ``sample``:
-#: per replica, k <= n Gram-Schmidt columns of n floats and 2n uniforms
-#: held twice (raw words and floats).  The stream's uint64 workspace, its
-#: two lanes and their temporaries, peaks at about eight arrays of
-#: 2 x ceil(2n / 4) words, 128 ceil(n / 2) bytes per replica: within the
-#: budget for n >= 4, 1.3 times it at n = 2 and 3.2 times it at n = 1.
-#: The block size follows from n.
+#: Byte budget of the workspace of one block of replicas in ``sample_batches``;
+#: ``_block_replicas`` turns it into a replica count.
 _BLOCK_BYTES = 1 << 22
 
 #: Largest ground space accepted by the exhaustive oracle (2^n configurations).
@@ -122,10 +119,21 @@ class Samples:
 
 
 class DppDistribution:
-    """Determinantal measure given by a positive-contraction kernel."""
+    """Determinantal measure given by a positive-contraction kernel.
 
-    def __init__(self, kernel: KernelOperator):
+    ``eigenvalues`` is the spectrum of the counting form in ascending order,
+    clipped to [0, 1], and ``eigenvectors`` holds the matching eigenvectors
+    as columns.  A rank-r :class:`Projection` is not factorized again: its
+    eigenvalues are exactly 0 on n - r entries and 1 on r, and
+    ``eigenvectors`` is None, since the sampler reads the factor.
+    """
+
+    def __init__(self, kernel: KernelOperator | Projection):
         self.kernel = kernel
+        if isinstance(kernel, Projection):
+            self.eigenvalues = (np.arange(kernel.n) >= kernel.n - kernel.rank).astype(float)
+            self.eigenvectors = None
+            return
         eigvals, eigvecs = np.linalg.eigh(kernel.counting)
         if eigvals[0] < -SPECTRUM_TOLERANCE or eigvals[-1] > 1.0 + SPECTRUM_TOLERANCE:
             raise ContractError(
@@ -248,27 +256,32 @@ def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _stream_uniforms(seed: int, first: int, count: int, width: int) -> np.ndarray:
-    """Row r holds the first ``width`` uniforms of replica ``first + r``'s stream.
+def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset: int = 0) -> np.ndarray:
+    """Row r holds uniforms ``offset`` .. ``offset + width - 1`` of the stream keyed (seeds[r], replicas[r]).
 
-    The stream is Philox4x64-10 under the key (seed, first + r): 64-bit
-    word 4j + i of a replica is word i of the cipher of the counter
-    (j + 1, 0, 0, 0), and a word w maps to (w >> 11) * 2^-53.  This is
-    bit for bit what ``numpy.random.Philox(key=[seed, first + r])`` feeds
+    The stream is Philox4x64-10 under that key: 64-bit word 4j + i of a
+    replica is word i of the cipher of the counter (j + 1, 0, 0, 0), and a
+    word w maps to (w >> 11) * 2^-53.  This is bit for bit what
+    ``numpy.random.Philox(key=[seeds[r], replicas[r]])`` feeds
     ``Generator.random``: numpy increments the counter before each block.
+    ``seeds`` and ``replicas`` are uint64 arrays of one length, so one call
+    can serve replicas of several batches.
 
-    All replicas and blocks are enciphered at once.  The state is held as
-    two lanes, (x0, x2) and (x1, x3), each a (2, count, blocks) array, so
-    one round is x0, x2 <- hi(M1 x2) ^ x1 ^ k0, hi(M0 x0) ^ x3 ^ k1 and
-    x1, x3 <- lo(M1 x2), lo(M0 x0), after which the key is bumped by the
-    Weyl increments.
+    Only the blocks holding the requested words are enciphered, from the
+    counter offset // 4 + 1 on, all replicas and blocks at once.  The
+    state is held as two lanes, (x0, x2) and (x1, x3), each a
+    (2, count, blocks) array, so one round is x0, x2 <- hi(M1 x2) ^ x1 ^ k0,
+    hi(M0 x0) ^ x3 ^ k1 and x1, x3 <- lo(M1 x2), lo(M0 x0), after which the
+    key is bumped by the Weyl increments.
     """
-    blocks = -(-width // 4)
+    count = len(seeds)
+    skip, lead = divmod(offset, 4)
+    blocks = -(-(lead + width) // 4)
     key = np.empty((2, count, 1), dtype=np.uint64)
-    key[0] = seed
-    key[1, :, 0] = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    key[0, :, 0] = seeds
+    key[1, :, 0] = replicas
     even = np.zeros((2, count, blocks), dtype=np.uint64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    even[0] = np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64)
     odd = np.zeros_like(even)
     for _ in range(_PHILOX_ROUNDS):
         hi, lo = _mulhilo(even)
@@ -276,7 +289,7 @@ def _stream_uniforms(seed: int, first: int, count: int, width: int) -> np.ndarra
         odd ^= hi[::-1]
         even, odd = odd, lo[::-1]
         key += _PHILOX_W
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(count, 4 * blocks)[:, :width]
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(count, 4 * blocks)[:, lead : lead + width]
     words >>= np.uint64(11)
     return words * 2.0**-53
 
@@ -314,42 +327,80 @@ def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def sample(D: DppDistribution, seed: int, count: int) -> Samples:
-    """Draw exact i.i.d. samples via the spectral algorithm.
+def _block_replicas(n: int, offset: int, width: int, k: int) -> int:
+    """Replicas per block of ``sample_batches`` whose workspace fits ``_BLOCK_BYTES``.
 
-    Replica r reads the uniforms u_0, u_1, ... of its own stream (see
-    ``RNG_ALGORITHM``).  Eigenvector i is kept when u_i < lambda_i, for
-    i < n.  The kept eigenvectors span a projection process of k points,
-    drawn one at a time: the m-th point takes u_{n+m} and is the least j
-    with u_{n+m} < F_j, where F is the cumulative, normalized intensity
-    of the process conditioned on the points already drawn.  This fixes
-    every draw, so results are reproducible and merge-order free.
-
-    Replicas are drawn together in blocks, grouped by their kept set.
-    Row r of the returned occupancy array is replica r's draw.
+    Per replica, ``_stream_uniforms`` enciphers the blocks of four words
+    that hold words ``offset`` .. ``offset + width - 1``, at about 128 bytes
+    per block for its two lanes and their temporaries, and returns
+    ``width`` floats; the block's index arrays take about 64 bytes, and the
+    chain rule holds k Gram-Schmidt columns and two working rows of n floats.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    blocks = -(-(offset % 4 + width) // 4)
+    return max(1, _BLOCK_BYTES // (128 * blocks + 8 * width + 64 + 8 * n * (k + 2)))
+
+
+def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
+    """Draw one batch of ``count`` exact i.i.d. samples per seed via the spectral algorithm.
+
+    Replica r of the batch with seed s reads the uniforms u_0, u_1, ... of
+    the stream keyed (s, r) (see ``RNG_ALGORITHM``).  Eigenvector i is kept
+    when u_i < lambda_i, for i < n.  The kept eigenvectors span a
+    projection process of k points, drawn one at a time: the m-th point
+    takes u_{n+m} and is the least j with u_{n+m} < F_j, where F is the
+    cumulative, normalized intensity of the process conditioned on the
+    points already drawn.  This fixes every draw, so results are
+    reproducible and merge-order free: batch b is ``sample(D, seeds[b], count)``.
+
+    The replicas of all batches are drawn together in blocks, which may
+    span batches.  A rank-r :class:`Projection` keeps every coin, so only
+    words n .. n + r - 1 of each stream are enciphered and each block runs
+    one chain rule on the factor.  Any other kernel groups a block's
+    replicas by their kept eigenvectors.  Raises ``ValueError`` before any
+    stream work when a seed lies outside [0, 2^64).
+    """
+    seeds = [operator.index(s) for s in seeds]
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise ValueError("seeds must be integers in [0, 2^64)")
     space = D.space
     n = space.n
-    eigvals = D.eigenvalues
-    eigvecs = D.eigenvectors
-    block = max(1, _BLOCK_BYTES // (8 * n * (n + 4)))
-    occupancy = np.zeros((count, n), dtype=bool)
-    for first in range(0, count, block):
-        size = min(block, count - first)
-        u = _stream_uniforms(seed, first, size, 2 * n)
-        keep = u[:, :n] < eigvals
+    occupancy = np.zeros((len(seeds) * count, n), dtype=bool)
+    seed_words = np.array(seeds, dtype=np.uint64)
+    factor = D.kernel.factor if isinstance(D.kernel, Projection) else None
+    if factor is not None:
+        rank = factor.shape[1]
+        block = _block_replicas(n, n, rank, rank)
+    else:
+        block = _block_replicas(n, 0, 2 * n, n)
+    for first in range(0, len(occupancy), block):
+        rows = np.arange(first, min(first + block, len(occupancy)))
+        batch, replica = np.divmod(rows, count)
+        if factor is not None:
+            u = _stream_uniforms(seed_words[batch], replica, rank, offset=n)
+            occupancy[rows[:, None], _chain_rule(factor, u)] = True
+            continue
+        u = _stream_uniforms(seed_words[batch], replica, 2 * n)
+        keep = u[:, :n] < D.eigenvalues
         # Sort the replicas by kept set; each run of equal rows is one group.
         order = np.lexsort(keep.T)
         keep = keep[order]
         bounds = np.flatnonzero(np.any(keep[1:] != keep[:-1], axis=1)) + 1
-        for start, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), size]):
+        for start, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), len(rows)]):
             kept = keep[start]
             members = order[start:stop]
-            chosen = _chain_rule(eigvecs[:, kept], u[members, n : n + int(kept.sum())])
-            occupancy[first + members[:, None], chosen] = True
-    return Samples(space, occupancy)
+            chosen = _chain_rule(D.eigenvectors[:, kept], u[members, n : n + int(kept.sum())])
+            occupancy[rows[members, None], chosen] = True
+    return [Samples(space, occupancy[b * count : (b + 1) * count]) for b in range(len(seeds))]
+
+
+def sample(D: DppDistribution, seed: int, count: int) -> Samples:
+    """Draw ``count`` exact i.i.d. samples: ``sample_batches`` with the one seed ``seed``.
+
+    Row r of the returned occupancy array is the draw of the replica keyed
+    (seed, r).  A rank-r projection reads only words n .. n + r - 1 of
+    each replica's stream.
+    """
+    return sample_batches(D, [seed], count)[0]
 
 
 def intensity(D: DppDistribution):

@@ -244,9 +244,12 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     pooled counts, the within-X, cross and within-Y distance sums are
     c'Dc, c'D(t - c) and (t - c)'D(t - c).  That costs O(N + m^2) per
     permutation for N pooled rows, and the N x N distance matrix is never
-    formed.  The products are ``einsum`` calls, which run on the calling
-    thread: a BLAS product fans out to the BLAS threads and stalls whenever
-    another process holds one of their cores.
+    formed.  The distinct rows come from one ``lexsort`` of the pooled
+    rows, and the count vectors of all splits from one ``add.reduceat``
+    over the columns of the split table taken in that order.  The products
+    are ``einsum`` calls, which run on the calling thread: a BLAS product
+    fans out to the BLAS threads and stalls whenever another process holds
+    one of their cores.
 
     Tie rule: a permuted split counts as a hit when its statistic is at
     least the observed one less ``TIE_TOLERANCE`` times the mean pooled
@@ -257,17 +260,20 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     pooled = np.vstack([X, Y])
     n, nx = len(pooled), len(X)
     ny = n - nx
-    rows, inverse = np.unique(pooled, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    m = len(rows)
-    D = _pairwise(rows, rows)
+    # The distinct rows in lexicographic order, as np.unique(axis=0) finds
+    # them: -0.0 equals 0.0 and every row holding a NaN is its own row.
+    order = np.lexsort(pooled.T[::-1])
+    ordered = pooled[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    D = _pairwise(ordered[starts], ordered[starts])
     on_x = np.empty((permutations + 1, n), dtype=bool)
     on_x[0] = np.arange(n) < nx
     for k in range(1, permutations + 1):
         on_x[k] = rng.permutation(n) < nx
-    cells = np.arange(permutations + 1)[:, None] * m + inverse
-    counts = np.bincount(cells[on_x], minlength=(permutations + 1) * m).reshape(permutations + 1, m).astype(float)
-    pooled_counts = np.bincount(inverse, minlength=m).astype(float)
+    counts = np.add.reduceat(on_x[:, order], starts, axis=1, dtype=np.int32).astype(float)
+    pooled_counts = np.diff(starts, append=n).astype(float)
     rest = pooled_counts - counts
     d_counts = np.einsum("ij,pj->pi", D, counts)
     d_pooled = np.einsum("ij,j->i", D, pooled_counts)

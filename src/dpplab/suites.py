@@ -14,7 +14,7 @@ import numpy as np
 from .conditioning import WeightFunction, induced_kernel, normalization_constant, reweighted_distribution
 from .deformations import DEFAULT_MIN_ANGLE, DeformationModel, ExhaustionReport, exhaustion_suite
 from .deformations import perturbation_convergence_suite
-from .dpp import DppDistribution, brute_force_distribution, sample, total_variation
+from .dpp import _BLOCK_BYTES, DppDistribution, brute_force_distribution, sample, sample_batches, total_variation
 from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, Subspace, project_span
@@ -358,15 +358,22 @@ def weakconv_calibration(
     permutations: int = 199,
     seed: int = 16000,
 ) -> np.ndarray:
-    """Same-law two-sample p-values; should be close to uniform on [0, 1]."""
-    _, limit, f, phis = _weakconv_setting()
+    """Same-law two-sample p-values; should be close to uniform on [0, 1].
+
+    Repetition j compares the batches of sampler seeds seed + 1000 + 2j and
+    seed + 1001 + 2j.  The batches are drawn by ``sample_batches`` in groups
+    of repetitions whose occupancy fits the sampler's byte budget.
+    """
+    space, limit, f, phis = _weakconv_setting()
     D = DppDistribution(limit)
+    group = max(1, _BLOCK_BYTES // max(1, 2 * batch_size * space.n))
     p_values = np.empty(repetitions)
-    for rep in range(repetitions):
-        batch_a = sample(D, seed + 1000 + 2 * rep, batch_size)
-        batch_b = sample(D, seed + 1001 + 2 * rep, batch_size)
-        report = weak_convergence_test([batch_a], batch_b, f, phis, permutations=permutations, seed=seed + rep)
-        p_values[rep] = report.p_values[0]
+    for start in range(0, repetitions, group):
+        stop = min(start + group, repetitions)
+        batches = sample_batches(D, range(seed + 1000 + 2 * start, seed + 1000 + 2 * stop), batch_size)
+        for rep, batch_a, batch_b in zip(range(start, stop), batches[::2], batches[1::2]):
+            report = weak_convergence_test([batch_a], batch_b, f, phis, permutations=permutations, seed=seed + rep)
+            p_values[rep] = report.p_values[0]
     return p_values
 
 

@@ -97,6 +97,26 @@ def test_sample_command_requires_one_kernel_source(tmp_path):
     assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, config, args",
+    [
+        ("sample", {"scripted": "projection_rank2", "count": 5}, ["--seed", str(2**64)]),
+        # the derived sampler seeds seed + 1000 + j pass 2^64
+        (
+            "weakconv",
+            {"mode": "calibration", "repetitions": 11, "batch_size": 20, "permutations": 19, "seed": 2**64 - 16},
+            [],
+        ),
+    ],
+)
+def test_seeds_beyond_64_bits_exit_2(tmp_path, capsys, command, config, args):
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_perturb_command(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"n_list": [2, 4, 8], "grid_points": 16})
     code = main(["perturb", "--config", cfg, "--out", str(tmp_path / "run")])

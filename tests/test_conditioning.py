@@ -11,7 +11,9 @@ from dpplab.conditioning import (
     psi_g,
     reweighted_distribution,
 )
-from dpplab.dpp import Configuration, DppDistribution, brute_force_distribution, total_variation
+from dpplab import suites
+from dpplab.deformations import DEFAULT_MIN_ANGLE
+from dpplab.dpp import Configuration, DppDistribution, brute_force_distribution, sample, total_variation
 from dpplab.errors import DimensionError, InducibilityError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import project_span
@@ -156,3 +158,45 @@ def test_conditioning_rejects_weights_on_another_space(g_points):
         induced_kernel(g, P)
     with pytest.raises(DimensionError):
         normalization_constant(g, P)
+
+
+def test_induced_kernel_orthonormal_on_an_ill_conditioned_input():
+    # U^T g U has condition number about 1e7 here; one Cholesky pass left
+    # max|U^T U - I| = 2.9e-10 and raised ContractError
+    space = GroundSpace(np.array([2.0, 4.83]), np.array([1.738, 2.0]))
+    P = project_span(np.array([[-3.135, 1.013], [1.738, 2.0]]), space)
+    g = WeightFunction(space, np.array([0.795, 5.96e-8]))
+    assert check_inducibility(g, P).margin == pytest.approx(2.98e-8, rel=1e-6)
+    B = induced_kernel(g, P)
+    assert np.max(np.abs(B.factor.T @ B.factor - np.eye(2))) < 1e-15
+    assert np.max(np.abs(B.counting - np.eye(2))) < 1e-15
+
+
+def test_induced_process_on_a_fine_grid_matches_its_moments(capsys):
+    # Criterion 4's 2^12 geometric grid and its indicator weight on core + B_12:
+    # far beyond enumeration, the induced projection's sampled linear
+    # statistic <phi, X> must match E = sum_i phi_i |U_i|^2 and
+    # Var = sum_i phi_i^2 |U_i|^2 - |U^T diag(phi) U|_F^2 to 4 standard errors.
+    k = 12
+    space = GroundSpace.geometric_cells(10.0 ** -(k + 4), 1.0, 2**k)
+    core = Window.from_interval(space, 0.5, 1.0, "core")
+    window = Window.from_interval(space, 10.0 ** -(k + 1), 0.5)
+    P = suites.exhaustion_model(space, core, DEFAULT_MIN_ANGLE).base_projection
+    g = WeightFunction.indicator(space, Window(np.concatenate([core.index_set, window.index_set])))
+    B = induced_kernel(g, P)
+    U = B.factor
+    phi = space.points
+    row_mass = np.sum(U**2, axis=1)
+    mean = float(phi @ row_mass)
+    var = float(phi**2 @ row_mass - np.sum((U.T @ (phi[:, None] * U)) ** 2))
+    samples = sample(DppDistribution(B), 2024, 2000)
+    assert np.all(samples.occupancy.sum(axis=1) == B.rank)
+    stats = samples.occupancy @ phi
+    count = len(stats)
+    central = stats - stats.mean()
+    sample_var = float(np.mean(central**2))
+    z_mean = (stats.mean() - mean) / np.sqrt(var / count)
+    z_var = (sample_var - var) / np.sqrt((np.mean(central**4) - sample_var**2) / count)
+    with capsys.disabled():
+        print(f"\n[induced 2^{k}] E {mean:.6f}, Var {var:.6f}: z(mean) = {z_mean:+.2f}, z(var) = {z_var:+.2f}")
+    assert abs(z_mean) < 4.0 and abs(z_var) < 4.0

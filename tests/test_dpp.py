@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -68,9 +69,9 @@ def test_enumeration_size_guard():
 
 
 @st.composite
-def factored_projections(draw):
-    """A random space of 1-10 points and a projection of any rank 0..n on it, held as a factor."""
-    n = draw(st.integers(1, 10))
+def factored_projections(draw, max_points=10):
+    """A random space of 1..max_points points and a projection of any rank 0..n on it, held as a factor."""
+    n = draw(st.integers(1, max_points))
     rank = draw(st.integers(0, n))
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
     space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
@@ -215,12 +216,15 @@ def _reference_projection(rng: np.random.Generator, V: np.ndarray) -> list[int]:
 
 
 def _reference_sample(D: DppDistribution, seed: int, count: int) -> list[frozenset[int]]:
-    """The spectral sampler one replica at a time: a Generator, coin flips, then ``choice`` per point."""
+    """The spectral sampler one replica at a time: a Generator, coin flips, then ``choice`` per point.
+
+    A :class:`Projection` keeps every coin and spans its factor.
+    """
     out = []
     for replica in range(count):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
         keep = rng.random(len(D.eigenvalues)) < D.eigenvalues
-        V = D.eigenvectors[:, keep]
+        V = D.kernel.factor if isinstance(D.kernel, Projection) else D.eigenvectors[:, keep]
         out.append(frozenset(_reference_projection(rng, V) if V.shape[1] else []))
     return out
 
@@ -255,25 +259,115 @@ def sampler_cases(draw):
 )
 def test_sampler_matches_reference_draw_for_draw(D, seed, count, block):
     # a small replica block makes most counts cross a block boundary
-    n = D.space.n
-    with mock.patch.object(dpp, "_BLOCK_BYTES", 8 * n * (n + 4) * block):
+    with mock.patch.object(dpp, "_block_replicas", lambda n, offset, width, k: block):
         drawn = [X.occupied for X in sample(D, seed, count)]
     assert drawn == _reference_sample(D, seed, count)
 
 
 def test_sampler_matches_reference_across_default_block():
     D = DppDistribution(_random_contraction(_rng(16), 8))
-    count = dpp._BLOCK_BYTES // (8 * 8 * 12) + 3
+    count = dpp._block_replicas(8, 0, 16, 8) + 3
     assert [X.occupied for X in sample(D, 3, count)] == _reference_sample(D, 3, count)
+
+
+def test_projection_distribution_reads_the_factor():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 6)
+    P = project_span(_rng(18).normal(size=(2, 6)), space)
+    D = DppDistribution(P)
+    assert np.array_equal(D.eigenvalues, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    assert D.eigenvectors is None
+    assert D.rank() == 2 and D.is_projection()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    P=factored_projections(max_points=8),
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 40),
+    block=st.integers(1, 12),
+)
+def test_factor_route_matches_dense_route_draw_for_draw(P, seed, count, block):
+    # the same projection as a dense KernelOperator is sampled from the eigenvectors of eigh
+    dense = DppDistribution(KernelOperator.from_counting(P.space, P.counting))
+    with mock.patch.object(dpp, "_block_replicas", lambda n, offset, width, k: block):
+        factored = sample(DppDistribution(P), seed, count)
+        reference = sample(dense, seed, count)
+    assert np.array_equal(factored.occupancy, reference.occupancy)
+    assert np.all(factored.occupancy.sum(axis=1) == P.rank)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    D=sampler_cases(),
+    seeds=st.lists(st.integers(0, 2**64 - 1), max_size=5),
+    count=st.integers(0, 12),
+    block=st.integers(1, 12),
+)
+def test_sample_batches_are_one_seed_samples(D, seeds, count, block):
+    # small blocks straddle the batches; each batch is the one-seed draw at the default block size
+    with mock.patch.object(dpp, "_block_replicas", lambda n, offset, width, k: block):
+        batches = dpp.sample_batches(D, seeds, count)
+    assert len(batches) == len(seeds)
+    for batch, seed in zip(batches, seeds):
+        assert batch.occupancy.shape == (count, D.space.n)
+        assert np.array_equal(batch.occupancy, sample(D, seed, count).occupancy)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
+def test_seeds_outside_64_bits_raise_before_sampling(bad):
+    D = DppDistribution(_random_contraction(_rng(19), 3))
+    with mock.patch.object(dpp, "_stream_uniforms", side_effect=AssertionError("stream work began")):
+        with pytest.raises(ValueError):
+            sample(D, bad, 5)
+        with pytest.raises(ValueError):
+            dpp.sample_batches(D, [0, 1, bad], 5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["contraction", "projection"])
+def test_sampler_workspace_stays_within_block_budget(n, kind):
+    space = GroundSpace.uniform_cells(0.0, 1.0, n)
+    K = project_span(np.ones((1, n)), space) if kind == "projection" else _random_contraction(_rng(20), n)
+    D = DppDistribution(K)
+    count = 3 * dpp._block_replicas(n, 0, 2 * n, n)  # about three blocks: the workspace must not accumulate
+    tracemalloc.start()
+    try:
+        samples = sample(D, 11, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == count
+    assert peak - count * n <= 1.25 * dpp._BLOCK_BYTES
+
+
+def _stream_keys(seed, first, count):
+    return np.full(count, seed, dtype=np.uint64), np.arange(count, dtype=np.uint64) + np.uint64(first)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
 def test_stream_uniforms_are_generator_random(seed):
     # the sampler's draws are defined by Generator.random on each replica's Philox stream
-    got = dpp._stream_uniforms(seed, 5, 4, 9)
+    got = dpp._stream_uniforms(*_stream_keys(seed, 5, 4), 9)
     for r in range(4):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5 + r], dtype=np.uint64)))
         assert np.array_equal(got[r], rng.random(9))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=6),
+    replica=st.integers(0, 2**64 - 1),
+    offset=st.integers(0, 12),
+    width=st.integers(0, 12),
+)
+def test_stream_uniforms_from_an_offset(seeds, replica, offset, width):
+    # rows of different seeds in one call; the cipher starts at the block holding word `offset`
+    replicas = np.full(len(seeds), replica, dtype=np.uint64)
+    got = dpp._stream_uniforms(np.array(seeds, dtype=np.uint64), replicas, width, offset=offset)
+    assert got.shape == (len(seeds), width)
+    for row, seed in zip(got, seeds):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+        assert np.array_equal(row, rng.random(offset + width)[offset:])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -284,7 +378,7 @@ def test_stream_uniforms_are_generator_random(seed):
     width=st.integers(1, 20),
 )
 def test_stream_uniforms_match_philox_generators(seed, first, count, width):
-    got = dpp._stream_uniforms(seed, first, count, width)
+    got = dpp._stream_uniforms(*_stream_keys(seed, first, count), width)
     assert got.shape == (count, width)
     for r in range(count):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, first + r], dtype=np.uint64)))
