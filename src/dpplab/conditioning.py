@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import DppDistribution, occupancy_table
+from .dpp import DppDistribution, _check_law_size
 from .errors import ConditioningImpossibleError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
 from .operators import Projection, _check_same_space
@@ -44,11 +44,11 @@ class WeightFunction:
             raise DimensionError(f"weight function needs {self.space.n} values")
         if self.role not in ("g", "f"):
             raise ValueError("role must be 'g' or 'f'")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("weight-function values must be finite")
-        if np.any(values < 0):
+        if (values < 0).any():
             raise ValueError("weight-function values must be nonnegative")
-        if self.role == "g" and np.any(values > 1.0):
+        if self.role == "g" and (values > 1.0).any():
             raise ValueError("conditioning weights must not exceed 1")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -89,13 +89,16 @@ def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
     """Report ||(1-g)P||, the margin 1 - ||sqrt(1-g)P||, and the invertibility verdict.
 
     Since U has orthonormal columns, ||D U U^T|| = ||D U||: both norms are
-    spectral norms of n x r matrices.  Raises :class:`DimensionError` when g
-    and P live on different ground spaces.
+    spectral norms of n x r matrices, the largest singular values of
+    (1-g) U and sqrt(1-g) U.  One stacked SVD call gives both, bit for bit
+    the values of two ``np.linalg.norm(., 2)`` calls, which run the same
+    LAPACK routine per matrix.  Raises :class:`DimensionError` when g and P
+    live on different ground spaces.
     """
     _check_same_space(g.space, P.space)
     one_minus_g = 1.0 - g.values
-    norm_full = float(np.linalg.norm(one_minus_g[:, None] * P.factor, 2))
-    sqrt_norm = float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * P.factor, 2))
+    scaled = np.stack([one_minus_g[:, None] * P.factor, np.sqrt(one_minus_g)[:, None] * P.factor])
+    norm_full, sqrt_norm = np.linalg.svd(scaled, compute_uv=False)[:, 0].tolist()
     margin = 1.0 - sqrt_norm
     return InducibilityCheck(norm_full, sqrt_norm, margin, margin > MARGIN_TOLERANCE)
 
@@ -148,16 +151,26 @@ def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float
 
     ``probs[mask]`` is the probability of the configuration with occupancy
     bitmask ``mask``, for all 2^n masks.  Returns the renormalized law and
-    its total mass E[psi_g] before renormalization.
+    its total mass E[psi_g] before renormalization.  The psi_g table is
+    built by doubling, psi[m + 2^i] = psi[m] g_i for m < 2^i, which
+    multiplies the weights of each configuration in increasing index
+    order, as :func:`psi_g` does, so every entry equals it bit for bit.
+    The law's size is checked before anything is allocated: a law whose
+    length is not 2^n raises :class:`DimensionError`, and n above
+    ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.
     """
+    n = g.space.n
     probs = np.asarray(probs, dtype=float)
-    occupancy = occupancy_table(g.space.n)
-    if probs.shape != (len(occupancy),):
-        raise DimensionError(f"a configuration law on {g.space.n} points has {len(occupancy)} entries")
-    zero = g.values == 0.0
-    psi = np.exp(occupancy @ np.log(np.where(zero, 1.0, g.values))) * (occupancy @ zero == 0)
-    weighted = psi * probs
+    if probs.shape != (2**n,):
+        raise DimensionError(f"a configuration law on {n} points has {2**n} entries")
+    _check_law_size(n)
+    weighted = np.empty(2**n)
+    weighted[0] = 1.0
+    for i, gi in enumerate(g.values):
+        np.multiply(weighted[: 1 << i], gi, out=weighted[1 << i : 2 << i])
+    weighted *= probs
     total = float(weighted.sum())
     if total <= 1e-12:
         raise ConditioningImpossibleError("reweighted table has vanishing total mass")
-    return weighted / total, total
+    weighted /= total
+    return weighted, total

@@ -39,11 +39,11 @@ class GroundSpace:
             raise ValueError("a ground space needs at least one point")
         if points.size != weights.size:
             raise DimensionError("points and weights must have equal length")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
             raise ValueError("points and weights must be finite")
-        if np.any(np.diff(points) <= 0):
+        if not (points[1:] > points[:-1]).all():
             raise ValueError("points must be strictly increasing")
-        if np.any(weights <= 0):
+        if (weights <= 0).any():
             raise ValueError("all weights must be strictly positive")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)

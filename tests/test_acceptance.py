@@ -160,6 +160,13 @@ def test_criterion_8_weak_convergence_calibration(capsys):
     other seeds (11 + 1000 s, s = 1..29): the last steps sit inside
     sampling noise, so this verdict is a property of the draw at seed 11,
     not of the method.
+
+    "KS < 0.05" is likewise a property of calibration seed 16000 (KS
+    0.040): at seeds 16000 + 1000 s, s = 1..30, it holds on only 5, and
+    the KS distance of 200 p-values is a multiple of 0.005 that reads
+    0.035-0.095 there.  The 95% critical value of the KS distance at 200
+    uniform p-values is about 0.096, so every one of those seeds is
+    consistent with calibration; 0.05 is much stricter than that test.
     """
     start = time.perf_counter()
     p_values = suites.weakconv_calibration()

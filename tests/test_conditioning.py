@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dpplab.conditioning import (
 from dpplab import suites
 from dpplab.deformations import DEFAULT_MIN_ANGLE
 from dpplab.dpp import Configuration, DppDistribution, brute_force_distribution, sample, total_variation
-from dpplab.errors import DimensionError, InducibilityError
+from dpplab.errors import DimensionError, EnumerationSizeError, InducibilityError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import project_span
 
@@ -79,6 +81,40 @@ def test_induced_matches_reweighted_brute_force():
         oracle, _ = reweighted_distribution(g, base_table)
         induced = brute_force_distribution(induced_distribution(g, P))
         assert total_variation(oracle, induced) < 1e-10
+
+
+def _traced_peak(call):
+    """Run ``call`` under tracemalloc; return the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_reweighted_distribution_holds_one_law_sized_array():
+    n = 20
+    g = WeightFunction(GroundSpace.uniform_cells(0.0, 1.0, n), _rng(25).uniform(0.0, 1.0, n))
+    probs = np.full(2**n, 2.0**-n)
+    assert _traced_peak(lambda: reweighted_distribution(g, probs)) < 4 * 2**n * 8
+
+
+def _raises_before_allocating(g, probs, error):
+    def call():
+        with pytest.raises(error):
+            reweighted_distribution(g, probs)
+
+    assert _traced_peak(call) < 1 << 20
+
+
+def test_reweighted_distribution_checks_the_law_size_first():
+    g = WeightFunction.constant(GroundSpace.uniform_cells(0.0, 1.0, 25), 0.5)
+    _raises_before_allocating(g, np.full(4, 0.25), DimensionError)
+    # a zero-stride law of the right length, beyond the enumeration limit
+    g = WeightFunction.constant(GroundSpace.uniform_cells(0.0, 1.0, 21), 0.5)
+    _raises_before_allocating(g, np.broadcast_to(2.0**-21, (2**21,)), EnumerationSizeError)
 
 
 def test_normalization_equals_mean_multiplicative_functional():

@@ -22,15 +22,17 @@ def test_geometric_cells_cover_the_interval():
 
 
 def test_points_must_increase():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         GroundSpace(np.array([1.0, 1.0, 2.0]), np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         GroundSpace(np.array([2.0, 1.0]), np.ones(2))
 
 
 def test_weights_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly positive"):
         GroundSpace(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        GroundSpace(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 A projection process reweighted by psi_g = prod_{x in X} g(x) has total
 mass det(1 + (g-1)P) and, renormalized, is the determinantal process of
 the induced kernel.  Every check compares with a plain psi_g loop over
-the brute-force law of the projection.
+the brute-force law of the projection, and the inducibility norms with
+two ``np.linalg.norm(., 2)`` calls.
 """
 
 import numpy as np
@@ -30,16 +31,22 @@ _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def reweighting_cases(draw):
-    """A random space, projection and weight g with some exact zeros, with a usable margin."""
-    n = draw(st.integers(2, 6))
-    rank = draw(st.integers(1, min(3, n)))
+def problems(draw, min_points, max_points, max_rank, g_low):
+    """A random space, projection and weight g with some exact zeros and ones."""
+    n = draw(st.integers(min_points, max_points))
+    rank = draw(st.integers(1, min(max_rank, n)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
     P = project_span(rng.normal(size=(rank, n)), space)
-    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n))
-    g = WeightFunction(space, np.array(values))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(g_low, 1.0)), min_size=n, max_size=n))
+    return P, WeightFunction(space, np.array(values))
+
+
+@st.composite
+def reweighting_cases(draw):
+    """A problem on 2-6 points of rank up to 3, with a usable margin."""
+    P, g = draw(problems(2, 6, 3, 0.05))
     assume(check_inducibility(g, P).margin > MIN_MARGIN)
     return P, g
 
@@ -59,8 +66,19 @@ def test_reweighted_table_matches_psi_g_loop(case):
     probs = _base_law(P)
     weights = _loop_weights(g, probs)
     law, total = reweighted_distribution(g, probs)
-    assert total == pytest.approx(weights.sum(), rel=1e-12, abs=1e-15)
-    assert np.allclose(law, weights / weights.sum(), rtol=0.0, atol=1e-13)
+    assert total == weights.sum()
+    assert np.array_equal(law, weights / weights.sum())
+
+
+@_SETTINGS
+@given(problems(1, 12, 4, 0.0))
+def test_inducibility_norms_match_two_norm_calls(case):
+    P, g = case
+    one_minus_g = 1.0 - g.values
+    check = check_inducibility(g, P)
+    assert check.norm_1mg_P == float(np.linalg.norm(one_minus_g[:, None] * P.factor, 2))
+    assert check.sqrt_norm == float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * P.factor, 2))
+    assert check.margin == 1.0 - check.sqrt_norm
 
 
 @_SETTINGS
