@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, EnumerationSizeError
 from .ground import GroundSpace
-from .operators import KernelOperator, Projection
+from .operators import KernelOperator, Projection, counting_diagonal
 
 #: Eigenvalues of the counting form may stray this far outside [0, 1]
 #: (machine noise from spectral factorizations of projections).
@@ -155,11 +155,16 @@ class DppDistribution:
 
 
 def correlation(D: DppDistribution, A) -> float:
-    """Inclusion probability rho(A) = P(A subset of X) = det Khat_A."""
+    """Inclusion probability rho(A) = P(A subset of X) = det Khat_A; for a :class:`Projection`, det(U_A U_A^T)."""
     idx = sorted(int(i) for i in A)
     if not idx:
         return 1.0
-    block = D.kernel.counting[np.ix_(idx, idx)]
+    K = D.kernel
+    if isinstance(K, Projection):
+        rows = K.factor[idx]
+        block = rows @ rows.T
+    else:
+        block = K.counting[np.ix_(idx, idx)]
     return float(np.linalg.det(block))
 
 
@@ -298,31 +303,62 @@ def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Points drawn from the projection DPP onto the span of V (n x k), one row per replica.
 
     Gram-Schmidt form of the chain rule, advanced in lockstep over the
-    replicas: ``d`` is each replica's conditional intensity (the residual
-    diagonal of V V^T) and ``C`` holds the Gram-Schmidt columns of the
-    points chosen so far.  Step t picks point j with probability
-    d_j / (k - t) by inverse CDF on ``u[:, t]``, as ``Generator.choice``
-    does.
+    replicas.  After t steps a replica's conditional intensity depends only
+    on its prefix, the points it has chosen so far in order, so the work is
+    done once per distinct prefix: row p of ``d`` is prefix p's intensity
+    (the residual diagonal of V V^T), ``C[p]`` holds the Gram-Schmidt
+    columns of its points, and ``state[r]`` is replica r's prefix.  Step t
+    picks point j with probability d_j / (k - t) by inverse CDF on
+    ``u[:, t]``, as ``Generator.choice`` does.
+
+    New prefixes are numbered in the order of their keys state * n + j, from
+    a presence table over the keys.  Once every replica has a prefix of its
+    own, row r is replica r's and the gathers by ``state`` stop.  Each row
+    runs the arithmetic the replica would run alone, so the draws do not
+    depend on how the replicas share prefixes.
     """
     n, k = V.shape
     B = len(u)
-    rows = np.arange(B)
-    d = np.tile(np.sum(V**2, axis=1), (B, 1))
-    C = np.zeros((B, k, n))
     chosen = np.empty((B, k), dtype=np.intp)
+    d = np.sum(V**2, axis=1)[None, :]
+    C = np.zeros((1, max(k - 1, 0), n))  # the last step needs no column
+    state = np.zeros(B, dtype=np.intp)  # None once row r of d and C is replica r's
     for t in range(k):
         cdf = d / (k - t)
         cdf /= cdf.sum(axis=1, keepdims=True)
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        j = np.count_nonzero(cdf <= u[:, t : t + 1], axis=1)
+        if t == 0:
+            j = np.searchsorted(cdf[0], u[:, 0], side="right")
+        else:
+            j = np.count_nonzero((cdf if state is None else cdf[state]) <= u[:, t : t + 1], axis=1)
         chosen[:, t] = j
-        col = V[j] @ V.T
-        col -= np.einsum("bs,bsn->bn", C[rows, :t, j], C[:, :t])
-        col /= np.sqrt(d[rows, j])[:, None]
+        if t == k - 1:
+            break
+        del cdf  # freed before the prefixes' rows are copied
+        if state is None:
+            parent, point = None, j
+        else:
+            keys = state * n + j
+            present = np.zeros(len(d) * n, dtype=bool)
+            present[keys] = True
+            if np.count_nonzero(present) == B:
+                parent, point, state = state, j, None
+            else:
+                distinct = np.flatnonzero(present)
+                parent, point = np.divmod(distinct, n)
+                state = (np.cumsum(present) - 1)[keys]
+        rows = np.arange(len(point))
+        if parent is not None:
+            C, d = C[parent], d[parent]
+        # matmul runs a lone row as a gemv, whose last bits differ from the gemm rows of a larger block
+        lead = V[point] if len(point) > 1 or B == 1 else V[np.repeat(point, 2)]
+        col = (lead @ V.T)[: len(point)]
+        col -= np.einsum("bs,bsn->bn", C[rows, :t, point], C[:, :t])
+        col /= np.sqrt(d[rows, point])[:, None]
         C[:, t] = col
         d -= np.square(col, out=col)
-        d[rows, j] = 0.0
+        d[rows, point] = 0.0
         np.clip(d, 0.0, None, out=d)
     return chosen
 
@@ -333,11 +369,13 @@ def _block_replicas(n: int, offset: int, width: int, k: int) -> int:
     Per replica, ``_stream_uniforms`` enciphers the blocks of four words
     that hold words ``offset`` .. ``offset + width - 1``, at about 128 bytes
     per block for its two lanes and their temporaries, and returns
-    ``width`` floats; the block's index arrays take about 64 bytes, and the
-    chain rule holds k Gram-Schmidt columns and two working rows of n floats.
+    ``width`` floats; the block's index arrays take about 64 bytes.  The
+    chain rule holds rows of n floats per distinct prefix, so at worst per
+    replica: k - 1 Gram-Schmidt columns, twice while the prefixes' rows are
+    copied to their extensions, and three working rows.
     """
     blocks = -(-(offset % 4 + width) // 4)
-    return max(1, _BLOCK_BYTES // (128 * blocks + 8 * width + 64 + 8 * n * (k + 2)))
+    return max(1, _BLOCK_BYTES // (128 * blocks + 8 * width + 64 + 8 * n * (2 * k + 1)))
 
 
 def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
@@ -404,11 +442,10 @@ def sample(D: DppDistribution, seed: int, count: int) -> Samples:
 
 
 def intensity(D: DppDistribution):
-    """First moment measure: atom K(x, x) w_x at each grid point."""
+    """First moment measure: atom K(x, x) w_x = Khat(x, x) at each grid point (see ``counting_diagonal``)."""
     from .measures import FiniteMeasure  # local import to avoid a cycle
 
-    atoms = np.diag(D.kernel.entries) * D.space.weights
-    return FiniteMeasure(D.space, np.clip(atoms, 0.0, None))
+    return FiniteMeasure(D.space, np.clip(counting_diagonal(D.kernel), 0.0, None))
 
 
 def empirical_distribution(samples: Samples) -> np.ndarray:

@@ -17,7 +17,14 @@ from .conditioning import WeightFunction, check_inducibility
 from .dpp import Configuration, DppDistribution, Samples
 from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
-from .operators import KernelOperator, Projection, _check_same_space, is_positive_contraction, subspace_angle
+from .operators import (
+    KernelOperator,
+    Projection,
+    _check_same_space,
+    counting_diagonal,
+    is_positive_contraction,
+    subspace_angle,
+)
 
 #: Sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -72,10 +79,10 @@ def int_phi(eta: FiniteMeasure, phi) -> float:
     return float(np.sum(phi * eta.atoms))
 
 
-def _weighted_diagonal(K: KernelOperator, f: WeightFunction) -> np.ndarray:
+def _weighted_diagonal(K: KernelOperator | Projection, f: WeightFunction) -> np.ndarray:
     """The diagonal of sqrt(f) Khat sqrt(f); its sum is tr(sqrt(f) K sqrt(f))."""
     _check_same_space(K.space, f.space)
-    return np.diag(K.counting) * f.values
+    return counting_diagonal(K) * f.values
 
 
 @dataclass(frozen=True, eq=False)

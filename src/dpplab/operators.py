@@ -211,6 +211,13 @@ def norms(K: KernelOperator) -> OperatorNorms:
     )
 
 
+def counting_diagonal(K: KernelOperator | Projection) -> np.ndarray:
+    """The diagonal of the counting form; a :class:`Projection`'s is the squared row norms of its factor."""
+    if isinstance(K, Projection):
+        return np.sum(K.factor**2, axis=1)
+    return np.diag(K.counting)
+
+
 def is_positive_contraction(K: KernelOperator) -> bool:
     """Whether the counting form's spectrum lies in [0, 1] up to 1e-8."""
     eigvals = np.linalg.eigvalsh(K.counting)

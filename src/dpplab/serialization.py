@@ -85,14 +85,25 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
 def samples_to_csv(samples: Samples) -> str:
     """One line per draw: space-separated occupied indices (may be empty); no draws give "".
 
-    Each distinct occupancy row is formatted once: rows are packed into
-    byte keys, and ``np.unique`` maps every draw to its row's line.
+    Each distinct occupancy row is formatted once.  Rows are packed into
+    keys of whole uint64 words, one word per 64 points, and sorted (a
+    lexsort when there are several words); a row differing from its
+    sorted neighbour starts a new line, and every draw maps to its row's.
     """
-    packed = np.packbits(samples.occupancy, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    lines = [" ".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in samples.occupancy[first]]
-    return "".join([lines[i] for i in inverse.tolist()])
+    occupancy = samples.occupancy
+    count, n = occupancy.shape
+    packed = np.zeros((count, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(occupancy, axis=1, bitorder="little")
+    keys = packed.view("<u8")
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+    ranked = keys[order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    line_of = np.empty(count, dtype=np.intp)
+    line_of[order] = np.cumsum(starts) - 1
+    distinct = occupancy[order[starts]]
+    lines = np.array([" ".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in distinct], dtype=object)
+    return "".join(lines[line_of].tolist())
 
 
 def samples_from_csv(text: str, space: GroundSpace) -> Samples:

@@ -314,7 +314,7 @@ def scripted_chebyshev_checks():
     where the bound is informative (below 1).  Each kernel gets
     ``CHEBYSHEV_SAMPLES`` draws, seeded from ``CHEBYSHEV_SEED``.
     """
-    from .measures import chebyshev_mass_bound_check
+    from .measures import _weighted_diagonal, chebyshev_mass_bound_check
 
     cases = []
     space = GroundSpace.uniform_cells(0.0, 1.0, 6)
@@ -331,7 +331,7 @@ def scripted_chebyshev_checks():
     results = {}
     for j, (name, K) in enumerate(cases):
         D = DppDistribution(K)
-        trace = float(np.sum(np.diag(K.counting) * f.values))
+        trace = float(_weighted_diagonal(K, f).sum())
         L = 1.6 * trace
         samples = sample(D, CHEBYSHEV_SEED + 10 * j, CHEBYSHEV_SAMPLES)
         results[name] = chebyshev_mass_bound_check(D, f, L, samples)

@@ -4,7 +4,8 @@ The package holds a projection as an orthonormal factor U (Phat = U U^T)
 and works on U alone.  These functions compute the same quantities from
 the full counting forms, as the package did before, so the tests can
 compare the two.  Arguments are counting forms (n x n arrays), weight
-values g and counting-coordinate vectors.
+values g and counting-coordinate vectors.  ``chain_rule`` is the
+sampler's chain rule as it ran before it shared work between replicas.
 """
 
 import numpy as np
@@ -62,3 +63,28 @@ def windowed_trace_distance(phat: np.ndarray, qhat: np.ndarray, idx) -> float:
     """Trace norm of the block (Phat - Qhat)[A, A], from the singular values of the dense block."""
     block = (phat - qhat)[np.ix_(idx, idx)]
     return float(np.sum(np.linalg.svd(block, compute_uv=False)))
+
+
+def chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Gram-Schmidt chain rule on the span of V (n x k), with one row of work per replica."""
+    n, k = V.shape
+    B = len(u)
+    rows = np.arange(B)
+    d = np.tile(np.sum(V**2, axis=1), (B, 1))
+    C = np.zeros((B, k, n))
+    chosen = np.empty((B, k), dtype=np.intp)
+    for t in range(k):
+        cdf = d / (k - t)
+        cdf /= cdf.sum(axis=1, keepdims=True)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        j = np.count_nonzero(cdf <= u[:, t : t + 1], axis=1)
+        chosen[:, t] = j
+        col = V[j] @ V.T
+        col -= np.einsum("bs,bsn->bn", C[rows, :t, j], C[:, :t])
+        col /= np.sqrt(d[rows, j])[:, None]
+        C[:, t] = col
+        d -= np.square(col, out=col)
+        d[rows, j] = 0.0
+        np.clip(d, 0.0, None, out=d)
+    return chosen

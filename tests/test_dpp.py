@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpplab import dpp
+from dense_reference import chain_rule
+from dpplab import WeightFunction, dpp
 from dpplab.dpp import (
     Configuration,
     DppDistribution,
@@ -22,6 +23,7 @@ from dpplab.dpp import (
 )
 from dpplab.errors import ContractError, DimensionError, EnumerationSizeError
 from dpplab.ground import GroundSpace
+from dpplab.measures import _weighted_diagonal
 from dpplab.operators import KernelOperator, Projection, project_span
 
 
@@ -323,13 +325,26 @@ def test_seeds_outside_64_bits_raise_before_sampling(bad):
             dpp.sample_batches(D, [0, 1, bad], 5)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("kind", ["contraction", "projection"])
-def test_sampler_workspace_stays_within_block_budget(n, kind):
+@pytest.mark.parametrize(
+    "kind, n, rank",
+    [
+        pytest.param("contraction", 1, None, id="contraction-1"),
+        pytest.param("contraction", 2, None, id="contraction-2"),
+        pytest.param("projection", 1, 1, id="projection-1"),
+        pytest.param("projection", 2, 1, id="projection-2"),
+        # 8 points at rank 2: the chain rule's replicas share their prefixes
+        pytest.param("projection", 8, 2, id="projection-8-rank-2"),
+    ],
+)
+def test_sampler_workspace_stays_within_block_budget(kind, n, rank):
     space = GroundSpace.uniform_cells(0.0, 1.0, n)
-    K = project_span(np.ones((1, n)), space) if kind == "projection" else _random_contraction(_rng(20), n)
-    D = DppDistribution(K)
-    count = 3 * dpp._block_replicas(n, 0, 2 * n, n)  # about three blocks: the workspace must not accumulate
+    if kind == "projection":
+        D = DppDistribution(project_span(np.vander(space.points, rank, increasing=True).T, space))
+        block = dpp._block_replicas(n, n, rank, rank)
+    else:
+        D = DppDistribution(_random_contraction(_rng(20), n))
+        block = dpp._block_replicas(n, 0, 2 * n, n)
+    count = 3 * block  # about three blocks: the workspace must not accumulate
     tracemalloc.start()
     try:
         samples = sample(D, 11, count)
@@ -338,6 +353,22 @@ def test_sampler_workspace_stays_within_block_budget(n, kind):
         tracemalloc.stop()
     assert len(samples) == count
     assert peak - count * n <= 1.25 * dpp._BLOCK_BYTES
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(P=factored_projections(), count=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+def test_chain_rule_matches_per_replica_reference(P, count, seed):
+    # up to 3000 replicas on at most 10 points: most replicas share their prefixes
+    u = _rng(seed).random((count, P.rank))
+    assert np.array_equal(dpp._chain_rule(P.factor, u), chain_rule(P.factor, u))
+
+
+def test_chain_rule_with_every_prefix_distinct():
+    V = np.linalg.qr(_rng(21).normal(size=(4096, 3)))[0]
+    u = _rng(22).random((16, 3))
+    chosen = dpp._chain_rule(V, u)
+    assert len(set(chosen[:, 0].tolist())) == 16  # no two replicas share even their first point
+    assert np.array_equal(chosen, chain_rule(V, u))
 
 
 def _stream_keys(seed, first, count):
@@ -405,6 +436,32 @@ def test_intensity_matches_sampled_counts():
     # 4 standard errors of a Bernoulli proportion
     se = np.sqrt(np.maximum(xi.atoms * (1 - xi.atoms), 1e-4) / len(samples))
     assert np.all(np.abs(counts - xi.atoms) < 4 * se + 1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(P=factored_projections(max_points=8), data=st.data())
+def test_projection_diagnostics_match_the_dense_forms(P, data):
+    dense = KernelOperator.from_counting(P.space, P.counting)
+    A = data.draw(st.sets(st.integers(0, P.n - 1)))
+    f = WeightFunction(P.space, _rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.0, 2.0, P.n), role="f")
+    D, D_dense = DppDistribution(P), DppDistribution(dense)
+    assert correlation(D, A) == pytest.approx(correlation(D_dense, A), abs=1e-12)
+    assert np.allclose(intensity(D).atoms, intensity(D_dense).atoms, rtol=0.0, atol=1e-14)
+    assert np.allclose(_weighted_diagonal(P, f), _weighted_diagonal(dense, f), rtol=0.0, atol=1e-14)
+
+
+def test_projection_diagnostics_do_not_build_the_counting_form():
+    # the dense counting form on 2^16 points would take 34 GB
+    space = GroundSpace.uniform_cells(0.0, 1.0, 2**16)
+    P = project_span(np.vander(space.points, 3, increasing=True).T, space)
+    D = DppDistribution(P)
+    assert intensity(D).atoms.sum() == pytest.approx(3.0, abs=1e-12)
+    assert "counting" not in P.__dict__
+    assert correlation(D, {5}) == pytest.approx(float(np.sum(P.factor[5] ** 2)), abs=1e-15)
+    assert correlation(D, {0, 1, 2, 3}) == pytest.approx(0.0, abs=1e-15)  # more points than the rank
+    assert "counting" not in P.__dict__
+    assert _weighted_diagonal(P, WeightFunction.constant(space, 2.0, role="f")).sum() == pytest.approx(6.0, abs=1e-11)
+    assert "counting" not in P.__dict__
 
 
 def test_configurations_of_size():

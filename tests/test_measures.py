@@ -115,7 +115,7 @@ def test_one_point_window_at_index_zero():
     assert FiniteMeasure(space, atoms).mass_on(w0) == atoms[0]
     assert WeightFunction.indicator(space, w0).values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     row = tightness_report([P], f, [w0], extra_vectors=[vs]).rows[0]
-    assert row.tail_traces == (P.counting[0, 0] * f.values[0],)
+    assert row.tail_traces == (np.sum(P.factor[0] ** 2) * f.values[0],)  # a projection's diagonal is its row norms
     assert row.vector_tails == ((f.values[0] * vs[0, 0] ** 2 * space.weights[0],),)
 
 

@@ -93,7 +93,7 @@ def test_samples_round_trip():
 
 @st.composite
 def occupancy_cases(draw):
-    """Occupancy arrays on 1-70 points (packed keys of 1-9 bytes), 0-60 draws, from few distinct rows."""
+    """Occupancy arrays on 1-70 points (row keys of one or two uint64 words), 0-60 draws, from few distinct rows."""
     n = draw(st.integers(1, 70))
     count = draw(st.integers(0, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
