@@ -23,7 +23,7 @@ from .operators import (
     ConvergenceReport,
     Projection,
     Subspace,
-    _residual_angle,
+    _gram_schmidt,
     project_span,
     projection_distance,
     subspace_angle,
@@ -68,27 +68,19 @@ class DeformationModel:
 def extend_projection(P: Projection, vs, min_angle: float = DEFAULT_MIN_ANGLE) -> Projection:
     """Projection onto range(P) plus the span of the given vectors.
 
-    Each vector is decomposed into its component in the current span and a
-    normalized residual, which is appended to the factor as a new column.  A
+    Each vector's unit residual off the current span is appended to the factor
+    as a new column, by the Gram-Schmidt routine behind ``orthonormalize``.  A
     vector whose angle to the current span falls below ``min_angle`` raises
     :class:`AngleDegeneracyError` naming it.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape[1] != P.n:
         raise DimensionError("deformation vectors must live on the operator's space")
-    U = P.factor
-    for k, vhat in enumerate(vs * P.space.sqrt_weights):
-        split = _residual_angle(vhat, U)
-        if split is None:
-            raise AngleDegeneracyError(k, 0.0, min_angle)
-        residual, rnorm, ang = split
-        if ang < min_angle:
+    rows = list(P.factor.T)
+    for k, _, ang in _gram_schmidt(rows, vs * P.space.sqrt_weights, angles=True):
+        if ang < min_angle or ang == 0.0:
             raise AngleDegeneracyError(k, ang, min_angle)
-        unit = residual / rnorm
-        unit = unit - U @ (U.T @ unit)  # re-orthogonalization pass
-        unit /= np.linalg.norm(unit)
-        U = np.column_stack([U, unit])
-    return Projection(P.space, U)
+    return Projection(P.space, np.column_stack([P.factor, *rows[P.rank :]]))
 
 
 def perturbation_convergence_suite(

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import ContractError, DimensionError, EnumerationSizeError
-from .ground import GroundSpace
+from .ground import GroundSpace, Window
 from .operators import KernelOperator, Projection, counting_diagonal
 
 #: Eigenvalues of the counting form may stray this far outside [0, 1]
@@ -155,9 +155,14 @@ class DppDistribution:
 
 
 def correlation(D: DppDistribution, A) -> float:
-    """Inclusion probability rho(A) = P(A subset of X) = det Khat_A; for a :class:`Projection`, det(U_A U_A^T)."""
-    idx = sorted(int(i) for i in A)
-    if not idx:
+    """Inclusion probability rho(A) = P(A subset of X) = det Khat_A; for a :class:`Projection`, det(U_A U_A^T).
+
+    A is checked as a :class:`Window` is: sorted, deduplicated, nonnegative and inside the space.
+    """
+    window = Window(list(A))
+    window.validate(D.space)
+    idx = window.index_set
+    if not idx.size:
         return 1.0
     K = D.kernel
     if isinstance(K, Projection):

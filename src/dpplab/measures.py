@@ -18,12 +18,13 @@ from .dpp import Configuration, DppDistribution, Samples
 from .errors import ContractError, DimensionError
 from .ground import GroundSpace, Window
 from .operators import (
+    _RESIDUAL_RATIO_LIMIT,
     KernelOperator,
     Projection,
     _check_same_space,
+    _gram_schmidt,
     counting_diagonal,
     is_positive_contraction,
-    subspace_angle,
 )
 
 #: Sup-of-tail-traces level under which a family counts as tight.
@@ -126,8 +127,10 @@ def tightness_report(
 
     Each row reports tr(sqrt(f) K sqrt(f)) and its compressions to the tail
     windows; optionally the conditioning margin 1 - ||sqrt(1-g) K|| per member and
-    the masses/tails of the deformation-vector measures f |v|^2 w.  Both options
-    take each member as a projection (see ``Projection.from_kernel``).  The family
+    the masses/tails of the deformation-vector measures f |v|^2 w and their least angle
+    to the range and the vectors before them, where a residual ratio below
+    ``orthonormalize``'s limit raises :class:`ContractError`.  Both options take each
+    member as a projection (see ``Projection.from_kernel``).  The family
     is declared tight when the traces are finite (always, here) and the last
     (smallest) tail's supremum over the family falls below ``TAIL_TOLERANCE``.
     """
@@ -154,14 +157,12 @@ def tightness_report(
             masses = f.values * vs**2 * K.space.weights
             vec_masses = tuple(float(m.sum()) for m in masses)
             vec_tails = tuple(tuple(float(m[w.index_set].sum()) for w in tail_windows) for m in masses)
-            basis = P.factor.T / K.space.sqrt_weights
             angles = []
-            for k in range(len(vs)):
-                current = np.vstack([basis] + [vs[j] for j in range(k)]) if k else basis
-                angles.append(subspace_angle(vs[k : k + 1], current, K.space))
-            min_angle = float(min(angles))
-            if min_angle <= 0.0:
-                raise ContractError(f"deformation vectors of member {alpha} are dependent on the range")
+            for k, ratio, ang in _gram_schmidt(list(P.factor.T), vs * K.space.sqrt_weights, angles=True):
+                if ratio < _RESIDUAL_RATIO_LIMIT:
+                    raise ContractError(f"deformation vector {k} of member {alpha} is dependent on the range")
+                angles.append(ang)
+            min_angle = min(angles)
         rows.append(
             TightnessRow(
                 member=f"K{alpha}",
@@ -208,6 +209,8 @@ def chebyshev_mass_bound_check(
     """
     if L <= 0:
         raise ValueError("the mass level L must be positive")
+    if len(samples) == 0:
+        raise ValueError("no samples to check the mass bound against")
     trace = float(_weighted_diagonal(D.kernel, f).sum())
     bound = trace / L
     masses = linear_statistics(samples, f, np.ones(f.space.n))[:, 0]
@@ -225,6 +228,8 @@ def linear_statistics(samples: Samples, f: WeightFunction, phis) -> np.ndarray:
     """
     _check_same_space(samples.space, f.space)
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
+    if phis.shape[1] != f.space.n:
+        raise DimensionError(f"test functions need {f.space.n} values")
     return np.einsum("sn,kn->sk", samples.occupancy.astype(float), phis * f.values)
 
 

@@ -218,8 +218,10 @@ def counting_diagonal(K: KernelOperator | Projection) -> np.ndarray:
     return np.diag(K.counting)
 
 
-def is_positive_contraction(K: KernelOperator) -> bool:
-    """Whether the counting form's spectrum lies in [0, 1] up to 1e-8."""
+def is_positive_contraction(K: KernelOperator | Projection) -> bool:
+    """Whether the counting form's spectrum lies in [0, 1] up to 1e-8; a :class:`Projection`'s is by construction."""
+    if isinstance(K, Projection):
+        return True
     eigvals = np.linalg.eigvalsh(K.counting)
     return bool(eigvals[0] >= -1e-8 and eigvals[-1] <= 1.0 + 1e-8)
 
@@ -270,32 +272,41 @@ def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, float(np.linalg.norm(v))
 
 
-def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
-    """Modified Gram-Schmidt in the weighted inner product, with re-orthogonalization.
+def _gram_schmidt(rows: list, hat: np.ndarray, angles: bool = False):
+    """Modified Gram-Schmidt with re-orthogonalization, appending unit residuals to orthonormal ``rows``.
 
-    Returns the orthonormal vectors in counting coordinates (rows).  Norms
-    are taken with :func:`scaled_norm`, so the result does not depend on
-    the vectors' scales.  Raises :class:`DegenerateBasisError` when a vector
-    is zero or numerically dependent on its predecessors, i.e. when the
-    Gram conditioning would exceed ``GRAM_CONDITION_LIMIT``.
+    For each counting-coordinate vector v of ``hat`` it yields ``(k, ratio, angle)`` before
+    appending; a caller rejects v by raising.  With r the residual of two passes and norms
+    by :func:`scaled_norm`, ``ratio`` is ||r|| / ||v|| and ``angle``, computed only when
+    ``angles`` is set, is arctan2(||r||, ||v - r||), exact near 0 and pi/2.  A zero v gives 0, 0.
     """
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    if basis.shape[1] != space.n:
-        raise DimensionError("basis vectors must have one value per grid point")
-    hat = basis * space.sqrt_weights
-    rows = []
     for k, v in enumerate(hat):
         v, original = scaled_norm(v)
-        if original == 0.0:
-            raise DegenerateBasisError(k, f"basis vector {k} is zero")
         r = v.copy()
         for _ in range(2):  # second pass restores orthogonality at near-collinearity
             for q in rows:
                 r -= np.dot(q, r) * q
         residual = np.linalg.norm(r)
-        if residual < _RESIDUAL_RATIO_LIMIT * original:
-            raise DegenerateBasisError(k)
+        ratio = residual / original if original else 0.0
+        ang = float(np.arctan2(residual, np.linalg.norm(v - r))) if angles else None
+        yield k, ratio, ang
         rows.append(r / residual)
+
+
+def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
+    """Orthonormal rows in counting coordinates spanning the basis, by :func:`_gram_schmidt`.
+
+    The result does not depend on the vectors' scales.  Raises :class:`DegenerateBasisError`
+    when a vector is zero or numerically dependent on its predecessors, i.e. when the Gram
+    conditioning would exceed ``GRAM_CONDITION_LIMIT``.
+    """
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    if basis.shape[1] != space.n:
+        raise DimensionError("basis vectors must have one value per grid point")
+    rows = []
+    for k, ratio, _ in _gram_schmidt(rows, basis * space.sqrt_weights):
+        if ratio < _RESIDUAL_RATIO_LIMIT:
+            raise DegenerateBasisError(k, None if basis[k].any() else f"basis vector {k} is zero")
     return np.array(rows)
 
 
@@ -304,28 +315,14 @@ def project_span(basis, space: GroundSpace) -> Projection:
     return Projection(space, orthonormalize(basis, space).T)
 
 
-def _residual_angle(vhat: np.ndarray, U: np.ndarray):
-    """The first-pass residual r = vhat - U (U^T vhat) of ``vhat`` rescaled by :func:`scaled_norm`.
-
-    Returns ``(r, ||r||, arcsin(||r|| / ||vhat||))``, or None for the zero vector.
-    """
-    vhat, vnorm = scaled_norm(vhat)
-    if vnorm == 0.0:
-        return None
-    residual = vhat - U @ (U.T @ vhat)
-    rnorm = float(np.linalg.norm(residual))
-    return residual, rnorm, float(np.arcsin(np.clip(rnorm / vnorm, 0.0, 1.0)))
-
-
 def angle(v, P: Projection) -> float:
-    """Angle arcsin(||(I-P)v|| / ||v||) between a vector and the range of a projection."""
+    """Angle between a vector and the range of a projection, arctan2(||(I-P)v||, ||Pv||)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (P.n,):
         raise DimensionError(f"vector must have length {P.n}")
-    split = _residual_angle(v * P.space.sqrt_weights, P.factor)
-    if split is None:
+    if not v.any():
         raise ValueError("angle of the zero vector is undefined")
-    return split[2]
+    return next(_gram_schmidt(list(P.factor.T), v[None] * P.space.sqrt_weights, angles=True))[2]
 
 
 def subspace_angle(basis_a, basis_b, space: GroundSpace) -> float:

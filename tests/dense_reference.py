@@ -5,13 +5,15 @@ and works on U alone.  These functions compute the same quantities from
 the full counting forms, as the package did before, so the tests can
 compare the two.  Arguments are counting forms (n x n arrays), weight
 values g and counting-coordinate vectors.  ``chain_rule`` is the
-sampler's chain rule as it ran before it shared work between replicas.
+sampler's chain rule as it ran before it shared work between replicas,
+and ``gram_schmidt`` is ``orthonormalize``'s loop as it ran before the
+package's other Gram-Schmidt callers came to share it.
 """
 
 import numpy as np
 
-from dpplab.errors import AngleDegeneracyError
-from dpplab.operators import PROJECTION_TOLERANCE
+from dpplab.errors import AngleDegeneracyError, DegenerateBasisError
+from dpplab.operators import _RESIDUAL_RATIO_LIMIT, PROJECTION_TOLERANCE, scaled_norm
 
 
 def is_projection(khat: np.ndarray, tol: float = PROJECTION_TOLERANCE) -> bool:
@@ -57,6 +59,24 @@ def extend_counting(phat: np.ndarray, vs_hat: np.ndarray, min_angle: float) -> n
         unit /= np.linalg.norm(unit)
         phat = phat + np.outer(unit, unit)
     return phat
+
+
+def gram_schmidt(hat: np.ndarray) -> np.ndarray:
+    """Two-pass modified Gram-Schmidt of counting-coordinate rows, returning the orthonormal rows."""
+    rows = []
+    for k, v in enumerate(hat):
+        v, original = scaled_norm(v)
+        if original == 0.0:
+            raise DegenerateBasisError(k, f"basis vector {k} is zero")
+        r = v.copy()
+        for _ in range(2):
+            for q in rows:
+                r -= np.dot(q, r) * q
+        residual = np.linalg.norm(r)
+        if residual < _RESIDUAL_RATIO_LIMIT * original:
+            raise DegenerateBasisError(k)
+        rows.append(r / residual)
+    return np.array(rows)
 
 
 def windowed_trace_distance(phat: np.ndarray, qhat: np.ndarray, idx) -> float:

@@ -22,8 +22,8 @@ from dpplab.dpp import (
     total_variation,
 )
 from dpplab.errors import ContractError, DimensionError, EnumerationSizeError
-from dpplab.ground import GroundSpace
-from dpplab.measures import _weighted_diagonal
+from dpplab.ground import GroundSpace, Window
+from dpplab.measures import _weighted_diagonal, tightness_report
 from dpplab.operators import KernelOperator, Projection, project_span
 
 
@@ -177,6 +177,19 @@ def test_correlation_matches_inclusion_sums():
         total = sum(p for mask, p in enumerate(table) if mask & mask_a == mask_a)
         assert correlation(D, A) == pytest.approx(total, abs=1e-11)
     assert correlation(D, set()) == 1.0
+
+
+@pytest.mark.parametrize("route", ["factor", "dense"])
+def test_correlation_reads_its_index_set_as_a_window(route):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    P = project_span(np.vstack([np.ones(5), space.points]), space)  # diagonal 0.6, 0.3, 0.2, 0.3, 0.6
+    D = DppDistribution(P if route == "factor" else KernelOperator.from_counting(space, P.counting))
+    assert correlation(D, [0, 0]) == pytest.approx(0.6, abs=1e-14)
+    assert correlation(D, [3, 0, 3]) == pytest.approx(correlation(D, [0, 3]), abs=1e-15)
+    with pytest.raises(ValueError, match="nonnegative"):
+        correlation(D, [-1])
+    with pytest.raises(DimensionError):
+        correlation(D, [7])
 
 
 def test_projection_samples_have_exactly_rank_points():
@@ -460,7 +473,10 @@ def test_projection_diagnostics_do_not_build_the_counting_form():
     assert correlation(D, {5}) == pytest.approx(float(np.sum(P.factor[5] ** 2)), abs=1e-15)
     assert correlation(D, {0, 1, 2, 3}) == pytest.approx(0.0, abs=1e-15)  # more points than the rank
     assert "counting" not in P.__dict__
-    assert _weighted_diagonal(P, WeightFunction.constant(space, 2.0, role="f")).sum() == pytest.approx(6.0, abs=1e-11)
+    f = WeightFunction.constant(space, 2.0, role="f")
+    assert _weighted_diagonal(P, f).sum() == pytest.approx(6.0, abs=1e-11)
+    assert "counting" not in P.__dict__
+    assert tightness_report([P], f, [Window.full(space)]).rows[0].trace == pytest.approx(6.0, abs=1e-11)
     assert "counting" not in P.__dict__
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dpplab.conditioning import WeightFunction, check_inducibility
 from dpplab.dpp import Configuration, DppDistribution, Samples, sample
-from dpplab.errors import DimensionError
+from dpplab.errors import ContractError, DimensionError
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
     TIE_TOLERANCE,
@@ -90,6 +90,19 @@ def test_tightness_margin_and_vector_angles():
     assert rep.angle_bound == min(r.min_vector_angle for r in rep.rows)
 
 
+@pytest.mark.parametrize("position", [0, 1], ids=["range_vector_first", "range_vector_last"])
+def test_tightness_rejects_a_deformation_vector_in_the_range(position):
+    rng = _rng(44)
+    space = GroundSpace.uniform_cells(0.0, 1.0, 6)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    basis = rng.normal(size=(2, 6))
+    P = project_span(basis, space)
+    vs = [rng.normal(size=6)]
+    vs.insert(position, 0.3 * basis[0] - 1.7 * basis[1])
+    with pytest.raises(ContractError, match=f"deformation vector {position} of member 0"):
+        tightness_report([P], f, [Window.full(space)], extra_vectors=[np.array(vs)])
+
+
 def test_tail_traces_shrink_with_window():
     rng = _rng(40)
     space = GroundSpace.uniform_cells(0.0, 1.0, 10)
@@ -132,6 +145,22 @@ def test_measures_reject_weights_on_another_space(f_points):
         chebyshev_mass_bound_check(DppDistribution(P), f, 1.0, samples)
     with pytest.raises(DimensionError):
         linear_statistics(samples, f, np.ones(f_points))
+
+
+def test_linear_statistics_rejects_test_functions_of_another_length():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    samples = Samples(space, np.zeros((3, 5), dtype=bool))
+    with pytest.raises(DimensionError):
+        linear_statistics(samples, f, np.ones((2, 4)))
+
+
+def test_chebyshev_check_rejects_no_samples():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    P = project_span(np.ones((1, 5)), space)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    with pytest.raises(ValueError, match="no samples"):
+        chebyshev_mass_bound_check(DppDistribution(P), f, 1.0, Samples(space, np.zeros((0, 5), dtype=bool)))
 
 
 def test_chebyshev_bound_holds():

@@ -137,6 +137,14 @@ def test_angle_scale_invariant_and_extremes():
     assert angle(v, P) == pytest.approx(angle(123.0 * v, P), abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_angle_near_a_right_angle_keeps_full_precision(eps):
+    # v = e1 + eps e0 against span(e0); arcsin of ||(I-P)v|| / ||v|| would read pi/2, off by eps
+    space = GroundSpace.uniform_cells(0.0, 1.0, 2)
+    P = project_span([[1.0, 0.0]], space)
+    assert abs(angle(np.array([eps, 1.0]), P) - np.arctan2(1.0, eps)) <= 1e-15
+
+
 def test_angle_requires_projection():
     space = GroundSpace.uniform_cells(0.0, 1.0, 3)
     K = KernelOperator(space, np.full((3, 3), 0.7))

@@ -5,8 +5,9 @@ references in ``dense_reference`` compute the same quantity from the full
 n x n counting forms.  Cases are random weighted spaces of 2-12 points,
 projections of rank 1-3 and conditioning weights g with or without exact
 zeros, kept where the inducibility margin is at least ``MIN_MARGIN``.
-The last test checks that the span operations do not depend on the
-scales of the vectors they are given.
+The last tests check that ``orthonormalize`` runs the reference
+Gram-Schmidt loop bit for bit, and that the span operations do not
+depend on the scales of the vectors they are given.
 """
 
 import numpy as np
@@ -19,7 +20,14 @@ from dpplab.conditioning import WeightFunction, check_inducibility, induced_kern
 from dpplab.deformations import extend_projection
 from dpplab.errors import AngleDegeneracyError, ContractError, DegenerateBasisError
 from dpplab.ground import GroundSpace, Window
-from dpplab.operators import Projection, angle, project_span, projection_distance, subspace_angle
+from dpplab.operators import (
+    Projection,
+    angle,
+    orthonormalize,
+    project_span,
+    projection_distance,
+    subspace_angle,
+)
 
 #: Smallest inducibility margin a drawn case must keep.
 MIN_MARGIN = 1e-2
@@ -123,6 +131,43 @@ def test_projection_rejects_a_factor_that_is_not_orthonormal(case, stretch, pois
         bad[0, 0] = np.nan
     with pytest.raises(ContractError):
         Projection(P.space, bad)
+
+
+@st.composite
+def gram_schmidt_inputs(draw):
+    """1-5 vectors on 2-12 points: random, each scaled by its own 2^j, or with the last near-dependent.
+
+    A near-dependent vector is a random combination of the others plus 10^-e noise, e in 0..12,
+    so the residual ratio falls on both sides of the degeneracy limit.
+    """
+    n = draw(st.integers(2, 12))
+    count = draw(st.integers(1, min(5, n)))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    vectors = rng.normal(size=(count, n))
+    kind = draw(st.sampled_from(["random", "scaled", "near_dependent"]))
+    if kind == "scaled":
+        exponents = draw(st.lists(st.integers(-1000, 1000), min_size=count, max_size=count))
+        vectors = np.ldexp(vectors, np.array(exponents)[:, None])
+    elif kind == "near_dependent" and count > 1:
+        noise = 10.0 ** -draw(st.integers(0, 12))
+        vectors[-1] = rng.normal(size=count - 1) @ vectors[:-1] + noise * vectors[-1]
+    return space, vectors
+
+
+@_SETTINGS
+@given(gram_schmidt_inputs())
+def test_orthonormalize_runs_the_reference_loop_bit_for_bit(case):
+    space, vectors = case
+    try:
+        expected = dense.gram_schmidt(vectors * space.sqrt_weights)
+    except DegenerateBasisError as err:
+        with pytest.raises(DegenerateBasisError) as raised:
+            orthonormalize(vectors, space)
+        assert (raised.value.index, str(raised.value)) == (err.index, str(err))
+        return
+    assert np.array_equal(orthonormalize(vectors, space), expected)
+    assert np.array_equal(project_span(vectors, space).factor, expected.T)
 
 
 @st.composite
