@@ -45,15 +45,14 @@ GOF_MIN_EXPECTED = 5.0
 RNG_ALGORITHM = "numpy.random.Philox(key=[seed, replica])"
 
 #: Philox4x64-10: the multipliers of words 0 and 2, their 32-bit halves,
-#: and the Weyl increments of the two key words.  The mask and shift are
-#: 0-d arrays, not numpy scalars, which cost ufuncs more per call.
+#: and the Weyl increments of the two key words.  All are 0-d arrays, not
+#: numpy scalars, which cost ufuncs more per call.
 _PHILOX_ROUNDS = 10
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
 _LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _SHIFT32 = np.array(32, dtype=np.uint64)
-_PHILOX_M_LO = _PHILOX_M & _LOW32
-_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_M = tuple(np.array(m, dtype=np.uint64) for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_M_HALVES = tuple((m & _LOW32, m >> _SHIFT32) for m in _PHILOX_M)
+_PHILOX_W = tuple(np.array(w, dtype=np.uint64) for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
 
 #: Byte budget of the workspace of one block of replicas in ``sample_batches``;
 #: ``_block_replicas`` turns it into a replica count.
@@ -243,27 +242,30 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``_PHILOX_M * a``; ``a`` is overwritten.
+def _mulhilo(a: np.ndarray, i: int, lo: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """High and low 64-bit words of the 128-bit products of Philox multiplier ``i`` and ``a``.
 
-    numpy has no 128-bit integers, so the high word is assembled from the
-    32-bit halves of both factors, none of whose partial sums overflows.
+    The low words go to ``lo`` and the high words overwrite ``a``; the
+    three ``scratch`` arrays have the shape of ``a``.  numpy has no 128-bit
+    integers, so the high word is assembled from the 32-bit halves of both
+    factors, none of whose partial sums overflows.
     """
-    lo = a * _PHILOX_M
-    a_lo = a & _LOW32
+    m_lo, m_hi = _PHILOX_M_HALVES[i]
+    a_lo, t, u = scratch
+    np.multiply(a, _PHILOX_M[i], out=lo)
+    np.bitwise_and(a, _LOW32, out=a_lo)
     a_hi = np.right_shift(a, _SHIFT32, out=a)
-    t = a_lo * _PHILOX_M_LO
+    np.multiply(a_lo, m_lo, out=t)
     t >>= _SHIFT32
-    u = a_hi * _PHILOX_M_LO
+    np.multiply(a_hi, m_lo, out=u)
     u += t
-    v = np.multiply(a_lo, _PHILOX_M_HI, out=a_lo)
+    v = np.multiply(a_lo, m_hi, out=a_lo)
     v += np.bitwise_and(u, _LOW32, out=t)
     u >>= _SHIFT32
     v >>= _SHIFT32
-    hi = np.multiply(a_hi, _PHILOX_M_HI, out=a_hi)
+    hi = np.multiply(a_hi, m_hi, out=a_hi)
     hi += u
     hi += v
-    return hi, lo
 
 
 def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset: int = 0) -> np.ndarray:
@@ -278,76 +280,124 @@ def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset
     can serve replicas of several batches.
 
     Only the blocks holding the requested words are enciphered, from the
-    counter offset // 4 + 1 on, all replicas and blocks at once.  The
-    state is held as two lanes, (x0, x2) and (x1, x3), each a
-    (2, count, blocks) array, so one round is x0, x2 <- hi(M1 x2) ^ x1 ^ k0,
-    hi(M0 x0) ^ x3 ^ k1 and x1, x3 <- lo(M1 x2), lo(M0 x0), after which the
-    key is bumped by the Weyl increments.
+    counter offset // 4 + 1 on, all replicas and blocks at once.  Each
+    counter word x0 .. x3 and key word k0, k1 is one contiguous
+    (count * blocks,) array, so every ufunc runs on same-shape operands.
+    One round is x0, x2 <- hi(M1 x2) ^ x1 ^ k0, hi(M0 x0) ^ x3 ^ k1 and
+    x1, x3 <- lo(M1 x2), lo(M0 x0), after which the key is bumped by the
+    Weyl increments; the round writes into the arrays it frees and
+    allocates none.
     """
     count = len(seeds)
     skip, lead = divmod(offset, 4)
     blocks = -(-(lead + width) // 4)
-    key = np.empty((2, count, 1), dtype=np.uint64)
-    key[0, :, 0] = seeds
-    key[1, :, 0] = replicas
-    even = np.zeros((2, count, blocks), dtype=np.uint64)
-    even[0] = np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)
+    size = count * blocks
+    k0 = np.repeat(np.asarray(seeds, dtype=np.uint64), blocks)
+    k1 = np.repeat(np.asarray(replicas, dtype=np.uint64), blocks)
+    x0 = np.tile(np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64), count)
+    x1, x2, x3, lo0, lo1 = (np.zeros(size, dtype=np.uint64) for _ in range(5))
+    scratch = tuple(np.empty(size, dtype=np.uint64) for _ in range(3))
     for _ in range(_PHILOX_ROUNDS):
-        hi, lo = _mulhilo(even)
-        odd ^= key
-        odd ^= hi[::-1]
-        even, odd = odd, lo[::-1]
-        key += _PHILOX_W
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(count, 4 * blocks)[:, lead : lead + width]
+        _mulhilo(x0, 0, lo0, scratch)
+        _mulhilo(x2, 1, lo1, scratch)
+        x1 ^= k0
+        x1 ^= x2
+        x3 ^= k1
+        x3 ^= x0
+        x0, x1, x2, x3, lo0, lo1 = x1, lo1, x3, lo0, x0, x2
+        k0 += _PHILOX_W[0]
+        k1 += _PHILOX_W[1]
+    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * blocks)[:, lead : lead + width]
     words >>= np.uint64(11)
     return words * 2.0**-53
 
 
-def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Points drawn from the projection DPP onto the span of V (n x k), one row per replica.
+def _kept_sets(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the bool array ``keep`` and, for each row, the index of its copy among them.
+
+    Rows are grouped by one ``lexsort`` of their bits packed into bytes.
+    """
+    packed = np.packbits(keep, axis=1)
+    order = np.lexsort(packed.T)
+    packed = packed[order]
+    first = np.ones(len(keep), dtype=bool)
+    first[1:] = np.any(packed[1:] != packed[:-1], axis=1)
+    index = np.empty(len(keep), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return keep[order[first]], index
+
+
+def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Points drawn from the projection DPPs onto spans of columns of V (n x m), one row per replica.
+
+    Replica r spans the columns ``keep[r]`` of V, or every column when
+    ``keep`` is None, and so draws k_r = |keep[r]| points, point t from
+    ``u[r, t]``.  Row r of the returned (B, max k_r) array lists them in
+    the order drawn, padded with -1.
 
     Gram-Schmidt form of the chain rule, advanced in lockstep over the
     replicas.  After t steps a replica's conditional intensity depends only
-    on its prefix, the points it has chosen so far in order, so the work is
-    done once per distinct prefix: row p of ``d`` is prefix p's intensity
-    (the residual diagonal of V V^T), ``C[p]`` holds the Gram-Schmidt
-    columns of its points, and ``state[r]`` is replica r's prefix.  Step t
-    picks point j with probability d_j / (k - t) by inverse CDF on
-    ``u[:, t]``, as ``Generator.choice`` does.
+    on its kept set and its prefix, the points it has chosen so far in
+    order, so the work is done once per distinct prefix: the table starts
+    from one row per distinct kept set K, whose intensity is the diagonal
+    of V_K V_K^T.  Row p of ``d`` is prefix p's intensity (the residual
+    diagonal), ``C[p]`` holds the Gram-Schmidt columns of its points, each
+    (V[j] * K) @ V.T less its projections on the columns before it, and
+    ``state[i]`` is the prefix of the i-th replica still drawing.  Step t
+    picks point j with probability d_j / (k_p - t) by inverse CDF on
+    ``u[:, t]``, as ``Generator.choice`` does, and a replica leaves once it
+    has drawn its k_r points.
 
     New prefixes are numbered in the order of their keys state * n + j, from
     a presence table over the keys.  Once every replica has a prefix of its
-    own, row r is replica r's and the gathers by ``state`` stop.  Each row
-    runs the arithmetic the replica would run alone, so the draws do not
-    depend on how the replicas share prefixes.
+    own, row i is the i-th replica's and the gathers by ``state`` stop.
+    Each row runs the arithmetic the replica would run alone, so the draws
+    do not depend on how the replicas share prefixes.
     """
-    n, k = V.shape
+    n, m = V.shape
     B = len(u)
-    chosen = np.empty((B, k), dtype=np.intp)
-    d = np.sum(V**2, axis=1)[None, :]
-    C = np.zeros((1, max(k - 1, 0), n))  # the last step needs no column
-    state = np.zeros(B, dtype=np.intp)  # None once row r of d and C is replica r's
-    for t in range(k):
-        cdf = d / (k - t)
+    live = slice(None)  # the replicas still drawing
+    if keep is None:
+        masks, state, k = None, np.zeros(B, dtype=np.intp), np.array([m])
+        d = np.sum(V**2, axis=1)[None, :]
+    else:
+        drawing = np.flatnonzero(keep.any(axis=1))
+        if len(drawing) < B:
+            live = drawing
+        sets, state = _kept_sets(keep[drawing])
+        masks, k = sets.astype(float), np.count_nonzero(sets, axis=1)
+        d = np.array([np.sum(V[:, kept] ** 2, axis=1) for kept in sets])
+    steps = int(k.max(initial=0))  # k holds the points to draw, per prefix
+    chosen = np.full((B, steps), -1, dtype=np.intp)
+    if not B or not steps:
+        return chosen
+    kset = np.arange(len(k))  # the kept set of each prefix
+    C = np.zeros((len(k), steps - 1, n))  # the last step needs no column
+    for t in range(steps):
+        cdf = d / (k - t)[:, None]
         cdf /= cdf.sum(axis=1, keepdims=True)
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        if t == 0:
-            j = np.searchsorted(cdf[0], u[:, 0], side="right")
+        ut = u[live, t]
+        if len(cdf) == 1:
+            j = np.searchsorted(cdf[0], ut, side="right")
         else:
-            j = np.count_nonzero((cdf if state is None else cdf[state]) <= u[:, t : t + 1], axis=1)
-        chosen[:, t] = j
-        if t == k - 1:
+            j = np.count_nonzero((cdf if state is None else cdf[state]) <= ut[:, None], axis=1)
+        chosen[live, t] = j
+        if t == steps - 1:
             break
         del cdf  # freed before the prefixes' rows are copied
+        if k.min() == t + 1:  # some replicas have drawn all their points
+            going = (k if state is None else k[state]) > t + 1
+            live, j = np.arange(B)[live][going], j[going]
+            state = np.flatnonzero(going) if state is None else state[going]
         if state is None:
             parent, point = None, j
         else:
             keys = state * n + j
             present = np.zeros(len(d) * n, dtype=bool)
             present[keys] = True
-            if np.count_nonzero(present) == B:
+            if np.count_nonzero(present) == len(j):
                 parent, point, state = state, j, None
             else:
                 distinct = np.flatnonzero(present)
@@ -355,9 +405,13 @@ def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
                 state = (np.cumsum(present) - 1)[keys]
         rows = np.arange(len(point))
         if parent is not None:
-            C, d = C[parent], d[parent]
-        # matmul runs a lone row as a gemv, whose last bits differ from the gemm rows of a larger block
-        lead = V[point] if len(point) > 1 or B == 1 else V[np.repeat(point, 2)]
+            C, d, k, kset = C[parent], d[parent], k[parent], kset[parent]
+        lead = V[point]
+        if masks is not None:
+            lead *= masks[kset]
+        if len(lead) == 1 and B > 1:
+            # matmul runs a lone row as a gemv, whose last bits differ from the gemm rows of a larger block
+            lead = np.repeat(lead, 2, axis=0)
         col = (lead @ V.T)[: len(point)]
         col -= np.einsum("bs,bsn->bn", C[rows, :t, point], C[:, :t])
         col /= np.sqrt(d[rows, point])[:, None]
@@ -373,7 +427,7 @@ def _block_replicas(n: int, offset: int, width: int, k: int) -> int:
 
     Per replica, ``_stream_uniforms`` enciphers the blocks of four words
     that hold words ``offset`` .. ``offset + width - 1``, at about 128 bytes
-    per block for its two lanes and their temporaries, and returns
+    per block for its eleven word arrays and the stacked words, and returns
     ``width`` floats; the block's index arrays take about 64 bytes.  The
     chain rule holds rows of n floats per distinct prefix, so at worst per
     replica: k - 1 Gram-Schmidt columns, twice while the prefixes' rows are
@@ -396,11 +450,12 @@ def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
     reproducible and merge-order free: batch b is ``sample(D, seeds[b], count)``.
 
     The replicas of all batches are drawn together in blocks, which may
-    span batches.  A rank-r :class:`Projection` keeps every coin, so only
-    words n .. n + r - 1 of each stream are enciphered and each block runs
-    one chain rule on the factor.  Any other kernel groups a block's
-    replicas by their kept eigenvectors.  Raises ``ValueError`` before any
-    stream work when a seed lies outside [0, 2^64).
+    span batches, and each block runs one chain rule.  A rank-r
+    :class:`Projection` keeps every coin, so only words n .. n + r - 1 of
+    each stream are enciphered and every replica spans the factor.  For any
+    other kernel each replica spans the eigenvectors it keeps.  Raises
+    ``ValueError`` before any stream work when a seed lies outside
+    [0, 2^64).
     """
     seeds = [operator.index(s) for s in seeds]
     if not all(0 <= s < 2**64 for s in seeds):
@@ -419,20 +474,15 @@ def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
         rows = np.arange(first, min(first + block, len(occupancy)))
         batch, replica = np.divmod(rows, count)
         if factor is not None:
+            V, keep = factor, None
             u = _stream_uniforms(seed_words[batch], replica, rank, offset=n)
-            occupancy[rows[:, None], _chain_rule(factor, u)] = True
-            continue
-        u = _stream_uniforms(seed_words[batch], replica, 2 * n)
-        keep = u[:, :n] < D.eigenvalues
-        # Sort the replicas by kept set; each run of equal rows is one group.
-        order = np.lexsort(keep.T)
-        keep = keep[order]
-        bounds = np.flatnonzero(np.any(keep[1:] != keep[:-1], axis=1)) + 1
-        for start, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), len(rows)]):
-            kept = keep[start]
-            members = order[start:stop]
-            chosen = _chain_rule(D.eigenvectors[:, kept], u[members, n : n + int(kept.sum())])
-            occupancy[rows[members, None], chosen] = True
+        else:
+            u = _stream_uniforms(seed_words[batch], replica, 2 * n)
+            V, keep, u = D.eigenvectors, u[:, :n] < D.eigenvalues, u[:, n:]
+        # a replica that draws fewer points pads its row with -1, which marks the spare last column
+        hits = np.zeros((len(rows), n + 1), dtype=bool)
+        hits[np.arange(len(rows))[:, None], _chain_rule(V, u, keep)] = True
+        occupancy[first : first + len(rows)] = hits[:, :n]
     return [Samples(space, occupancy[b * count : (b + 1) * count]) for b in range(len(seeds))]
 
 

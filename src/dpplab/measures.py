@@ -154,6 +154,8 @@ def tightness_report(
         min_angle = None
         if extra_vectors is not None:
             vs = np.atleast_2d(np.asarray(extra_vectors[alpha], dtype=float))
+            if vs.ndim != 2 or vs.shape[1] != K.space.n:
+                raise DimensionError(f"deformation vectors of member {alpha} need {K.space.n} values each")
             masses = f.values * vs**2 * K.space.weights
             vec_masses = tuple(float(m.sum()) for m in masses)
             vec_tails = tuple(tuple(float(m[w.index_set].sum()) for w in tail_windows) for m in masses)
@@ -246,13 +248,34 @@ def _pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=-1))
 
 
+def _split_table(n: int, nx: int, permutations: int, rng) -> np.ndarray:
+    """The (permutations + 1, n) table of X sides: row 0 holds the first ``nx`` rows, row k the k-th shuffle's.
+
+    One ``rng.permuted`` call shuffles each row of a tiled ``arange(n)``
+    with the Fisher-Yates draws of the k-th ``rng.permutation(n)``.  The
+    table is int64 because numpy shuffles it on its fast path, where a
+    bool one would take the slow generic path.
+    """
+    on_x = np.empty((permutations + 1, n), dtype=bool)
+    on_x[0] = np.arange(n) < nx
+    shuffled = np.tile(np.arange(n, dtype=np.int64), (permutations, 1))
+    rng.permuted(shuffled, axis=1, out=shuffled)
+    np.less(shuffled, nx, out=on_x[1:])
+    return on_x
+
+
 def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng) -> tuple[float, float]:
     """Observed energy distance and its permutation p-value (add-one convention).
 
-    Each permutation is one ``rng.permutation(len(pooled))`` of the pooled
-    rows, X stacked over Y; the rows it sends below ``len(X)`` form the X
-    side.  A split is scored from its count vector c over the m distinct
-    pooled rows: with D the m x m distance matrix of those rows and t the
+    Each permutation is a shuffle of the pooled rows, X stacked over Y;
+    the rows it sends below ``len(X)`` form the X side.  All of them come
+    from one ``rng.permuted`` call along the rows of a (permutations, N)
+    table, which on numpy 2.4 draws each row as ``rng.permutation(N)``
+    would, one after another: the splits and the generator's end state are
+    those of a loop of ``permutation`` calls.
+
+    A split is scored from its count vector c over the m distinct pooled
+    rows: with D the m x m distance matrix of those rows and t the
     pooled counts, the within-X, cross and within-Y distance sums are
     c'Dc, c'D(t - c) and (t - c)'D(t - c).  That costs O(N + m^2) per
     permutation for N pooled rows, and the N x N distance matrix is never
@@ -280,10 +303,7 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     starts = np.flatnonzero(new)
     D = _pairwise(ordered[starts], ordered[starts])
-    on_x = np.empty((permutations + 1, n), dtype=bool)
-    on_x[0] = np.arange(n) < nx
-    for k in range(1, permutations + 1):
-        on_x[k] = rng.permutation(n) < nx
+    on_x = _split_table(n, nx, permutations, rng)
     counts = np.add.reduceat(on_x[:, order], starts, axis=1, dtype=np.int32).astype(float)
     pooled_counts = np.diff(starts, append=n).astype(float)
     rest = pooled_counts - counts

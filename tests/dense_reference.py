@@ -6,8 +6,12 @@ the full counting forms, as the package did before, so the tests can
 compare the two.  Arguments are counting forms (n x n arrays), weight
 values g and counting-coordinate vectors.  ``chain_rule`` is the
 sampler's chain rule as it ran before it shared work between replicas,
-and ``gram_schmidt`` is ``orthonormalize``'s loop as it ran before the
-package's other Gram-Schmidt callers came to share it.
+``grouped_chain_rule`` the dense sampler route as it ran before one chain
+rule served every kept set of a block, ``gram_schmidt`` is
+``orthonormalize``'s loop as it ran before the package's other
+Gram-Schmidt callers came to share it, and ``permutation_splits`` the
+permutation test's splits as they were drawn before one ``permuted`` call
+drew them all.
 """
 
 import numpy as np
@@ -108,3 +112,33 @@ def chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
         d[rows, j] = 0.0
         np.clip(d, 0.0, None, out=d)
     return chosen
+
+
+def permutation_splits(n: int, nx: int, permutations: int, rng: np.random.Generator) -> np.ndarray:
+    """The X side of each permuted split, from one ``rng.permutation(n)`` per split."""
+    on_x = np.empty((permutations, n), dtype=bool)
+    for k in range(permutations):
+        on_x[k] = rng.permutation(n) < nx
+    return on_x
+
+
+def grouped_chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Occupancy of replicas that span the columns ``keep[r]`` of V (n x m): one ``chain_rule`` per kept set.
+
+    The replicas are sorted by kept set with ``lexsort``; each run of equal
+    rows is one group, drawn from the columns it keeps.  Returns the
+    (B, n) bool occupancy array.
+    """
+    n = V.shape[0]
+    occupancy = np.zeros((len(keep), n), dtype=bool)
+    if not len(keep):
+        return occupancy
+    order = np.lexsort(keep.T)
+    keep = keep[order]
+    bounds = np.flatnonzero(np.any(keep[1:] != keep[:-1], axis=1)) + 1
+    for start, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), len(order)]):
+        kept = keep[start]
+        members = order[start:stop]
+        chosen = chain_rule(V[:, kept], u[members, : int(kept.sum())])
+        occupancy[members[:, None], chosen] = True
+    return occupancy

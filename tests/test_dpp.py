@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import chain_rule
+from dense_reference import chain_rule, grouped_chain_rule
 from dpplab import WeightFunction, dpp
 from dpplab.dpp import (
     Configuration,
@@ -326,6 +326,67 @@ def test_sample_batches_are_one_seed_samples(D, seeds, count, block):
     for batch, seed in zip(batches, seeds):
         assert batch.occupancy.shape == (count, D.space.n)
         assert np.array_equal(batch.occupancy, sample(D, seed, count).occupancy)
+
+
+def _grouped_sample(D, seed, count):
+    """The dense route with one chain rule per kept set, over the whole batch."""
+    n = D.space.n
+    u = dpp._stream_uniforms(np.full(count, seed, dtype=np.uint64), np.arange(count, dtype=np.uint64), 2 * n)
+    return grouped_chain_rule(D.eigenvectors, u[:, n:], u[:, :n] < D.eigenvalues)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    # the kernels sampled from their eigenvectors: contractions, diagonal kernels and the zero kernel
+    D=sampler_cases().filter(lambda D: D.eigenvectors is not None),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    count=st.integers(0, 40),
+    block=st.integers(1, 12),
+)
+def test_dense_route_matches_one_chain_rule_per_kept_set(D, seeds, count, block):
+    # every block runs one chain rule, whatever mix of kept sets its replicas hold
+    with mock.patch.object(dpp, "_block_replicas", lambda n, offset, width, k: block):
+        with mock.patch.object(dpp, "_chain_rule", wraps=dpp._chain_rule) as calls:
+            batches = dpp.sample_batches(D, seeds, count)
+    assert calls.call_count == -(-len(seeds) * count // block)
+    for batch, seed in zip(batches, seeds):
+        assert batch.occupancy.shape == (count, D.space.n)
+        assert np.array_equal(batch.occupancy, _grouped_sample(D, seed, count))
+
+
+@pytest.mark.parametrize("count", [0, 7])
+@pytest.mark.parametrize("kind", ["zero", "rank-0 projection", "contraction", "projection"])
+def test_sampler_output_shape_at_count_and_rank_zero(kind, count):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    K = {
+        "zero": KernelOperator.zero(space),
+        "rank-0 projection": Projection(space, np.zeros((5, 0))),
+        "contraction": _random_contraction(_rng(23), 5),
+        "projection": project_span(np.ones((1, 5)), space),
+    }[kind]
+    with mock.patch.object(dpp, "_chain_rule", wraps=dpp._chain_rule) as calls:
+        batches = dpp.sample_batches(DppDistribution(K), [3, 4], count)
+    assert calls.call_count == (1 if count else 0)
+    for batch in batches:
+        assert batch.occupancy.shape == (count, 5)
+        if kind in ("zero", "rank-0 projection"):
+            assert not batch.occupancy.any()
+
+
+def test_chain_rule_pads_replicas_with_fewer_kept_columns():
+    V = np.linalg.qr(_rng(24).normal(size=(6, 3)))[0]
+    u = _rng(25).random((5, 6))
+    keep = np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=bool)
+    chosen = dpp._chain_rule(V, u, keep)
+    assert chosen.shape == (5, 3)
+    for r, kept in enumerate(keep):
+        k = int(kept.sum())
+        assert np.array_equal(chosen[r, :k], chain_rule(V[:, kept], u[r : r + 1, :k])[0])
+        assert np.all(chosen[r, k:] == -1)
+    assert dpp._chain_rule(V, u, np.zeros((5, 3), dtype=bool)).shape == (5, 0)
+    assert dpp._chain_rule(V, u[:0], keep[:0]).shape == (0, 0)
+    assert dpp._chain_rule(V[:, :0], u).shape == (5, 0)
+    assert dpp._chain_rule(V, u[:0]).shape == (0, 3)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])

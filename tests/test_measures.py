@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import permutation_splits
 from dpplab.conditioning import WeightFunction, check_inducibility
 from dpplab.dpp import Configuration, DppDistribution, Samples, sample
 from dpplab.errors import ContractError, DimensionError
@@ -10,6 +11,7 @@ from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
     TIE_TOLERANCE,
     FiniteMeasure,
+    _split_table,
     chebyshev_mass_bound_check,
     energy_distance,
     int_phi,
@@ -101,6 +103,15 @@ def test_tightness_rejects_a_deformation_vector_in_the_range(position):
     vs.insert(position, 0.3 * basis[0] - 1.7 * basis[1])
     with pytest.raises(ContractError, match=f"deformation vector {position} of member 0"):
         tightness_report([P], f, [Window.full(space)], extra_vectors=[np.array(vs)])
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (7,), (2, 1, 6)])
+def test_tightness_rejects_deformation_vectors_of_another_length(shape):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 6)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    P = project_span(_rng(45).normal(size=(2, 6)), space)
+    with pytest.raises(DimensionError, match="member 0"):
+        tightness_report([P], f, [Window.full(space)], extra_vectors=[np.ones(shape)])
 
 
 def test_tail_traces_shrink_with_window():
@@ -269,6 +280,23 @@ def tied_samples(draw):
     return pooled[:nx], pooled[nx:], draw(st.integers(0, 2**32 - 1))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 1000),
+    data=st.data(),
+    permutations=st.integers(0, 50),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_split_table_matches_a_loop_of_permutation_calls(n, data, permutations, seed):
+    nx = data.draw(st.integers(0, n))
+    rng, ref_rng = _rng(seed), _rng(seed)
+    table = _split_table(n, nx, permutations, rng)
+    assert table.shape == (permutations + 1, n)
+    assert np.array_equal(table[0], np.arange(n) < nx)
+    assert np.array_equal(table[1:], permutation_splits(n, nx, permutations, ref_rng))
+    assert np.array_equal(rng.random(3), ref_rng.random(3))  # the generator ends where the loop leaves it
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(tied_samples())
 def test_permutation_test_on_tied_rows_matches_split_by_split_loop(case):
@@ -280,13 +308,14 @@ def test_permutation_test_on_tied_rows_matches_split_by_split_loop(case):
 
 
 class _ScriptedPermutations:
-    """Stands in for a Generator whose permutations are given in advance."""
+    """Stands in for a Generator whose permutations are given in advance, as the rows ``permuted`` writes."""
 
     def __init__(self, permutations):
-        self._permutations = iter(permutations)
+        self._permutations = np.array(permutations)
 
-    def permutation(self, n):
-        return next(self._permutations)
+    def permuted(self, x, axis, out):
+        out[...] = self._permutations
+        return out
 
 
 def test_permutation_test_counts_identity_and_swapped_splits_as_hits():
