@@ -40,6 +40,7 @@ from .serialization import (
     save_json,
     space_from_dict,
 )
+from .tables import csv_text
 from . import suites
 
 EXIT_OK = 0
@@ -273,6 +274,10 @@ def _cmd_exhaust(config: dict, seed, out: Path) -> int:
 
 
 def _cmd_scaling(config: dict, seed, out: Path) -> int:
+    s_values = config.get("s_values", ())
+    # s values equal as numbers (0.0 and -0.0) share one report, and those equal to 6 digits one file name
+    if len(set(s_values)) < len(s_values) or len({f"{s:g}" for s in s_values}) < len(s_values):
+        raise ConfigError(f"s_values {s_values} would share a scaling_s*.csv table")
     reports, seed = _run_suite("scaling", config, seed)
     outputs = []
     all_decreasing = True
@@ -301,8 +306,7 @@ def _cmd_weakconv(config: dict, seed, out: Path) -> int:
     result, seed = _run_suite("weakconv", config, seed, mode)
     if mode == "calibration":
         ks = suites.ks_distance_to_uniform(result)
-        text = "p_value\n" + "\n".join(f"{p:.17g}" for p in result) + "\n"
-        outputs = [_write_text(out, "calibration_pvalues.csv", text)]
+        outputs = [_write_text(out, "calibration_pvalues.csv", csv_text(("p_value",), ([p] for p in result)))]
         print(f"calibration KS distance to uniform: {ks:.4f}")
         code = EXIT_OK if ks < 0.05 else EXIT_NUMERICAL
     else:

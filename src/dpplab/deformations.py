@@ -28,6 +28,7 @@ from .operators import (
     projection_distance,
     subspace_angle,
 )
+from .tables import csv_text
 
 #: Minimum angle (radians) each deformation vector must keep, unless a model or caller sets its own.
 DEFAULT_MIN_ANGLE = 0.05
@@ -155,14 +156,9 @@ class ExhaustionReport:
         )
 
     def to_csv(self) -> str:
-        header = "n,angle," + ",".join(f"distance_{w}" for w in self.window_ids) + ",probe_norm,angle_ok"
-        lines = [header]
-        for row in self.rows:
-            dists = ",".join(f"{d:.17g}" for d in row.distances)
-            lines.append(
-                f"{row.step},{row.angle:.17g},{dists},{row.remainder_probe_norm:.17g},{int(row.angle_ok)}"
-            )
-        return "\n".join(lines) + "\n"
+        header = ("n", "angle", *(f"distance_{w}" for w in self.window_ids), "probe_norm", "angle_ok")
+        rows = ((r.step, r.angle, *r.distances, r.remainder_probe_norm, int(r.angle_ok)) for r in self.rows)
+        return csv_text(header, rows)
 
 
 def _exhaustion_row(

@@ -26,6 +26,7 @@ from .operators import (
     counting_diagonal,
     is_positive_contraction,
 )
+from .tables import csv_text
 
 #: Sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -108,12 +109,8 @@ class TightnessReport:
     tight: bool
 
     def to_csv(self) -> str:
-        lines = ["member,trace," + ",".join(f"tail_{w}" for w in self.tail_window_ids) + ",margin"]
-        for row in self.rows:
-            tails = ",".join(f"{t:.17g}" for t in row.tail_traces)
-            margin = "" if row.margin is None else f"{row.margin:.17g}"
-            lines.append(f"{row.member},{row.trace:.17g},{tails},{margin}")
-        return "\n".join(lines) + "\n"
+        header = ("member", "trace", *(f"tail_{w}" for w in self.tail_window_ids), "margin")
+        return csv_text(header, ((r.member, r.trace, *r.tail_traces, r.margin) for r in self.rows))
 
 
 def tightness_report(
@@ -336,10 +333,7 @@ class WeakConvergenceReport:
     verdict: bool
 
     def to_csv(self) -> str:
-        lines = ["n,energy_statistic,p_value"]
-        for s, e, p in zip(self.steps, self.statistics, self.p_values):
-            lines.append(f"{s},{e:.17g},{p:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("n", "energy_statistic", "p_value"), zip(self.steps, self.statistics, self.p_values))
 
 
 def weak_convergence_test(

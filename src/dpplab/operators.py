@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateBasisError, DimensionError
 from .ground import GroundSpace, Window
+from .tables import csv_text
 
 #: Gram condition number beyond which a spanning set counts as degenerate.
 GRAM_CONDITION_LIMIT = 1e12
@@ -94,16 +95,9 @@ class KernelOperator:
         """Kernel of the identity operator, K(x, y) = delta_{xy} / w_x."""
         return cls(space, np.diag(1.0 / space.weights))
 
-    def __add__(self, other: "KernelOperator") -> "KernelOperator":
-        _check_same_space(self.space, other.space)
-        return KernelOperator(self.space, self.entries + other.entries)
-
     def __sub__(self, other: "KernelOperator") -> "KernelOperator":
         _check_same_space(self.space, other.space)
         return KernelOperator(self.space, self.entries - other.entries)
-
-    def __rmul__(self, scalar: float) -> "KernelOperator":
-        return KernelOperator(self.space, float(scalar) * self.entries)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the operator to a function on the grid (measure convention)."""
@@ -372,11 +366,8 @@ class ConvergenceReport:
         return {w: bool(np.all(np.diff(self.distances[:, j]) < 0)) for j, w in enumerate(self.window_ids)}
 
     def to_csv(self) -> str:
-        lines = ["n,window_id,distance"]
-        for i, step in enumerate(self.steps):
-            for j, w in enumerate(self.window_ids):
-                lines.append(f"{step},{w},{self.distances[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = ((n, w, d) for n, ds in zip(self.steps, self.distances) for w, d in zip(self.window_ids, ds))
+        return csv_text(("n", "window_id", "distance"), rows)
 
 
 def convergence_report(

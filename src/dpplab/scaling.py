@@ -29,6 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DimensionError, SpecialFunctionRangeError
 from .ground import GroundSpace, Window
 from .operators import ConvergenceReport, KernelOperator, convergence_report
+from .tables import csv_text
 
 #: Argument at which Bessel evaluation switches from series to asymptotics.
 BESSEL_CROSSOVER = 12.0
@@ -301,13 +302,12 @@ class ScalingReport:
         return out
 
     def to_csv(self) -> str:
-        lines = ["s,n,window_id,i1_distance,ratio_to_previous"]
-        ratios = self.ratios()
-        for i, n in enumerate(self.report.steps):
-            for j, w in enumerate(self.report.window_ids):
-                ratio = "" if np.isnan(ratios[i, j]) else f"{ratios[i, j]:.17g}"
-                lines.append(f"{self.s},{n},{w},{self.report.distances[i, j]:.17g},{ratio}")
-        return "\n".join(lines) + "\n"
+        rows = (
+            (str(self.s), n, w, d, None if np.isnan(r) else r)
+            for n, ds, rs in zip(self.report.steps, self.report.distances, self.ratios())
+            for w, d, r in zip(self.report.window_ids, ds, rs)
+        )
+        return csv_text(("s", "n", "window_id", "i1_distance", "ratio_to_previous"), rows)
 
 
 def heine_mehler_suite(s: float, n_list, windows: list[Window], grid: GroundSpace) -> ScalingReport:

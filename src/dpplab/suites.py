@@ -7,7 +7,7 @@ reproducible individually and independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .scaling import (
     heine_mehler_suite,
     jacobi_polynomials,
 )
+from .tables import csv_text
 
 #: Largest total-variation, normalization and elementwise projection errors the oracle battery passes with.
 ORACLE_TV_TOLERANCE = 1e-9
@@ -110,13 +111,7 @@ class OracleBatteryReport:
         )
 
     def to_csv(self) -> str:
-        lines = ["trial,n_points,rank,tv_distance,normalization_error,projection_error"]
-        for t in self.trials:
-            lines.append(
-                f"{t.trial},{t.n_points},{t.rank},{t.tv_distance:.17g},"
-                f"{t.normalization_error:.17g},{t.projection_error:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(OracleTrial)], map(astuple, self.trials))
 
 
 def conditioning_oracle_battery(

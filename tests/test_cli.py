@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpplab import suites
 from dpplab.cli import _COMMANDS, _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dpplab.serialization import load_json
 
@@ -149,6 +151,14 @@ def test_exhaust_command_on_a_2_14_grid(tmp_path):
     values = row.split(",")
     assert values[0] == "14" and values[-1] == "1"
     assert all(np.isfinite(float(v)) for v in values)  # a failed row carries NaN
+
+
+@pytest.mark.parametrize("s_values", [[0.5, 0.5000001], [2.0, 2.0], [0.0, -0.0]])
+def test_scaling_rejects_s_values_that_share_a_table(tmp_path, s_values):
+    # s values that agree to 6 digits would write one scaling_s*.csv; 0.0 and -0.0 would share one report
+    cfg = _write(tmp_path / "cfg.json", {"s_values": s_values, "n_list": [4, 8], "grid_points": 10})
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not any((tmp_path / "run").iterdir())
 
 
 def test_weakconv_sequence_command(tmp_path):
@@ -340,3 +350,22 @@ def test_every_schema_valid_config_exits_with_a_contract_code(command, data):
         assert "Traceback" not in err.getvalue()
         if code == EXIT_OK:
             assert (Path(tmp) / "run" / "manifest.json").is_file()
+        for table in sorted((Path(tmp) / "run").glob("*.csv")):
+            text = table.read_text()
+            if table.name == "samples.csv":
+                _assert_samples_csv(text, config)
+                continue
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            assert all(len(row) == len(header) for row in rows), f"{table.name}:\n{text}"
+
+
+def _assert_samples_csv(text, config):
+    """One line per draw, each empty or the space-separated indices of its points."""
+    if "scripted" in config:
+        n = suites.scripted_sampler_kernels()[config["scripted"]].n
+    else:
+        n = len(config["kernel"]["space"]["points"])
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == config["count"]
+    for line in lines:
+        assert line == "" or all(i.isdigit() and int(i) < n for i in line.split(" ")), line
