@@ -85,7 +85,6 @@ from .operators import (
     subspace_angle,
 )
 from .scaling import (
-    ClassicalKernelSpec,
     ScalingReport,
     bessel_j,
     bessel_j_prime,

@@ -34,6 +34,7 @@ from .errors import (
 from .ground import GroundSpace
 from .operators import project_span
 from .serialization import (
+    json_text,
     kernel_from_dict,
     kernel_to_dict,
     samples_to_csv,
@@ -151,9 +152,19 @@ _SUITES = {
     ("perturb", None): suites.scripted_perturbation_suite,
     ("exhaust", None): suites.scripted_exhaustion_study,
     ("scaling", None): suites.scripted_scaling_suite,
+    ("tightness", None): suites.scripted_tightness_cases,
     ("weakconv", "calibration"): suites.weakconv_calibration,
     ("weakconv", "sequence"): suites.weakconv_sequence,
 }
+
+
+#: Draft 2020-12 validation, except that "integer" admits only a JSON integer: not 5.0, not true.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, instance: isinstance(instance, int) and not isinstance(instance, bool)
+    ),
+)
 
 
 def _reject_constant(name: str):
@@ -169,7 +180,7 @@ def _load_config(path: str, command: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
-        jsonschema.validate(config, _SCHEMAS[command])
+        jsonschema.validate(config, _SCHEMAS[command], cls=_Validator)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected: {exc.message}") from exc
     return config
@@ -192,21 +203,17 @@ def _write_manifest(out: Path, command: str, config: dict, seed, outputs: list[s
     save_json(manifest, out / "manifest.json")
 
 
-def _write_text(out: Path, name: str, text: str) -> str:
-    (out / name).write_text(text)
-    return name
-
-
 def _run_suite(command: str, config: dict, seed, mode: str | None = None):
     """Call the suite a validated config feeds; return its result and the seed it ran with.
 
-    JSON lists become tuples, ``--seed`` overrides ``seed`` wherever the
-    command's schema declares one, and a key the suite does not take is a
-    config error.  A suite left to its default seed reports that default.
+    JSON lists become tuples, ``--seed`` (offered only where the command's
+    schema declares ``seed``) overrides the config's, and a key the suite
+    does not take is a config error.  A suite left to its default seed
+    reports that default; a suite without a seed reports None.
     """
     fn = _SUITES[command, mode]
     kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in config.items() if key != "mode"}
-    if seed is not None and "seed" in _SCHEMAS[command]["properties"]:
+    if seed is not None:
         kwargs["seed"] = seed
     parameters = inspect.signature(fn).parameters
     unused = sorted(set(kwargs) - set(parameters))
@@ -217,18 +224,12 @@ def _run_suite(command: str, config: dict, seed, mode: str | None = None):
     return fn(**kwargs), kwargs.get("seed", default_seed)
 
 
-def _cmd_oracle(config: dict, seed, out: Path) -> int:
+def _cmd_oracle(config: dict, seed):
     report, seed = _run_suite("oracle", config, seed)
-    outputs = [_write_text(out, "oracle.csv", report.to_csv())]
-    _write_manifest(out, "oracle", config, seed, outputs)
-    print(report.summary())
-    if not report.passed:
-        print("oracle battery FAILED", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return seed, {"oracle.csv": report.to_csv()}, report.summary(), report.passed
 
 
-def _cmd_induce(config: dict, seed, out: Path) -> int:
+def _cmd_induce(config: dict, seed):
     space = space_from_dict({"format_version": 1, **config["space"]})
     basis = np.asarray(config["basis"], dtype=float)
     if basis.shape[1] != space.n:
@@ -237,91 +238,76 @@ def _cmd_induce(config: dict, seed, out: Path) -> int:
     P = project_span(basis, space)
     check = check_inducibility(g, P)
     B = induced_kernel(g, P)
-    save_json(kernel_to_dict(B), out / "induced_kernel.json")
     summary = {
         "margin": check.margin,
         "invertible": check.invertible,
         "normalization_constant": normalization_constant(g, P),
         "rank": B.rank,
     }
-    save_json({"format_version": 1, **summary}, out / "induce_summary.json")
-    _write_manifest(out, "induce", config, seed, ["induced_kernel.json", "induce_summary.json"])
-    print(json.dumps(summary))
-    return EXIT_OK
+    artifacts = {
+        "induced_kernel.json": json_text(kernel_to_dict(B)),
+        "induce_summary.json": json_text({"format_version": 1, **summary}),
+    }
+    return None, artifacts, json.dumps(summary), True
 
 
-def _cmd_perturb(config: dict, seed, out: Path) -> int:
+def _cmd_perturb(config: dict, seed):
     report, seed = _run_suite("perturb", config, seed)
-    outputs = [_write_text(out, "perturbation.csv", report.to_csv())]
-    _write_manifest(out, "perturb", config, seed, outputs)
     flags = report.monotone_flags()
-    print(f"final distances: {report.last_values()}  monotone: {flags}")
-    return EXIT_OK if all(flags.values()) else EXIT_NUMERICAL
+    text = f"final distances: {report.last_values()}  monotone: {flags}"
+    return seed, {"perturbation.csv": report.to_csv()}, text, all(flags.values())
 
 
-def _cmd_exhaust(config: dict, seed, out: Path) -> int:
+def _cmd_exhaust(config: dict, seed):
     report, seed = _run_suite("exhaust", config, seed)
-    outputs = [_write_text(out, "exhaustion.csv", report.to_csv())]
-    _write_manifest(out, "exhaust", config, seed, outputs)
     last = report.rows[-1]
-    print(
+    text = (
         f"final probe norm {last.remainder_probe_norm:.3e}, decreasing={report.decreasing}, "
         f"angles ok: {all(r.angle_ok for r in report.rows)}"
     )
-    if any(r.failed for r in report.rows):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return seed, {"exhaustion.csv": report.to_csv()}, text, not any(r.failed for r in report.rows)
 
 
-def _cmd_scaling(config: dict, seed, out: Path) -> int:
+def _cmd_scaling(config: dict, seed):
     s_values = config.get("s_values", ())
     # s values equal as numbers (0.0 and -0.0) share one report, and those equal to 6 digits one file name
     if len(set(s_values)) < len(s_values) or len({f"{s:g}" for s in s_values}) < len(s_values):
         raise ConfigError(f"s_values {s_values} would share a scaling_s*.csv table")
     reports, seed = _run_suite("scaling", config, seed)
-    outputs = []
-    all_decreasing = True
-    for s, rep in reports.items():
-        name = f"scaling_s{s:g}.csv"
-        outputs.append(_write_text(out, name, rep.to_csv()))
-        dec = rep.strictly_decreasing()
-        all_decreasing &= dec
-        print(f"s={s:g}: strictly decreasing={dec}, last distance {rep.report.distances[-1].max():.3e}")
-    _write_manifest(out, "scaling", config, seed, outputs)
-    return EXIT_OK if all_decreasing else EXIT_NUMERICAL
+    artifacts = {f"scaling_s{s:g}.csv": rep.to_csv() for s, rep in reports.items()}
+    text = "\n".join(
+        f"s={s:g}: strictly decreasing={rep.strictly_decreasing()}, "
+        f"last distance {rep.report.distances[-1].max():.3e}"
+        for s, rep in reports.items()
+    )
+    return seed, artifacts, text, all(rep.strictly_decreasing() for rep in reports.values())
 
 
-def _cmd_tightness(config: dict, seed, out: Path) -> int:
-    reports = suites.scripted_tightness_cases()
-    outputs = []
-    for name, rep in reports.items():
-        outputs.append(_write_text(out, f"tightness_{name}.csv", rep.to_csv()))
-        print(f"{name}: tight={rep.tight} sup_trace={rep.sup_trace:.6g} sup_tails={rep.sup_tails}")
-    _write_manifest(out, "tightness", config, seed, outputs)
-    return EXIT_OK
+def _cmd_tightness(config: dict, seed):
+    reports, seed = _run_suite("tightness", config, seed)
+    artifacts = {f"tightness_{name}.csv": rep.to_csv() for name, rep in reports.items()}
+    text = "\n".join(
+        f"{name}: tight={rep.tight} sup_trace={rep.sup_trace:.6g} sup_tails={rep.sup_tails}"
+        for name, rep in reports.items()
+    )
+    return seed, artifacts, text, True
 
 
-def _cmd_weakconv(config: dict, seed, out: Path) -> int:
+def _cmd_weakconv(config: dict, seed):
     mode = config.get("mode", "sequence")
     result, seed = _run_suite("weakconv", config, seed, mode)
     if mode == "calibration":
         ks = suites.ks_distance_to_uniform(result)
-        outputs = [_write_text(out, "calibration_pvalues.csv", csv_text(("p_value",), ([p] for p in result)))]
-        print(f"calibration KS distance to uniform: {ks:.4f}")
-        code = EXIT_OK if ks < 0.05 else EXIT_NUMERICAL
-    else:
-        report = result
-        outputs = [_write_text(out, "weakconv.csv", report.to_csv())]
-        print(
-            f"statistics decreasing={report.decreasing}, final p={report.final_p_value:.3f}, "
-            f"verdict={report.verdict}"
-        )
-        code = EXIT_OK if report.verdict else EXIT_NUMERICAL
-    _write_manifest(out, "weakconv", config, seed, outputs)
-    return code
+        table = csv_text(("p_value",), ([p] for p in result))
+        return seed, {"calibration_pvalues.csv": table}, f"calibration KS distance to uniform: {ks:.4f}", ks < 0.05
+    text = (
+        f"statistics decreasing={result.decreasing}, final p={result.final_p_value:.3f}, "
+        f"verdict={result.verdict}"
+    )
+    return seed, {"weakconv.csv": result.to_csv()}, text, result.verdict
 
 
-def _cmd_sample(config: dict, seed, out: Path) -> int:
+def _cmd_sample(config: dict, seed):
     if ("scripted" in config) == ("kernel" in config):
         raise ConfigError("give exactly one of 'scripted' or 'kernel'")
     if "scripted" in config:
@@ -330,13 +316,13 @@ def _cmd_sample(config: dict, seed, out: Path) -> int:
         K = kernel_from_dict(config["kernel"])
     run_seed = seed if seed is not None else config.get("seed", 0)
     samples = sample(DppDistribution(K), run_seed, config["count"])
-    outputs = [_write_text(out, "samples.csv", samples_to_csv(samples))]
-    _write_manifest(out, "sample", config, run_seed, outputs)
     mean_size = samples.occupancy.sum(axis=1).mean()
-    print(f"{len(samples)} samples written, mean configuration size {mean_size:.4f}")
-    return EXIT_OK
+    text = f"{len(samples)} samples written, mean configuration size {mean_size:.4f}"
+    return run_seed, {"samples.csv": samples_to_csv(samples)}, text, True
 
 
+#: Each command maps a validated config and the ``--seed`` override to the seed
+#: it ran with, its artifacts' text by file name, the text it prints and its verdict.
 _COMMANDS = {
     "oracle": _cmd_oracle,
     "induce": _cmd_induce,
@@ -351,11 +337,13 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpplab", description="Scripted determinantal-process experiments")
+    parser.set_defaults(seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "seed" in _SCHEMAS[name]["properties"]:
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
     return parser
 
@@ -366,13 +354,18 @@ def main(argv=None) -> int:
         config = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, args.seed, out)
+        seed, artifacts, text, verdict = _COMMANDS[args.command](config, args.seed)
     except _CONTRACT_ERRORS as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, DimensionError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for name, body in artifacts.items():
+        (out / name).write_text(body)
+    _write_manifest(out, args.command, config, seed, list(artifacts))
+    print(text)
+    return EXIT_OK if verdict else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

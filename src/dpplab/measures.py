@@ -349,9 +349,9 @@ def weak_convergence_test(
 
     For each batch, the joint empirical law of the integrals against the
     (disjointly supported) test functions is compared to the limit batch by
-    the energy distance; the last batch additionally gets a permutation
-    p-value.  Verdict: statistics decrease along the sequence and the final
-    p-value exceeds ``P_VALUE_THRESHOLD``.
+    the energy distance, with a permutation p-value.  Verdict: statistics
+    decrease along the sequence and the last batch's p-value exceeds
+    ``P_VALUE_THRESHOLD``.
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     _check_disjoint_supports(phis)

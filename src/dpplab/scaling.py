@@ -213,31 +213,6 @@ def cd_kernel_closed(s: float, n: int, u, v) -> np.ndarray:
     return a_n * numer / denom
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalKernelSpec:
-    """Parameters of a scripted classical kernel."""
-
-    family: str
-    s: float
-    grid: GroundSpace
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.family not in ("jacobi_cd", "bessel"):
-            raise ValueError("family must be 'jacobi_cd' or 'bessel'")
-        if self.s <= -1:
-            raise ValueError("the parameter s must exceed -1")
-        if self.family == "jacobi_cd" and (self.n is None or self.n < 1):
-            raise ValueError("jacobi_cd kernels need a positive polynomial count n")
-        if np.any(self.grid.points <= 0):
-            raise ValueError("grid points must be strictly positive")
-
-    def build(self) -> KernelOperator:
-        if self.family == "jacobi_cd":
-            return jacobi_cd_kernel(self.s, self.n, self.grid)
-        return bessel_kernel(self.s, self.grid)
-
-
 def jacobi_cd_kernel(s: float, n: int, grid: GroundSpace) -> KernelOperator:
     """The rescaled n-term kernel on the hard-edge coordinates x = 2 n^2 (1-u).
 

@@ -117,10 +117,14 @@ def samples_from_csv(text: str, space: GroundSpace) -> Samples:
     return Samples(space, occupancy)
 
 
+def json_text(payload: dict) -> str:
+    """A payload as one-space-indented JSON ending in a newline, as ``save_json`` writes it."""
+    return json.dumps(payload, indent=1) + "\n"
+
+
 def save_json(payload: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def load_json(path) -> dict:

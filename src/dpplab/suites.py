@@ -18,7 +18,14 @@ from .dpp import _BLOCK_BYTES, DppDistribution, brute_force_distribution, sample
 from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, Subspace, project_span
-from .measures import WeakConvergenceReport, TightnessReport, tightness_report, weak_convergence_test
+from .measures import (
+    TightnessReport,
+    WeakConvergenceReport,
+    _weighted_diagonal,
+    chebyshev_mass_bound_check,
+    tightness_report,
+    weak_convergence_test,
+)
 from .scaling import (
     BESSEL_CROSSOVER,
     ScalingReport,
@@ -309,8 +316,6 @@ def scripted_chebyshev_checks():
     where the bound is informative (below 1).  Each kernel gets
     ``CHEBYSHEV_SAMPLES`` draws, seeded from ``CHEBYSHEV_SEED``.
     """
-    from .measures import _weighted_diagonal, chebyshev_mass_bound_check
-
     cases = []
     space = GroundSpace.uniform_cells(0.0, 1.0, 6)
     x = space.points

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab import suites
-from dpplab.cli import _COMMANDS, _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dpplab.cli import _COMMANDS, _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from dpplab.serialization import load_json
 
 
@@ -51,15 +51,11 @@ def test_missing_config_rejected(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+_INDUCE_CONFIG = {"space": {"points": [1.0, 2.0], "weights": [1.0, 1.0]}, "basis": [[1.0, 1.0]], "g": [1.0, 0.5]}
+
+
 def test_induce_command(tmp_path):
-    cfg = _write(
-        tmp_path / "cfg.json",
-        {
-            "space": {"points": [1.0, 2.0], "weights": [1.0, 1.0]},
-            "basis": [[1.0, 1.0]],
-            "g": [1.0, 0.5],
-        },
-    )
+    cfg = _write(tmp_path / "cfg.json", _INDUCE_CONFIG)
     code = main(["induce", "--config", cfg, "--out", str(tmp_path / "run")])
     assert code == EXIT_OK
     summary = load_json(tmp_path / "run" / "induce_summary.json")
@@ -178,6 +174,31 @@ def test_removed_jobs_option_exits_2(tmp_path):
     assert exc.value.code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["induce", "perturb", "exhaust", "scaling", "tightness"])
+def test_seed_option_on_a_seedless_command_exits_2(tmp_path, command):
+    cfg = _write(tmp_path / "cfg.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "5", "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sample", {"scripted": "projection_rank2", "count": 5.0}),
+        ("oracle", {"trials": 3.0}),
+        ("exhaust", {"ks": [8.0]}),
+        ("perturb", {"n_list": [2.0, 4.0]}),
+    ],
+)
+def test_integer_fields_reject_json_floats(tmp_path, capsys, command, config):
+    cfg = _write(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("mode", ["calibration", "sequence"])
 @pytest.mark.parametrize("override, expected", [([], 5), (["--seed", "7"], 7)])
 def test_weakconv_manifest_records_seed_used(tmp_path, mode, override, expected):
@@ -196,6 +217,9 @@ def test_weakconv_manifest_records_seed_used(tmp_path, mode, override, expected)
         ("oracle", {"trials": 3}, 20240),
         ("weakconv", {"mode": "calibration", "repetitions": 11, "batch_size": 10, "permutations": 19}, 16000),
         ("weakconv", {"mode": "sequence", "n_list": [1, 2], "batch_size": 10, "permutations": 19}, 11),
+        # commands without a seed, which --seed cannot set either
+        ("induce", _INDUCE_CONFIG, None),
+        ("tightness", {}, None),
     ],
 )
 def test_manifest_records_default_seed(tmp_path, command, config, default):
@@ -236,12 +260,15 @@ def test_schema_properties_are_suite_parameters():
     parameters: dict[str, set] = {}
     for (command, _), fn in _SUITES.items():
         parameters.setdefault(command, set()).update(inspect.signature(fn).parameters)
-    assert set(parameters) == {"oracle", "perturb", "exhaust", "scaling", "weakconv"}
+    assert set(parameters) == {"oracle", "perturb", "exhaust", "scaling", "tightness", "weakconv"}
     for command, names in parameters.items():
         keys = set(_SCHEMAS[command]["properties"]) - {"mode"}
         assert keys <= names, f"{command} schema keys {keys - names} feed no suite parameter"
     modes = {mode for command, mode in _SUITES if command == "weakconv"}
     assert modes == set(_SCHEMAS["weakconv"]["properties"]["mode"]["enum"])
+    for command, schema in _SCHEMAS.items():
+        _, unknown = build_parser().parse_known_args([command, "--config", "cfg.json", "--seed", "1"])
+        assert (not unknown) == ("seed" in schema["properties"]), command
 
 
 # Schema-valid configs for every command, with sizes bounded so that each run takes milliseconds.

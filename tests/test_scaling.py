@@ -9,7 +9,6 @@ from dpplab.ground import GroundSpace, Window
 from dpplab.operators import is_positive_contraction
 from dpplab.scaling import (
     BESSEL_CROSSOVER,
-    ClassicalKernelSpec,
     _asymptotic_bessel_j,
     _series_bessel_j,
     bessel_j,
@@ -142,17 +141,21 @@ def test_bessel_kernel_diagonal_is_continuous_limit():
         assert near == pytest.approx(K.entries[i, i], abs=1e-5)
 
 
-def test_kernel_spec_validation():
+def test_kernel_builders_reject_invalid_parameters():
     grid = GroundSpace.uniform_cells(0.0, 4.0, 10)
-    with pytest.raises(ValueError):
-        ClassicalKernelSpec("unknown", 0.0, grid)
-    with pytest.raises(ValueError):
-        ClassicalKernelSpec("jacobi_cd", 0.0, grid)  # missing n
     bad_grid = GroundSpace(np.array([-1.0, 1.0]), np.ones(2))
     with pytest.raises(ValueError):
-        ClassicalKernelSpec("bessel", 0.0, bad_grid)
-    spec = ClassicalKernelSpec("jacobi_cd", 0.0, grid, n=6)
-    assert is_projection(spec.build().counting) or is_positive_contraction(spec.build())
+        jacobi_cd_kernel(0.0, 0, grid)  # no polynomials
+    with pytest.raises(ValueError):
+        jacobi_cd_kernel(-1.0, 6, grid)
+    with pytest.raises(ValueError):
+        jacobi_cd_kernel(0.0, 6, bad_grid)
+    with pytest.raises(ValueError):
+        bessel_kernel(-1.5, grid)
+    with pytest.raises(ValueError):
+        bessel_kernel(0.0, bad_grid)
+    K = jacobi_cd_kernel(0.0, 6, grid)
+    assert is_projection(K.counting) or is_positive_contraction(K)
 
 
 def test_heine_mehler_distances_decrease():
