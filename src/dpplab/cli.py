@@ -124,7 +124,7 @@ _SCHEMAS = {
             "mode": {"enum": ["calibration", "sequence"]},
             "seed": {"type": "integer", "minimum": 0},
             # the KS distance of n p-values to the uniform law is at least 1/(2n),
-            # so the 0.05 calibration check can pass only from 11 repetitions on
+            # so the suites.CALIBRATION_KS_LIMIT = 0.05 check can pass only from 11 repetitions on
             "repetitions": {"type": "integer", "minimum": 11},
             "batch_size": {"type": "integer", "minimum": 2},
             "n_list": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
@@ -299,7 +299,8 @@ def _cmd_weakconv(config: dict, seed):
     if mode == "calibration":
         ks = suites.ks_distance_to_uniform(result)
         table = csv_text(("p_value",), ([p] for p in result))
-        return seed, {"calibration_pvalues.csv": table}, f"calibration KS distance to uniform: {ks:.4f}", ks < 0.05
+        text = f"calibration KS distance to uniform: {ks:.4f}"
+        return seed, {"calibration_pvalues.csv": table}, text, ks < suites.CALIBRATION_KS_LIMIT
     text = (
         f"statistics decreasing={result.decreasing}, final p={result.final_p_value:.3f}, "
         f"verdict={result.verdict}"

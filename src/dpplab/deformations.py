@@ -24,11 +24,12 @@ from .operators import (
     Projection,
     Subspace,
     _gram_schmidt,
+    convergence_report,
     project_span,
     projection_distance,
     subspace_angle,
 )
-from .tables import csv_text
+from .tables import csv_text, step_labels
 
 #: Minimum angle (radians) each deformation vector must keep, unless a model or caller sets its own.
 DEFAULT_MIN_ANGLE = 0.05
@@ -95,15 +96,8 @@ def perturbation_convergence_suite(
     """Windowed trace distances of deformed projections to the deformed limit, extended at ``DEFAULT_MIN_ANGLE``."""
     if len(Pn) != len(vn):
         raise DimensionError("need one vector list per projection in the sequence")
-    if steps is None:
-        steps = tuple(range(1, len(Pn) + 1))
-    target = extend_projection(P, v)
-    table = [
-        [projection_distance(extend_projection(Pk, vk), target, w) for w in windows]
-        for Pk, vk in zip(Pn, vn)
-    ]
-    window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(windows))
-    return ConvergenceReport(tuple(steps), window_ids, table)
+    sequence = [extend_projection(Pk, vk) for Pk, vk in zip(Pn, vn)]
+    return convergence_report(sequence, extend_projection(P, v), windows, steps)
 
 
 def sqrtg_subspace_projection(model: DeformationModel, g: WeightFunction) -> tuple[Projection, Projection]:
@@ -120,8 +114,6 @@ def sqrtg_subspace_projection(model: DeformationModel, g: WeightFunction) -> tup
     """
     Qg = induced_kernel(g, model.base_projection)
     sg = g.sqrt
-    if model.extra.shape[0] == 0:
-        return Qg, Qg
     weighted_extra = model.extra * sg
     result = extend_projection(Qg, weighted_extra, model.min_angle)
     direct = project_span(np.vstack([model.base.basis * sg, weighted_extra]), model.space)
@@ -204,8 +196,7 @@ def exhaustion_suite(
     action on the probe vector.  Angle collapse below the model's bound is
     reported per row and the suite continues.
     """
-    if steps is None:
-        steps = tuple(range(1, len(windows) + 1))
+    steps = step_labels(steps, len(windows))
     probe_vector = np.asarray(probe_vector, dtype=float)
     rows = tuple(
         _exhaustion_row(model, w, probe_windows, probe_vector, step) for step, w in zip(steps, windows)

@@ -26,7 +26,7 @@ from .operators import (
     counting_diagonal,
     is_positive_contraction,
 )
-from .tables import csv_text
+from .tables import csv_text, step_labels
 
 #: Sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -357,27 +357,20 @@ def weak_convergence_test(
     _check_disjoint_supports(phis)
     if not samples_n:
         raise ValueError("empty batch sequence")
+    steps = step_labels(steps, len(samples_n))
     sizes = {len(b) for b in samples_n} | {len(samples_limit)}
     if len(sizes) != 1:
         raise ValueError("all batches must have equal size")
     limit_stats = linear_statistics(samples_limit, f, phis)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    statistics, p_values = [], []
-    for batch in samples_n:
-        batch_stats = linear_statistics(batch, f, phis)
-        stat, p = permutation_energy_test(batch_stats, limit_stats, permutations, rng)
-        statistics.append(stat)
-        p_values.append(p)
-    if steps is None:
-        steps = tuple(range(1, len(samples_n) + 1))
-    diffs = np.diff(statistics)
-    decreasing = bool(np.all(diffs < 0)) if len(statistics) > 1 else True
-    final_p = p_values[-1]
+    tests = [permutation_energy_test(linear_statistics(b, f, phis), limit_stats, permutations, rng) for b in samples_n]
+    statistics, p_values = zip(*tests)
+    decreasing = bool(np.all(np.diff(statistics) < 0))  # vacuously true for one batch
     return WeakConvergenceReport(
-        steps=tuple(steps),
-        statistics=tuple(statistics),
-        p_values=tuple(p_values),
+        steps=steps,
+        statistics=statistics,
+        p_values=p_values,
         decreasing=decreasing,
-        final_p_value=final_p,
-        verdict=decreasing and final_p > P_VALUE_THRESHOLD,
+        final_p_value=p_values[-1],
+        verdict=decreasing and p_values[-1] > P_VALUE_THRESHOLD,
     )

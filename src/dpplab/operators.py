@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateBasisError, DimensionError
 from .ground import GroundSpace, Window
-from .tables import csv_text
+from .tables import csv_text, step_labels
 
 #: Gram condition number beyond which a spanning set counts as degenerate.
 GRAM_CONDITION_LIMIT = 1e12
@@ -94,10 +94,6 @@ class KernelOperator:
     def identity(cls, space: GroundSpace) -> "KernelOperator":
         """Kernel of the identity operator, K(x, y) = delta_{xy} / w_x."""
         return cls(space, np.diag(1.0 / space.weights))
-
-    def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        _check_same_space(self.space, other.space)
-        return KernelOperator(self.space, self.entries - other.entries)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the operator to a function on the grid (measure convention)."""
@@ -301,11 +297,11 @@ def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
     for k, ratio, _ in _gram_schmidt(rows, basis * space.sqrt_weights):
         if ratio < _RESIDUAL_RATIO_LIMIT:
             raise DegenerateBasisError(k, None if basis[k].any() else f"basis vector {k} is zero")
-    return np.array(rows)
+    return np.array(rows).reshape(len(rows), space.n)
 
 
 def project_span(basis, space: GroundSpace) -> Projection:
-    """Orthogonal projection (weighted inner product) onto the span of the basis."""
+    """Orthogonal projection (weighted inner product) onto the span of the basis; rank 0 for an empty basis."""
     return Projection(space, orthonormalize(basis, space).T)
 
 
@@ -326,10 +322,12 @@ def subspace_angle(basis_a, basis_b, space: GroundSpace) -> float:
     smallest singular value of qa's residual off the span of qb, for
     orthonormal rows qa and qb; ``arctan2`` of the two resolves the angle
     to full precision near 0 and near pi/2 alike, where arccos or arcsin
-    alone would lose digits.
+    alone would lose digits.  An empty span gives pi/2, as ``angle`` does.
     """
     qa = orthonormalize(basis_a, space)
     qb = orthonormalize(basis_b, space)
+    if not len(qa) or not len(qb):
+        return float(np.pi / 2)
     overlap = qa @ qb.T
     cos = np.linalg.svd(overlap, compute_uv=False)[0]
     sin = np.linalg.svd(qa - overlap @ qb, compute_uv=False)[-1]
@@ -371,20 +369,23 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    sequence: list[KernelOperator],
-    target: KernelOperator,
+    sequence: list[KernelOperator | Projection],
+    target: KernelOperator | Projection,
     windows: list[Window],
     steps=None,
 ) -> ConvergenceReport:
-    """Tabulate local trace distances of each sequence member to the target."""
+    """Tabulate local trace distances of each sequence member to the target: two :class:`Projection` on
+    their factors, any other pair densely; a member on another space raises :class:`DimensionError`."""
     if not sequence:
         raise ValueError("empty operator sequence")
-    if steps is None:
-        steps = tuple(range(1, len(sequence) + 1))
+    steps = step_labels(steps, len(sequence))
     window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(windows))
     table = np.empty((len(sequence), len(windows)))
     for i, K in enumerate(sequence):
-        diff = K - target
-        for j, w in enumerate(windows):
-            table[i, j] = local_trace_norm(diff, w, w)
-    return ConvergenceReport(tuple(steps), window_ids, table)
+        _check_same_space(K.space, target.space)
+        if isinstance(K, Projection) and isinstance(target, Projection):
+            table[i] = [projection_distance(K, target, w) for w in windows]
+        else:
+            diff = KernelOperator(K.space, K.entries - target.entries)
+            table[i] = [local_trace_norm(diff, w, w) for w in windows]
+    return ConvergenceReport(steps, window_ids, table)

@@ -377,6 +377,10 @@ def weakconv_calibration(
     return p_values
 
 
+#: KS distance to the uniform law below which ``dpplab weakconv``'s calibration p-values pass.
+CALIBRATION_KS_LIMIT = 0.05
+
+
 def ks_distance_to_uniform(p_values: np.ndarray) -> float:
     p = np.sort(np.asarray(p_values, dtype=float))
     n = len(p)

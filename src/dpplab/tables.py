@@ -1,9 +1,11 @@
-"""CSV text of the report tables, in the one format they share: a field that holds a comma or a quote
-is quoted, a float is written at 17 significant digits (it reads back as the same double), an undefined
-value (``None``) is an empty field, and every line ends in ``"\\n"``."""
+"""CSV text of the report tables, in the one format they share (a field that holds a comma or a quote is
+quoted, a float is written at 17 significant digits, so it reads back as the same double, an undefined value
+``None`` is an empty field, and every line ends in ``"\\n"``), and the one rule that labels a table's steps."""
 
 import csv
 import io
+
+from .errors import DimensionError
 
 
 def _field(value) -> str:
@@ -17,3 +19,11 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(map(_field, row) for row in rows)
     return out.getvalue()
+
+
+def step_labels(steps, count: int) -> tuple:
+    """``steps`` as a tuple, or 1..count when it is None; :class:`DimensionError` unless it holds ``count`` labels."""
+    labels = tuple(range(1, count + 1) if steps is None else steps)
+    if len(labels) != count:
+        raise DimensionError(f"{len(labels)} step labels for {count} steps")
+    return labels

@@ -10,7 +10,7 @@ from dpplab.deformations import (
     perturbation_convergence_suite,
     sqrtg_subspace_projection,
 )
-from dpplab.errors import AngleDegeneracyError, EmptyWindowError
+from dpplab.errors import AngleDegeneracyError, DimensionError, EmptyWindowError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import Subspace, angle, project_span
 from dpplab.suites import scripted_exhaustion_study
@@ -129,3 +129,31 @@ def test_exhaustion_suite_smoke():
 def test_exhaustion_study_rejects_grid_without_core_point(k):
     with pytest.raises(EmptyWindowError):
         scripted_exhaustion_study(ks=(k,))
+
+
+def _exhaustion_model(extra):
+    space = GroundSpace.geometric_cells(1e-8, 1.0, 64)
+    x = space.points
+    model = DeformationModel(Subspace(space, np.vstack([x**0.25])), extra(x), Window.from_interval(space, 0.5, 1.0))
+    return model, [Window.from_interval(space, b, 0.5) for b in (1e-2, 1e-4)], [Window.full(space)], x >= 0.5
+
+
+def test_exhaustion_rows_of_a_model_without_deformation_vectors():
+    model, windows, probes, phi = _exhaustion_model(lambda x: np.zeros((0, x.size)))
+    report = exhaustion_suite(model, windows, probes, phi)
+    assert [r.step for r in report.rows] == [1, 2]
+    for row in report.rows:
+        assert (row.angle, row.angle_ok, row.remainder_probe_norm, row.failed) == (np.pi / 2, True, 0.0, False)
+
+
+def test_exhaustion_suite_rejects_steps_that_do_not_label_every_window():
+    model, windows, probes, phi = _exhaustion_model(lambda x: np.vstack([x**-0.75]))
+    with pytest.raises(DimensionError):
+        exhaustion_suite(model, windows, probes, phi, steps=(7,))
+
+
+def test_empty_perturbation_suite_is_an_empty_operator_sequence():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    P = project_span(np.ones((1, 4)), space)
+    with pytest.raises(ValueError, match="empty operator sequence"):
+        perturbation_convergence_suite([], [], P, np.eye(4)[:1], [Window.full(space)])

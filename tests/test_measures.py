@@ -364,3 +364,12 @@ def test_weak_convergence_same_law_verdict():
     report = weak_convergence_test([batch_a], batch_b, f, phis, seed=3)
     assert report.final_p_value > 0.01
     assert report.to_csv().splitlines()[0] == "n,energy_statistic,p_value"
+
+
+def test_weak_convergence_rejects_steps_that_do_not_label_every_batch():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    phis = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    batch = Samples(space, [[True, False, True, False]] * 4)
+    with pytest.raises(DimensionError):
+        weak_convergence_test([batch] * 3, batch, f, phis, steps=(5,))

@@ -197,3 +197,51 @@ def test_convergence_report_columns_and_csv():
 def test_convergence_report_shape_check():
     with pytest.raises(DimensionError):
         ConvergenceReport((1, 2), ("a",), np.zeros((3, 1)))
+
+
+def test_convergence_report_of_a_projection_against_a_dense_target():
+    rng = _rng(8)
+    space = _random_space(rng, 6)
+    target = KernelOperator(space, project_span(rng.normal(size=(2, 6)), space).entries + 0.1 * np.eye(6))
+    members = [project_span(rng.normal(size=(2, 6)), space) for _ in range(2)]
+    windows = [Window.full(space, "all"), Window((0, 2, 4))]
+    rep = convergence_report(members, target, windows)
+    assert rep.steps == (1, 2) and rep.window_ids == ("all", "w1")
+    for P, row in zip(members, rep.distances):
+        diff = KernelOperator(space, P.entries - target.entries)
+        assert list(row) == [local_trace_norm(diff, w, w) for w in windows]
+
+
+def test_convergence_report_rejects_another_space_and_mislabelled_steps():
+    rng = _rng(9)
+    space, other = _random_space(rng, 4), _random_space(rng, 4)
+    P, Q = project_span(rng.normal(size=(1, 4)), space), project_span(rng.normal(size=(1, 4)), other)
+    windows = [Window.full(space)]
+    for target in (Q, KernelOperator(other, Q.entries)):
+        with pytest.raises(DimensionError):
+            convergence_report([P], target, windows)
+    with pytest.raises(DimensionError):
+        convergence_report([P, P], P, windows, steps=(5,))
+    with pytest.raises(ValueError, match="empty operator sequence"):
+        convergence_report([], P, windows)
+
+
+def test_orthonormalize_of_no_vectors_is_an_empty_row_block():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    assert orthonormalize(np.zeros((0, 5)), space).shape == (0, 5)
+
+
+def test_project_span_of_no_vectors_is_the_rank_0_projection():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    P = project_span(np.zeros((0, 5)), space)
+    assert P.rank == 0 and P.factor.shape == (5, 0)
+    assert np.array_equal(P.counting, np.zeros((5, 5)))
+
+
+def test_subspace_angle_to_an_empty_span_is_a_right_angle():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    v, empty = np.ones((1, 5)), np.zeros((0, 5))
+    assert subspace_angle(v, empty, space) == np.pi / 2
+    assert subspace_angle(empty, v, space) == np.pi / 2
+    assert subspace_angle(empty, empty, space) == np.pi / 2
+    assert angle(v[0], project_span(empty, space)) == pytest.approx(np.pi / 2, abs=1e-15)

@@ -21,8 +21,10 @@ from dpplab.deformations import extend_projection
 from dpplab.errors import AngleDegeneracyError, ContractError, DegenerateBasisError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import (
+    KernelOperator,
     Projection,
     angle,
+    convergence_report,
     orthonormalize,
     project_span,
     projection_distance,
@@ -119,6 +121,23 @@ def test_projection_distance_matches_dense_block_svd(case, other_rank, data):
     expected = dense.windowed_trace_distance(P.counting, Q.counting, sorted(idx))
     assert projection_distance(P, Q, Window(tuple(idx))) == pytest.approx(expected, abs=1e-12)
     assert projection_distance(P, P, Window(tuple(idx))) == pytest.approx(0.0, abs=1e-12)
+
+
+@_SETTINGS
+@given(projections(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_convergence_report_of_projections_matches_the_dense_route(case, members, windows, data):
+    target, rng = case
+    sequence = [project_span(rng.normal(size=(target.rank, target.n)), target.space) for _ in range(members)]
+    windows = [
+        Window(tuple(data.draw(st.lists(st.integers(0, target.n - 1), min_size=1, unique=True))))
+        for _ in range(windows)
+    ]
+    factored = convergence_report(sequence, target, windows)
+    assert all("counting" not in P.__dict__ for P in [*sequence, target])
+    dense_copies = [KernelOperator.from_counting(P.space, P.counting) for P in sequence]
+    dense = convergence_report(dense_copies, KernelOperator.from_counting(target.space, target.counting), windows)
+    assert (factored.steps, factored.window_ids) == (dense.steps, dense.window_ids)
+    assert np.allclose(factored.distances, dense.distances, rtol=0.0, atol=1e-12)
 
 
 @_SETTINGS

@@ -6,7 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpplab.tables import csv_text
+import pytest
+
+from dpplab.errors import DimensionError
+from dpplab.tables import csv_text, step_labels
 
 # Header text with the characters a window id brings ("[0.25,1]", "(0,10]") and a CSV quote.
 _TEXT = st.text(
@@ -53,3 +56,10 @@ def test_csv_text_round_trips_through_csv_reader(table):
 def test_csv_text_quotes_only_fields_that_need_it():
     text = csv_text(("n", "distance_[0.25,1]", 'say "x"'), [(8, 0.1, None), (16, float("nan"), "(0,10]")])
     assert text == 'n,"distance_[0.25,1]","say ""x"""\n8,0.10000000000000001,\n16,nan,"(0,10]"\n'
+
+
+def test_step_labels_default_to_one_through_count_and_check_a_given_length():
+    assert step_labels(None, 3) == (1, 2, 3)
+    assert step_labels([8, 16], 2) == (8, 16)
+    with pytest.raises(DimensionError):
+        step_labels((7,), 2)
