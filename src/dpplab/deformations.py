@@ -29,7 +29,7 @@ from .operators import (
     projection_distance,
     subspace_angle,
 )
-from .tables import csv_text, step_labels
+from .tables import csv_text, step_labels, window_labels
 
 #: Minimum angle (radians) each deformation vector must keep, unless a model or caller sets its own.
 DEFAULT_MIN_ANGLE = 0.05
@@ -201,5 +201,4 @@ def exhaustion_suite(
     rows = tuple(
         _exhaustion_row(model, w, probe_windows, probe_vector, step) for step, w in zip(steps, windows)
     )
-    window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(probe_windows))
-    return ExhaustionReport(rows, window_ids, model.min_angle)
+    return ExhaustionReport(rows, window_labels(probe_windows, "w"), model.min_angle)

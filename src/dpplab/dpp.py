@@ -269,7 +269,7 @@ def _mulhilo(a: np.ndarray, i: int, lo: np.ndarray, scratch: tuple[np.ndarray, n
 
 
 def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset: int = 0) -> np.ndarray:
-    """Row r holds uniforms ``offset`` .. ``offset + width - 1`` of the stream keyed (seeds[r], replicas[r]).
+    """Column r holds uniforms ``offset`` .. ``offset + width - 1`` of the stream keyed (seeds[r], replicas[r]).
 
     The stream is Philox4x64-10 under that key: 64-bit word 4j + i of a
     replica is word i of the cipher of the counter (j + 1, 0, 0, 0), and a
@@ -277,13 +277,16 @@ def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset
     ``numpy.random.Philox(key=[seeds[r], replicas[r]])`` feeds
     ``Generator.random``: numpy increments the counter before each block.
     ``seeds`` and ``replicas`` are uint64 arrays of one length, so one call
-    can serve replicas of several batches.
+    can serve replicas of several batches.  The (width, count) result holds
+    the replicas on its contiguous axis, so row w is word ``offset + w`` of
+    every stream.
 
     Only the blocks holding the requested words are enciphered, from the
     counter offset // 4 + 1 on, all replicas and blocks at once.  Each
     counter word x0 .. x3 and key word k0, k1 is one contiguous
-    (count * blocks,) array, so every ufunc runs on same-shape operands.
-    One round is x0, x2 <- hi(M1 x2) ^ x1 ^ k0, hi(M0 x0) ^ x3 ^ k1 and
+    (blocks * count,) array, block-major, so every ufunc runs on same-shape
+    operands and each word of the stream is a contiguous slice.  One round
+    is x0, x2 <- hi(M1 x2) ^ x1 ^ k0, hi(M0 x0) ^ x3 ^ k1 and
     x1, x3 <- lo(M1 x2), lo(M0 x0), after which the key is bumped by the
     Weyl increments; the round writes into the arrays it frees and
     allocates none.
@@ -291,10 +294,10 @@ def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset
     count = len(seeds)
     skip, lead = divmod(offset, 4)
     blocks = -(-(lead + width) // 4)
-    size = count * blocks
-    k0 = np.repeat(np.asarray(seeds, dtype=np.uint64), blocks)
-    k1 = np.repeat(np.asarray(replicas, dtype=np.uint64), blocks)
-    x0 = np.tile(np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64), count)
+    size = blocks * count
+    k0 = np.tile(np.asarray(seeds, dtype=np.uint64), blocks)
+    k1 = np.tile(np.asarray(replicas, dtype=np.uint64), blocks)
+    x0 = np.repeat(np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64), count)
     x1, x2, x3, lo0, lo1 = (np.zeros(size, dtype=np.uint64) for _ in range(5))
     scratch = tuple(np.empty(size, dtype=np.uint64) for _ in range(3))
     for _ in range(_PHILOX_ROUNDS):
@@ -307,33 +310,36 @@ def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset
         x0, x1, x2, x3, lo0, lo1 = x1, lo1, x3, lo0, x0, x2
         k0 += _PHILOX_W[0]
         k1 += _PHILOX_W[1]
-    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(count, 4 * blocks)[:, lead : lead + width]
+    words = np.stack([x.reshape(blocks, count) for x in (x0, x1, x2, x3)], axis=1)
+    words = words.reshape(4 * blocks, count)[lead : lead + width]
     words >>= np.uint64(11)
     return words * 2.0**-53
 
 
 def _kept_sets(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the bool array ``keep`` and, for each row, the index of its copy among them.
+    """The distinct columns of the bool array ``keep``, as rows, and, for each column, the index of its copy among them.
 
-    Rows are grouped by one ``lexsort`` of their bits packed into bytes.
+    Columns are grouped by one ``lexsort`` of their bits packed into bytes
+    along the rows.
     """
-    packed = np.packbits(keep, axis=1)
-    order = np.lexsort(packed.T)
-    packed = packed[order]
-    first = np.ones(len(keep), dtype=bool)
-    first[1:] = np.any(packed[1:] != packed[:-1], axis=1)
-    index = np.empty(len(keep), dtype=np.intp)
+    packed = np.packbits(keep, axis=0)
+    order = np.lexsort(packed)
+    packed = packed[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(packed[:, 1:] != packed[:, :-1], axis=0)
+    index = np.empty(len(order), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
-    return keep[order[first]], index
+    return keep[:, order[first]].T, index
 
 
 def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """Points drawn from the projection DPPs onto spans of columns of V (n x m), one row per replica.
+    """Points drawn from the projection DPPs onto spans of columns of V (n x m), one column per replica.
 
-    Replica r spans the columns ``keep[r]`` of V, or every column when
-    ``keep`` is None, and so draws k_r = |keep[r]| points, point t from
-    ``u[r, t]``.  Row r of the returned (B, max k_r) array lists them in
-    the order drawn, padded with -1.
+    Replica r spans the columns ``keep[:, r]`` of V, or every column when
+    ``keep`` is None, and so draws k_r = |keep[:, r]| points, point t from
+    ``u[t, r]``.  Column r of the returned (max k_r, B) array lists them in
+    the order drawn, padded with -1.  Every per-replica array holds the
+    replicas on its contiguous axis.
 
     Gram-Schmidt form of the chain rule, advanced in lockstep over the
     replicas.  After t steps a replica's conditional intensity depends only
@@ -345,8 +351,10 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
     (V[j] * K) @ V.T less its projections on the columns before it, and
     ``state[i]`` is the prefix of the i-th replica still drawing.  Step t
     picks point j with probability d_j / (k_p - t) by inverse CDF on
-    ``u[:, t]``, as ``Generator.choice`` does, and a replica leaves once it
-    has drawn its k_r points.
+    ``u[t]``, as ``Generator.choice`` does: j counts the entries of its
+    prefix's cdf at or below its uniform, summed along the points of the
+    cdf's columns gathered by ``state``.  A replica leaves once it has
+    drawn its k_r points.
 
     New prefixes are numbered in the order of their keys state * n + j, from
     a presence table over the keys.  Once every replica has a prefix of its
@@ -355,20 +363,20 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
     do not depend on how the replicas share prefixes.
     """
     n, m = V.shape
-    B = len(u)
+    B = u.shape[1]
     live = slice(None)  # the replicas still drawing
     if keep is None:
         masks, state, k = None, np.zeros(B, dtype=np.intp), np.array([m])
         d = np.sum(V**2, axis=1)[None, :]
     else:
-        drawing = np.flatnonzero(keep.any(axis=1))
+        drawing = np.flatnonzero(keep.any(axis=0))
         if len(drawing) < B:
             live = drawing
-        sets, state = _kept_sets(keep[drawing])
+        sets, state = _kept_sets(keep[:, drawing])
         masks, k = sets.astype(float), np.count_nonzero(sets, axis=1)
         d = np.array([np.sum(V[:, kept] ** 2, axis=1) for kept in sets])
     steps = int(k.max(initial=0))  # k holds the points to draw, per prefix
-    chosen = np.full((B, steps), -1, dtype=np.intp)
+    chosen = np.full((steps, B), -1, dtype=np.intp)
     if not B or not steps:
         return chosen
     kset = np.arange(len(k))  # the kept set of each prefix
@@ -378,12 +386,12 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
         cdf /= cdf.sum(axis=1, keepdims=True)
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        ut = u[live, t]
+        ut = u[t, live]
         if len(cdf) == 1:
             j = np.searchsorted(cdf[0], ut, side="right")
         else:
-            j = np.count_nonzero((cdf if state is None else cdf[state]) <= ut[:, None], axis=1)
-        chosen[live, t] = j
+            j = np.add.reduce((cdf.T if state is None else np.take(cdf.T, state, axis=1)) <= ut, axis=0)
+        chosen[t, live] = j
         if t == steps - 1:
             break
         del cdf  # freed before the prefixes' rows are copied
@@ -425,13 +433,15 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
 def _block_replicas(n: int, offset: int, width: int, k: int) -> int:
     """Replicas per block of ``sample_batches`` whose workspace fits ``_BLOCK_BYTES``.
 
-    Per replica, ``_stream_uniforms`` enciphers the blocks of four words
-    that hold words ``offset`` .. ``offset + width - 1``, at about 128 bytes
-    per block for its eleven word arrays and the stacked words, and returns
-    ``width`` floats; the block's index arrays take about 64 bytes.  The
-    chain rule holds rows of n floats per distinct prefix, so at worst per
-    replica: k - 1 Gram-Schmidt columns, twice while the prefixes' rows are
-    copied to their extensions, and three working rows.
+    A replica owns one column of each per-replica array, whose contiguous
+    axis runs over the block's replicas.  Per replica, ``_stream_uniforms``
+    enciphers the blocks of four words that hold words ``offset`` ..
+    ``offset + width - 1``, at about 128 bytes per block for its eleven word
+    arrays and the stacked words, and returns ``width`` floats; the block's
+    index arrays take about 64 bytes.  The chain rule holds rows of n floats
+    per distinct prefix, so at worst per replica: k - 1 Gram-Schmidt
+    columns, twice while the prefixes' rows are copied to their extensions,
+    and three working rows.
     """
     blocks = -(-(offset % 4 + width) // 4)
     return max(1, _BLOCK_BYTES // (128 * blocks + 8 * width + 64 + 8 * n * (2 * k + 1)))
@@ -478,11 +488,11 @@ def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
             u = _stream_uniforms(seed_words[batch], replica, rank, offset=n)
         else:
             u = _stream_uniforms(seed_words[batch], replica, 2 * n)
-            V, keep, u = D.eigenvectors, u[:, :n] < D.eigenvalues, u[:, n:]
-        # a replica that draws fewer points pads its row with -1, which marks the spare last column
+            V, keep, u = D.eigenvectors, u[:n] < D.eigenvalues[:, None], u[n:]
+        # point j of replica r sets flat entry (n + 1) r + j + 1; a -1 pad marks the row's spare first column
         hits = np.zeros((len(rows), n + 1), dtype=bool)
-        hits[np.arange(len(rows))[:, None], _chain_rule(V, u, keep)] = True
-        occupancy[first : first + len(rows)] = hits[:, :n]
+        np.put(hits, _chain_rule(V, u, keep) + np.arange(1, (n + 1) * len(rows), n + 1), True)
+        occupancy[first : first + len(rows)] = hits[:, 1:]
     return [Samples(space, occupancy[b * count : (b + 1) * count]) for b in range(len(seeds))]
 
 
@@ -521,7 +531,7 @@ def chi_square_gof(samples: Samples, expected: dict[int, float]):
     a single tail bin.  Returns (statistic, dof, p_value).  A draw of a
     configuration of probability 0 gives statistic inf and p-value 0.
     """
-    from scipy import stats
+    from scipy import special
 
     n_samples = len(samples)
     observed = np.bincount(samples.bitmasks, minlength=2**samples.space.n).tolist()
@@ -551,7 +561,7 @@ def chi_square_gof(samples: Samples, expected: dict[int, float]):
     obs_arr = np.asarray(obs_counts)
     exp_arr *= obs_arr.sum() / exp_arr.sum()  # guard tiny truncation of the table
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    return stat, dof, float(stats.chi2.sf(stat, dof))
+    return stat, dof, float(special.chdtrc(dof, stat))
 
 
 def configurations_of_size(space: GroundSpace, k: int):

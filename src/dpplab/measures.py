@@ -26,7 +26,7 @@ from .operators import (
     counting_diagonal,
     is_positive_contraction,
 )
-from .tables import csv_text, step_labels
+from .tables import csv_text, step_labels, window_labels
 
 #: Sup-of-tail-traces level under which a family counts as tight.
 TAIL_TOLERANCE = 1e-8
@@ -180,7 +180,7 @@ def tightness_report(
     angle_bound = min((r.min_vector_angle for r in rows), default=None) if extra_vectors is not None else None
     return TightnessReport(
         rows=tuple(rows),
-        tail_window_ids=tuple(w.description or f"tail{j}" for j, w in enumerate(tail_windows)),
+        tail_window_ids=window_labels(tail_windows, "tail"),
         sup_trace=sup_trace,
         sup_tails=sup_tails,
         uniform_margin=uniform_margin,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateBasisError, DimensionError
 from .ground import GroundSpace, Window
-from .tables import csv_text, step_labels
+from .tables import csv_text, step_labels, window_labels
 
 #: Gram condition number beyond which a spanning set counts as degenerate.
 GRAM_CONDITION_LIMIT = 1e12
@@ -379,7 +379,6 @@ def convergence_report(
     if not sequence:
         raise ValueError("empty operator sequence")
     steps = step_labels(steps, len(sequence))
-    window_ids = tuple(w.description or f"w{j}" for j, w in enumerate(windows))
     table = np.empty((len(sequence), len(windows)))
     for i, K in enumerate(sequence):
         _check_same_space(K.space, target.space)
@@ -388,4 +387,4 @@ def convergence_report(
         else:
             diff = KernelOperator(K.space, K.entries - target.entries)
             table[i] = [local_trace_norm(diff, w, w) for w in windows]
-    return ConvergenceReport(steps, window_ids, table)
+    return ConvergenceReport(steps, window_labels(windows, "w"), table)

@@ -85,16 +85,18 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
 def samples_to_csv(samples: Samples) -> str:
     """One line per draw: space-separated occupied indices (may be empty); no draws give "".
 
-    Each distinct occupancy row is formatted once.  Rows are packed into
-    keys of whole uint64 words, one word per 64 points, and sorted (a
-    lexsort when there are several words); a row differing from its
-    sorted neighbour starts a new line, and every draw maps to its row's.
+    Each distinct occupancy row is formatted once.  Rows are padded to
+    whole uint64 words, one word per 64 points, packed along the points in
+    one run over the whole array, and sorted (a lexsort when there are
+    several words); a row differing from its sorted neighbour starts a new
+    line, and every draw maps to its row's.
     """
     occupancy = samples.occupancy
     count, n = occupancy.shape
-    packed = np.zeros((count, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(occupancy, axis=1, bitorder="little")
-    keys = packed.view("<u8")
+    words = -(-n // 64)
+    padded = np.zeros((count, 64 * words), dtype=bool)
+    padded[:, :n] = occupancy
+    keys = np.packbits(padded, bitorder="little").view("<u8").reshape(count, words)
     order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
     ranked = keys[order]
     starts = np.ones(count, dtype=bool)

@@ -1,6 +1,7 @@
 """CSV text of the report tables, in the one format they share (a field that holds a comma or a quote is
 quoted, a float is written at 17 significant digits, so it reads back as the same double, an undefined value
-``None`` is an empty field, and every line ends in ``"\\n"``), and the one rule that labels a table's steps."""
+``None`` is an empty field, and every line ends in ``"\\n"``), and the one rule each that labels a table's steps
+and its windows."""
 
 import csv
 import io
@@ -27,3 +28,8 @@ def step_labels(steps, count: int) -> tuple:
     if len(labels) != count:
         raise DimensionError(f"{len(labels)} step labels for {count} steps")
     return labels
+
+
+def window_labels(windows, prefix: str) -> tuple:
+    """Each window's description, or ``prefix`` and its position among ``windows`` when it has none."""
+    return tuple(w.description or f"{prefix}{j}" for j, w in enumerate(windows))

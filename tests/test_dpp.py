@@ -246,8 +246,11 @@ def _reference_sample(D: DppDistribution, seed: int, count: int) -> list[frozens
 
 @st.composite
 def sampler_cases(draw):
-    """A kernel on 1-8 points: a projection of any rank, a strict contraction or a diagonal kernel."""
-    n = draw(st.integers(1, 8))
+    """A kernel on 1-12 points: a projection of any rank, a strict contraction or a diagonal kernel.
+
+    From 9 points on, a kept set spans two packed bytes.
+    """
+    n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["projection", "contraction", "diagonal"]))
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
     space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
@@ -331,7 +334,7 @@ def test_sample_batches_are_one_seed_samples(D, seeds, count, block):
 def _grouped_sample(D, seed, count):
     """The dense route with one chain rule per kept set, over the whole batch."""
     n = D.space.n
-    u = dpp._stream_uniforms(np.full(count, seed, dtype=np.uint64), np.arange(count, dtype=np.uint64), 2 * n)
+    u = dpp._stream_uniforms(np.full(count, seed, dtype=np.uint64), np.arange(count, dtype=np.uint64), 2 * n).T
     return grouped_chain_rule(D.eigenvectors, u[:, n:], u[:, :n] < D.eigenvalues)
 
 
@@ -377,16 +380,16 @@ def test_chain_rule_pads_replicas_with_fewer_kept_columns():
     V = np.linalg.qr(_rng(24).normal(size=(6, 3)))[0]
     u = _rng(25).random((5, 6))
     keep = np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=bool)
-    chosen = dpp._chain_rule(V, u, keep)
+    chosen = dpp._chain_rule(V, u.T, keep.T).T
     assert chosen.shape == (5, 3)
     for r, kept in enumerate(keep):
         k = int(kept.sum())
         assert np.array_equal(chosen[r, :k], chain_rule(V[:, kept], u[r : r + 1, :k])[0])
         assert np.all(chosen[r, k:] == -1)
-    assert dpp._chain_rule(V, u, np.zeros((5, 3), dtype=bool)).shape == (5, 0)
-    assert dpp._chain_rule(V, u[:0], keep[:0]).shape == (0, 0)
-    assert dpp._chain_rule(V[:, :0], u).shape == (5, 0)
-    assert dpp._chain_rule(V, u[:0]).shape == (0, 3)
+    assert dpp._chain_rule(V, u.T, np.zeros((5, 3), dtype=bool).T).T.shape == (5, 0)
+    assert dpp._chain_rule(V, u[:0].T, keep[:0].T).T.shape == (0, 0)
+    assert dpp._chain_rule(V[:, :0], u.T).T.shape == (5, 0)
+    assert dpp._chain_rule(V, u[:0].T).T.shape == (0, 3)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
@@ -434,13 +437,13 @@ def test_sampler_workspace_stays_within_block_budget(kind, n, rank):
 def test_chain_rule_matches_per_replica_reference(P, count, seed):
     # up to 3000 replicas on at most 10 points: most replicas share their prefixes
     u = _rng(seed).random((count, P.rank))
-    assert np.array_equal(dpp._chain_rule(P.factor, u), chain_rule(P.factor, u))
+    assert np.array_equal(dpp._chain_rule(P.factor, u.T).T, chain_rule(P.factor, u))
 
 
 def test_chain_rule_with_every_prefix_distinct():
     V = np.linalg.qr(_rng(21).normal(size=(4096, 3)))[0]
     u = _rng(22).random((16, 3))
-    chosen = dpp._chain_rule(V, u)
+    chosen = dpp._chain_rule(V, u.T).T
     assert len(set(chosen[:, 0].tolist())) == 16  # no two replicas share even their first point
     assert np.array_equal(chosen, chain_rule(V, u))
 
@@ -452,7 +455,7 @@ def _stream_keys(seed, first, count):
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
 def test_stream_uniforms_are_generator_random(seed):
     # the sampler's draws are defined by Generator.random on each replica's Philox stream
-    got = dpp._stream_uniforms(*_stream_keys(seed, 5, 4), 9)
+    got = dpp._stream_uniforms(*_stream_keys(seed, 5, 4), 9).T
     for r in range(4):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5 + r], dtype=np.uint64)))
         assert np.array_equal(got[r], rng.random(9))
@@ -468,7 +471,7 @@ def test_stream_uniforms_are_generator_random(seed):
 def test_stream_uniforms_from_an_offset(seeds, replica, offset, width):
     # rows of different seeds in one call; the cipher starts at the block holding word `offset`
     replicas = np.full(len(seeds), replica, dtype=np.uint64)
-    got = dpp._stream_uniforms(np.array(seeds, dtype=np.uint64), replicas, width, offset=offset)
+    got = dpp._stream_uniforms(np.array(seeds, dtype=np.uint64), replicas, width, offset=offset).T
     assert got.shape == (len(seeds), width)
     for row, seed in zip(got, seeds):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
@@ -483,7 +486,7 @@ def test_stream_uniforms_from_an_offset(seeds, replica, offset, width):
     width=st.integers(1, 20),
 )
 def test_stream_uniforms_match_philox_generators(seed, first, count, width):
-    got = dpp._stream_uniforms(*_stream_keys(seed, first, count), width)
+    got = dpp._stream_uniforms(*_stream_keys(seed, first, count), width).T
     assert got.shape == (count, width)
     for r in range(count):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, first + r], dtype=np.uint64)))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import pytest
 
 from dpplab.errors import DimensionError
-from dpplab.tables import csv_text, step_labels
+from dpplab.ground import Window
+from dpplab.tables import csv_text, step_labels, window_labels
 
 # Header text with the characters a window id brings ("[0.25,1]", "(0,10]") and a CSV quote.
 _TEXT = st.text(
@@ -63,3 +64,10 @@ def test_step_labels_default_to_one_through_count_and_check_a_given_length():
     assert step_labels([8, 16], 2) == (8, 16)
     with pytest.raises(DimensionError):
         step_labels((7,), 2)
+
+
+def test_window_labels_take_a_description_or_the_prefix_and_position():
+    windows = [Window([0, 1], "[0,1]"), Window([2]), Window([], "empty"), Window([3])]
+    assert window_labels(windows, "w") == ("[0,1]", "w1", "empty", "w3")
+    assert window_labels(windows[1:2], "tail") == ("tail0",)
+    assert window_labels([], "w") == ()
