@@ -13,7 +13,6 @@ from .conditioning import (
     InducibilityCheck,
     WeightFunction,
     check_inducibility,
-    induced_distribution,
     induced_kernel,
     normalization_constant,
     psi_g,
@@ -36,7 +35,6 @@ from .dpp import (
     brute_force_distribution,
     chi_square_gof,
     correlation,
-    empirical_distribution,
     intensity,
     sample,
     total_variation,
@@ -55,13 +53,10 @@ from .errors import (
 )
 from .ground import GroundSpace, Window, weighted_inner, weighted_norm
 from .measures import (
-    FiniteMeasure,
     MassBoundCheck,
     TightnessReport,
     WeakConvergenceReport,
     chebyshev_mass_bound_check,
-    energy_distance,
-    int_phi,
     linear_statistics,
     permutation_energy_test,
     sigma_f,
@@ -73,7 +68,6 @@ from .operators import (
     KernelOperator,
     OperatorNorms,
     Projection,
-    Subspace,
     angle,
     convergence_report,
     is_positive_contraction,
@@ -89,7 +83,6 @@ from .scaling import (
     bessel_j,
     bessel_j_prime,
     bessel_kernel,
-    cd_kernel_closed,
     cd_kernel_sum,
     gauss_jacobi,
     heine_mehler_suite,

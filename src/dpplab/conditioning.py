@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import DppDistribution, _check_law_size
+from .dpp import Samples, _check_law_size
 from .errors import ConditioningImpossibleError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
 from .operators import Projection, _check_same_space
@@ -69,12 +69,20 @@ class WeightFunction:
         return cls(space, values, role)
 
 
-def psi_g(g: WeightFunction, X) -> float:
-    """The multiplicative functional prod_{x in X} g(x); empty product is 1."""
+def psi_g(g: WeightFunction, samples: Samples) -> np.ndarray:
+    """The multiplicative functional prod_{x in X} g(x) of each draw X; the empty product is 1.
+
+    Each draw's weights are multiplied in increasing point order by one
+    ``np.multiply.at`` over the occupied entries, so no (count, n) float
+    array is formed.
+    """
     if g.role != "g":
         raise ValueError("psi_g expects a conditioning weight (role 'g')")
-    occupied = sorted(X.occupied)
-    return float(np.prod(g.values[occupied])) if occupied else 1.0
+    _check_same_space(g.space, samples.space)
+    draws, points = np.nonzero(samples.occupancy)
+    values = np.ones(len(samples))
+    np.multiply.at(values, draws, g.values[points])
+    return values
 
 
 @dataclass(frozen=True)
@@ -139,13 +147,6 @@ def normalization_constant(g: WeightFunction, P: Projection) -> float:
     return float(np.linalg.det(P.factor.T @ (g.values[:, None] * P.factor)))
 
 
-def induced_distribution(g: WeightFunction, P: Projection) -> DppDistribution:
-    """The normalized reweighted process as a DPP with the induced kernel."""
-    if normalization_constant(g, P) <= 1e-12:
-        raise ConditioningImpossibleError("normalization constant vanishes; reweighting is degenerate")
-    return DppDistribution(induced_kernel(g, P))
-
-
 def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float]:
     """Reweight a complete configuration law by psi_g and renormalize.
 
@@ -154,7 +155,8 @@ def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float
     its total mass E[psi_g] before renormalization.  The psi_g table is
     built by doubling, psi[m + 2^i] = psi[m] g_i for m < 2^i, which
     multiplies the weights of each configuration in increasing index
-    order, as :func:`psi_g` does, so every entry equals it bit for bit.
+    order, as :func:`psi_g` does, so it equals
+    ``psi_g(g, Samples(g.space, occupancy_table(n)))`` bit for bit.
     The law's size is checked before anything is allocated: a law whose
     length is not 2^n raises :class:`DimensionError`, and n above
     ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.

@@ -22,7 +22,6 @@ from .ground import GroundSpace, Window
 from .operators import (
     ConvergenceReport,
     Projection,
-    Subspace,
     _gram_schmidt,
     convergence_report,
     project_span,
@@ -37,34 +36,41 @@ DEFAULT_MIN_ANGLE = 0.05
 
 @dataclass(frozen=True, eq=False)
 class DeformationModel:
-    """Base subspace plus finitely many deformation vectors and a core window."""
+    """Base span, finitely many deformation vectors and a core window on a ground space.
 
-    base: Subspace
+    ``basis`` and ``extra`` hold one vector per row, with one value per grid
+    point, and are stored as read-only copies.
+    """
+
+    space: GroundSpace
+    basis: np.ndarray
     extra: np.ndarray
     core_window: Window
     min_angle: float = DEFAULT_MIN_ANGLE
     base_projection: Projection = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.space.n
+        basis = np.atleast_2d(np.asarray(self.basis, dtype=float)).copy()
         extra = np.asarray(self.extra, dtype=float)
         if extra.size == 0:
-            extra = np.zeros((0, self.base.space.n))
+            extra = np.zeros((0, n))
         extra = np.atleast_2d(extra).copy()
-        if extra.shape[1] != self.base.space.n:
-            raise DimensionError("deformation vectors must live on the base space")
+        if basis.ndim != 2 or basis.shape[1] != n:
+            raise DimensionError("basis vectors must have one value per grid point")
+        if extra.shape[1] != n:
+            raise DimensionError("deformation vectors must have one value per grid point")
         if self.min_angle <= 0:
             raise ValueError("min_angle must be positive")
-        self.core_window.validate(self.base.space)
+        self.core_window.validate(self.space)
+        basis.flags.writeable = False
         extra.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "extra", extra)
-        P = project_span(self.base.basis, self.base.space)
+        P = project_span(basis, self.space)
         object.__setattr__(self, "base_projection", P)
         # Enforce the independence condition at construction.
         extend_projection(P, extra, self.min_angle)
-
-    @property
-    def space(self) -> GroundSpace:
-        return self.base.space
 
 
 def extend_projection(P: Projection, vs, min_angle: float = DEFAULT_MIN_ANGLE) -> Projection:
@@ -116,7 +122,7 @@ def sqrtg_subspace_projection(model: DeformationModel, g: WeightFunction) -> tup
     sg = g.sqrt
     weighted_extra = model.extra * sg
     result = extend_projection(Qg, weighted_extra, model.min_angle)
-    direct = project_span(np.vstack([model.base.basis * sg, weighted_extra]), model.space)
+    direct = project_span(np.vstack([model.basis * sg, weighted_extra]), model.space)
     D, U = direct.factor, result.factor
     if direct.rank != result.rank or float(np.linalg.norm(D - U @ (U.T @ D), 2)) > 1e-8:
         raise ContractError("weighted-subspace projection disagrees with the direct span computation")
@@ -166,7 +172,7 @@ def _exhaustion_row(
     chi = g.values
     nan = float("nan")
     try:
-        ang = subspace_angle(model.base.basis * chi, model.extra * chi, space)
+        ang = subspace_angle(model.basis * chi, model.extra * chi, space)
     except DegenerateBasisError:
         return ExhaustionRow(step, nan, tuple(nan for _ in probe_windows), nan, False, failed=True)
     angle_ok = ang >= model.min_angle

@@ -67,7 +67,12 @@ _DET_CHUNK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A simple finite point configuration: a set of occupied grid indices."""
+    """The occupied grid indices of one draw, as ``Samples[r]`` returns them.
+
+    Every computation in the package reads a batch of draws as its
+    occupancy array.  This per-draw form remains only as the row type of
+    ``Samples``, for callers that still iterate a batch draw by draw.
+    """
 
     space: GroundSpace
     occupied: frozenset[int]
@@ -77,17 +82,6 @@ class Configuration:
         if occupied and (min(occupied) < 0 or max(occupied) >= self.space.n):
             raise DimensionError("occupied indices out of bounds")
         object.__setattr__(self, "occupied", occupied)
-
-    @property
-    def bitmask(self) -> int:
-        return sum(1 << i for i in self.occupied)
-
-    def __len__(self) -> int:
-        return len(self.occupied)
-
-    @classmethod
-    def from_bitmask(cls, space: GroundSpace, mask: int) -> "Configuration":
-        return cls(space, frozenset(i for i in range(space.n) if mask >> i & 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,18 +500,9 @@ def sample(D: DppDistribution, seed: int, count: int) -> Samples:
     return sample_batches(D, [seed], count)[0]
 
 
-def intensity(D: DppDistribution):
-    """First moment measure: atom K(x, x) w_x = Khat(x, x) at each grid point (see ``counting_diagonal``)."""
-    from .measures import FiniteMeasure  # local import to avoid a cycle
-
-    return FiniteMeasure(D.space, np.clip(counting_diagonal(D.kernel), 0.0, None))
-
-
-def empirical_distribution(samples: Samples) -> np.ndarray:
-    """Share of the samples in each configuration, as a (2^n,) array indexed by occupancy bitmask."""
-    if not samples:
-        raise ValueError("the empirical law of no samples is undefined")
-    return np.bincount(samples.bitmasks, minlength=2**samples.space.n) / len(samples)
+def intensity(D: DppDistribution) -> np.ndarray:
+    """First moment measure: the (n,) atoms K(x, x) w_x = Khat(x, x), clipped at 0 (see ``counting_diagonal``)."""
+    return np.clip(counting_diagonal(D.kernel), 0.0, None)
 
 
 def chi_square_gof(samples: Samples, expected: dict[int, float]):
@@ -562,8 +547,3 @@ def chi_square_gof(samples: Samples, expected: dict[int, float]):
     exp_arr *= obs_arr.sum() / exp_arr.sum()  # guard tiny truncation of the table
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     return stat, dof, float(special.chdtrc(dof, stat))
-
-
-def configurations_of_size(space: GroundSpace, k: int):
-    for idx in combinations(range(space.n), k):
-        yield Configuration(space, frozenset(idx))

@@ -108,12 +108,6 @@ class Window:
                 f"window '{self.description}' has index {self.index_set[-1]} outside a {space.n}-point space"
             )
 
-    def complement(self, space: GroundSpace, description: str = "") -> "Window":
-        self.validate(space)
-        outside = np.ones(space.n, dtype=bool)
-        outside[self.index_set] = False
-        return Window(np.flatnonzero(outside), description)
-
     @classmethod
     def from_interval(cls, space: GroundSpace, lo: float, hi: float, description: str = "") -> "Window":
         return cls(space.indices_in(lo, hi), description or f"[{lo:g},{hi:g}]")

@@ -1,6 +1,7 @@
 """Embedding configurations into finite measures, tightness and two-sample diagnostics.
 
-A configuration X is mapped to the atomic measure sum_{x in X} f(x) delta_x.
+A batch of draws is mapped to the atomic measures sigma_f(X) =
+sum_{x in X} f(x) delta_x, one (n,) row of atom masses per draw.
 Families of kernels are screened for tightness through the traces
 tr(sqrt(f) K sqrt(f)) and their tail compressions; sampled ensembles are
 compared through the joint laws of integrals against disjointly supported
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import WeightFunction, check_inducibility
-from .dpp import Configuration, DppDistribution, Samples
+from .dpp import DppDistribution, Samples
 from .errors import ContractError, DimensionError
-from .ground import GroundSpace, Window
+from .ground import Window
 from .operators import (
     _RESIDUAL_RATIO_LIMIT,
     KernelOperator,
@@ -40,45 +41,10 @@ P_VALUE_THRESHOLD = 0.01
 TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteMeasure:
-    """Nonnegative atomic measure on the grid."""
-
-    space: GroundSpace
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float).copy()
-        if atoms.shape != (self.space.n,):
-            raise DimensionError(f"measure needs {self.space.n} atom masses")
-        if np.any(atoms < 0):
-            raise ValueError("atom masses must be nonnegative")
-        atoms.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.atoms.sum())
-
-    def mass_on(self, window: Window) -> float:
-        window.validate(self.space)
-        return float(self.atoms[window.index_set].sum())
-
-
-def sigma_f(X: Configuration, f: WeightFunction) -> FiniteMeasure:
-    """The embedding X -> sum_{x in X} f(x) delta_x."""
-    atoms = np.zeros(f.space.n)
-    idx = sorted(X.occupied)
-    atoms[idx] = f.values[idx]
-    return FiniteMeasure(f.space, atoms)
-
-
-def int_phi(eta: FiniteMeasure, phi) -> float:
-    """The integral of a per-point function against an atomic measure."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (eta.space.n,):
-        raise DimensionError(f"test function needs {eta.space.n} values")
-    return float(np.sum(phi * eta.atoms))
+def sigma_f(samples: Samples, f: WeightFunction) -> np.ndarray:
+    """The embeddings X -> sum_{x in X} f(x) delta_x of a batch, as its (count, n) array of atom masses."""
+    _check_same_space(samples.space, f.space)
+    return samples.occupancy * f.values
 
 
 def _weighted_diagonal(K: KernelOperator | Projection, f: WeightFunction) -> np.ndarray:
@@ -222,22 +188,13 @@ def chebyshev_mass_bound_check(
 def linear_statistics(samples: Samples, f: WeightFunction, phis) -> np.ndarray:
     """Matrix of Int_{phi_i}(sigma_f(X)) over samples; rows are samples.
 
-    The product with the 0/1 occupancy array is an ``einsum``, which runs on
-    the calling thread (see ``permutation_energy_test``).
+    The product of the atom array with the test functions is an ``einsum``,
+    which runs on the calling thread (see ``permutation_energy_test``).
     """
-    _check_same_space(samples.space, f.space)
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     if phis.shape[1] != f.space.n:
         raise DimensionError(f"test functions need {f.space.n} values")
-    return np.einsum("sn,kn->sk", samples.occupancy.astype(float), phis * f.values)
-
-
-def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
-    """Two-sample energy distance between point clouds in R^l."""
-    dxy = _pairwise(X, Y)
-    dxx = _pairwise(X, X)
-    dyy = _pairwise(Y, Y)
-    return float(2.0 * dxy.mean() - dxx.mean() - dyy.mean())
+    return np.einsum("sn,kn->sk", sigma_f(samples, f), phis)
 
 
 def _pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:

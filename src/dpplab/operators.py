@@ -86,22 +86,6 @@ class KernelOperator:
     def from_counting(cls, space: GroundSpace, counting: np.ndarray) -> "KernelOperator":
         return cls(space, _measure_entries(space, np.asarray(counting, dtype=float)))
 
-    @classmethod
-    def zero(cls, space: GroundSpace) -> "KernelOperator":
-        return cls(space, np.zeros((space.n, space.n)))
-
-    @classmethod
-    def identity(cls, space: GroundSpace) -> "KernelOperator":
-        """Kernel of the identity operator, K(x, y) = delta_{xy} / w_x."""
-        return cls(space, np.diag(1.0 / space.weights))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the operator to a function on the grid (measure convention)."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise DimensionError(f"vector must have length {self.n}")
-        return self.entries @ (v * self.space.weights)
-
 
 @dataclass(frozen=True, eq=False)
 class Projection:
@@ -163,21 +147,6 @@ class Projection:
             raise ContractError("operator is not a projection within tolerance")
         eigvals, eigvecs = np.linalg.eigh(khat)
         return cls(K.space, eigvecs[:, eigvals > 0.5])
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A list of spanning vectors on the grid."""
-
-    space: GroundSpace
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float)).copy()
-        if basis.shape[1] != self.space.n:
-            raise DimensionError("basis vectors must have one value per grid point")
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
 
 
 @dataclass(frozen=True)
@@ -352,9 +321,6 @@ class ConvergenceReport:
             raise DimensionError("distance table shape does not match steps x windows")
         distances.flags.writeable = False
         object.__setattr__(self, "distances", distances)
-
-    def column(self, window_id: str) -> np.ndarray:
-        return self.distances[:, self.window_ids.index(window_id)]
 
     def last_values(self) -> dict[str, float]:
         return {w: float(self.distances[-1, j]) for j, w in enumerate(self.window_ids)}

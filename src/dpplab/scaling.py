@@ -202,17 +202,6 @@ def cd_kernel_sum(s: float, n: int, u, v=None) -> np.ndarray:
     return pu.T @ pv
 
 
-def cd_kernel_closed(s: float, n: int, u, v) -> np.ndarray:
-    """Two-point closed form of the Christoffel-Darboux kernel (off-diagonal)."""
-    _, beta = jacobi_recurrence(s, n + 1)
-    a_n = math.sqrt(beta[n])
-    p_u = jacobi_polynomials(s, n + 1, np.atleast_1d(u))
-    p_v = jacobi_polynomials(s, n + 1, np.atleast_1d(v))
-    numer = np.outer(p_u[n], p_v[n - 1]) - np.outer(p_u[n - 1], p_v[n])
-    denom = np.subtract.outer(np.atleast_1d(u), np.atleast_1d(v))
-    return a_n * numer / denom
-
-
 def jacobi_cd_kernel(s: float, n: int, grid: GroundSpace) -> KernelOperator:
     """The rescaled n-term kernel on the hard-edge coordinates x = 2 n^2 (1-u).
 

@@ -17,7 +17,7 @@ from .deformations import perturbation_convergence_suite
 from .dpp import _BLOCK_BYTES, DppDistribution, brute_force_distribution, sample, sample_batches, total_variation
 from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
-from .operators import ConvergenceReport, KernelOperator, Subspace, project_span
+from .operators import ConvergenceReport, KernelOperator, project_span
 from .measures import (
     TightnessReport,
     WeakConvergenceReport,
@@ -182,9 +182,8 @@ def scripted_perturbation_suite(n_list=(2, 4, 8, 16, 32, 64), grid_points: int =
 def exhaustion_model(space: GroundSpace, core_window: Window, min_angle: float) -> DeformationModel:
     """Bounded base span plus an x^{-3/4} deformation vector on a positive grid."""
     x = space.points
-    base = Subspace(space, np.vstack([x**0.25, x**0.25 * (1.0 - x)]))
-    extra = np.vstack([x**-0.75])
-    return DeformationModel(base, extra, core_window, min_angle)
+    basis = np.vstack([x**0.25, x**0.25 * (1.0 - x)])
+    return DeformationModel(space, basis, np.vstack([x**-0.75]), core_window, min_angle)
 
 
 def scripted_exhaustion_study(ks=(8, 9, 10, 11, 12), min_angle: float = DEFAULT_MIN_ANGLE) -> ExhaustionReport:

@@ -11,13 +11,20 @@ rule served every kept set of a block, ``gram_schmidt`` is
 ``orthonormalize``'s loop as it ran before the package's other
 Gram-Schmidt callers came to share it, and ``permutation_splits`` the
 permutation test's splits as they were drawn before one ``permuted`` call
-drew them all.
+drew them all.  Two oracles the package itself never calls live here too:
+``energy_distance``, which the permutation test scores split by split
+from count vectors, and ``cd_kernel_closed``, the two-point closed form
+of the Christoffel-Darboux sum.
 """
+
+import math
 
 import numpy as np
 
 from dpplab.errors import AngleDegeneracyError, DegenerateBasisError
+from dpplab.measures import _pairwise
 from dpplab.operators import _RESIDUAL_RATIO_LIMIT, PROJECTION_TOLERANCE, scaled_norm
+from dpplab.scaling import jacobi_polynomials, jacobi_recurrence
 
 
 def is_projection(khat: np.ndarray, tol: float = PROJECTION_TOLERANCE) -> bool:
@@ -142,3 +149,22 @@ def grouped_chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray) -> np.nda
         chosen = chain_rule(V[:, kept], u[members, : int(kept.sum())])
         occupancy[members[:, None], chosen] = True
     return occupancy
+
+
+def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
+    """Two-sample energy distance between point clouds in R^l."""
+    dxy = _pairwise(X, Y)
+    dxx = _pairwise(X, X)
+    dyy = _pairwise(Y, Y)
+    return float(2.0 * dxy.mean() - dxx.mean() - dyy.mean())
+
+
+def cd_kernel_closed(s: float, n: int, u, v) -> np.ndarray:
+    """Two-point closed form of the Christoffel-Darboux kernel (off-diagonal)."""
+    _, beta = jacobi_recurrence(s, n + 1)
+    a_n = math.sqrt(beta[n])
+    p_u = jacobi_polynomials(s, n + 1, np.atleast_1d(u))
+    p_v = jacobi_polynomials(s, n + 1, np.atleast_1d(v))
+    numer = np.outer(p_u[n], p_v[n - 1]) - np.outer(p_u[n - 1], p_v[n])
+    denom = np.subtract.outer(np.atleast_1d(u), np.atleast_1d(v))
+    return a_n * numer / denom

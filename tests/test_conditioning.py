@@ -7,7 +7,6 @@ from dense_reference import is_projection
 from dpplab.conditioning import (
     WeightFunction,
     check_inducibility,
-    induced_distribution,
     induced_kernel,
     normalization_constant,
     psi_g,
@@ -15,7 +14,14 @@ from dpplab.conditioning import (
 )
 from dpplab import suites
 from dpplab.deformations import DEFAULT_MIN_ANGLE
-from dpplab.dpp import Configuration, DppDistribution, brute_force_distribution, sample, total_variation
+from dpplab.dpp import (
+    DppDistribution,
+    Samples,
+    brute_force_distribution,
+    occupancy_table,
+    sample,
+    total_variation,
+)
 from dpplab.errors import DimensionError, EnumerationSizeError, InducibilityError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import project_span
@@ -41,15 +47,38 @@ def test_two_point_closed_form():
     expected = np.array([[2.0 / 3.0, np.sqrt(2.0) / 3.0], [np.sqrt(2.0) / 3.0, 1.0 / 3.0]])
     assert np.allclose(B.counting, expected, atol=1e-12)
     assert normalization_constant(g, P) == pytest.approx(0.75, abs=1e-14)
-    table = brute_force_distribution(induced_distribution(g, P))
+    table = brute_force_distribution(DppDistribution(induced_kernel(g, P)))
     assert table[0b01] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert table[0b10] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_psi_g_values():
     space, P, g = _two_point_example()
-    assert psi_g(g, Configuration(space, frozenset())) == 1.0
-    assert psi_g(g, Configuration(space, frozenset({0, 1}))) == pytest.approx(0.5)
+    # the configurations by bitmask: empty, {0}, {1}, {0, 1}
+    assert np.array_equal(psi_g(g, Samples(space, occupancy_table(2))), [1.0, 1.0, 0.5, 0.5])
+    assert psi_g(g, Samples(space, np.zeros((0, 2), dtype=bool))).shape == (0,)
+    with pytest.raises(ValueError, match="role 'g'"):
+        psi_g(WeightFunction(space, g.values, role="f"), Samples(space, occupancy_table(2)))
+    with pytest.raises(DimensionError):
+        psi_g(g, Samples(GroundSpace.uniform_cells(0.0, 1.0, 2), occupancy_table(2)))
+
+
+def test_psi_g_on_a_fine_grid_batch_matches_row_products():
+    # 2^16 points, as rejection by psi_g draws them: each draw's weights multiplied in increasing point order
+    n = 2**16
+    rng = _rng(26)
+    space = GroundSpace.uniform_cells(0.0, 1.0, n)
+    g = WeightFunction(space, rng.uniform(0.0, 1.0, n))
+    occupancy = np.zeros((200, n), dtype=bool)
+    for row, size in zip(occupancy, rng.integers(0, 6, size=200)):
+        row[rng.choice(n, size=size, replace=False)] = True
+    expected = []
+    for row in occupancy:
+        product = 1.0
+        for i in np.flatnonzero(row):
+            product *= g.values[i]
+        expected.append(product)
+    assert np.array_equal(psi_g(g, Samples(space, occupancy)), expected)
 
 
 def test_weight_function_validation():
@@ -79,7 +108,7 @@ def test_induced_matches_reweighted_brute_force():
         g = WeightFunction(space, rng.uniform(0.1, 1.0, n))
         base_table = brute_force_distribution(DppDistribution(P))
         oracle, _ = reweighted_distribution(g, base_table)
-        induced = brute_force_distribution(induced_distribution(g, P))
+        induced = brute_force_distribution(DppDistribution(induced_kernel(g, P)))
         assert total_variation(oracle, induced) < 1e-10
 
 
@@ -123,7 +152,7 @@ def test_normalization_equals_mean_multiplicative_functional():
     P = project_span(rng.normal(size=(2, 5)), space)
     g = WeightFunction(space, rng.uniform(0.2, 1.0, 5))
     table = brute_force_distribution(DppDistribution(P))
-    mean_psi = sum(psi_g(g, Configuration.from_bitmask(space, m)) * p for m, p in enumerate(table))
+    mean_psi = float(psi_g(g, Samples(space, occupancy_table(5))) @ table)
     assert normalization_constant(g, P) == pytest.approx(mean_psi, abs=1e-12)
 
 

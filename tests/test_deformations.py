@@ -12,7 +12,7 @@ from dpplab.deformations import (
 )
 from dpplab.errors import AngleDegeneracyError, DimensionError, EmptyWindowError
 from dpplab.ground import GroundSpace, Window
-from dpplab.operators import Subspace, angle, project_span
+from dpplab.operators import angle, project_span
 from dpplab.suites import scripted_exhaustion_study
 
 
@@ -70,7 +70,12 @@ def test_model_validates_independence_at_construction():
     basis = rng.normal(size=(2, 6))
     window = Window((0, 1), "core")
     with pytest.raises(AngleDegeneracyError):
-        DeformationModel(Subspace(space, basis), basis[:1].copy(), window)
+        DeformationModel(space, basis, basis[:1].copy(), window)
+    with pytest.raises(DimensionError):
+        DeformationModel(space, basis[:, :5], np.zeros((0, 6)), window)
+    model = DeformationModel(space, basis, np.zeros((0, 6)), window)
+    basis[0, 0] += 1.0  # the model holds a read-only copy
+    assert not model.basis.flags.writeable and model.basis[0, 0] != basis[0, 0]
 
 
 def test_weighted_projection_decomposition():
@@ -80,7 +85,7 @@ def test_weighted_projection_decomposition():
     space = _space(rng, 8)
     basis = rng.normal(size=(2, 8))
     extra = rng.normal(size=(1, 8))
-    model = DeformationModel(Subspace(space, basis), extra, Window((0, 1), "core"))
+    model = DeformationModel(space, basis, extra, Window((0, 1), "core"))
     g = WeightFunction(space, rng.uniform(0.3, 1.0, 8))
     Qg, Pg = sqrtg_subspace_projection(model, g)
     assert np.array_equal(Qg.entries, induced_kernel(g, model.base_projection).entries)
@@ -109,7 +114,8 @@ def test_exhaustion_suite_smoke():
     space = GroundSpace.geometric_cells(1e-8, 1.0, 256)
     x = space.points
     model = DeformationModel(
-        Subspace(space, np.vstack([x**0.25])),
+        space,
+        np.vstack([x**0.25]),
         np.vstack([x**-0.75]),
         Window.from_interval(space, 0.5, 1.0, "core"),
     )
@@ -134,7 +140,7 @@ def test_exhaustion_study_rejects_grid_without_core_point(k):
 def _exhaustion_model(extra):
     space = GroundSpace.geometric_cells(1e-8, 1.0, 64)
     x = space.points
-    model = DeformationModel(Subspace(space, np.vstack([x**0.25])), extra(x), Window.from_interval(space, 0.5, 1.0))
+    model = DeformationModel(space, np.vstack([x**0.25]), extra(x), Window.from_interval(space, 0.5, 1.0))
     return model, [Window.from_interval(space, b, 0.5) for b in (1e-2, 1e-4)], [Window.full(space)], x >= 0.5
 
 

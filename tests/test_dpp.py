@@ -14,10 +14,9 @@ from dpplab.dpp import (
     Samples,
     brute_force_distribution,
     chi_square_gof,
-    configurations_of_size,
     correlation,
-    empirical_distribution,
     intensity,
+    occupancy_table,
     sample,
     total_variation,
 )
@@ -40,9 +39,9 @@ def _random_contraction(rng, n):
 
 def test_configuration_bitmask_round_trip():
     space = GroundSpace.uniform_cells(0.0, 1.0, 5)
-    X = Configuration(space, frozenset({0, 3}))
-    assert X.bitmask == 0b01001
-    assert Configuration.from_bitmask(space, X.bitmask).occupied == X.occupied
+    samples = Samples(space, occupancy_table(5))
+    assert samples[0b01001].occupied == frozenset({0, 3})
+    assert np.array_equal(samples.bitmasks, np.arange(32))
     with pytest.raises(DimensionError):
         Configuration(space, frozenset({9}))
 
@@ -65,7 +64,7 @@ def test_brute_force_sums_to_one_and_is_nonnegative():
 
 def test_enumeration_size_guard():
     space = GroundSpace.uniform_cells(0.0, 1.0, 21)
-    D = DppDistribution(KernelOperator.zero(space))
+    D = DppDistribution(KernelOperator(space, np.zeros((space.n, space.n))))
     with pytest.raises(EnumerationSizeError):
         brute_force_distribution(D)
 
@@ -129,22 +128,12 @@ def test_samples_rows_are_configurations():
         Samples(space, np.zeros((2, 4), dtype=bool))
 
 
-def test_empirical_distribution_counts_bitmasks():
-    space = GroundSpace.uniform_cells(0.0, 1.0, 2)
-    samples = Samples(space, [[True, False], [True, True], [True, False], [False, False]])
-    assert np.array_equal(empirical_distribution(samples), [0.25, 0.5, 0.0, 0.25])
-    with pytest.raises(ValueError):
-        empirical_distribution(Samples(space, np.zeros((0, 2), dtype=bool)))
-
-
 def test_sample_laws_refuse_wide_spaces():
     # 2^21 counts per law: the bitmask view is refused before anything is allocated
     space = GroundSpace.uniform_cells(0.0, 1.0, 21)
     samples = Samples(space, np.ones((3, 21), dtype=bool))
     with pytest.raises(EnumerationSizeError):
         samples.bitmasks
-    with pytest.raises(EnumerationSizeError):
-        empirical_distribution(samples)
     with pytest.raises(EnumerationSizeError):
         chi_square_gof(samples, {2**21 - 1: 1.0})
 
@@ -198,8 +187,7 @@ def test_projection_samples_have_exactly_rank_points():
     P = project_span(rng.normal(size=(3, 6)), space)
     D = DppDistribution(P)
     assert D.is_projection() and D.rank() == 3
-    for X in sample(D, 99, 500):
-        assert len(X) == 3
+    assert np.all(sample(D, 99, 500).occupancy.sum(axis=1) == 3)
 
 
 def test_sampler_prefix_reproducibility():
@@ -256,7 +244,7 @@ def sampler_cases(draw):
     space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
     if kind == "projection":
         rank = draw(st.integers(0, n))
-        K = project_span(rng.normal(size=(rank, n)), space) if rank else KernelOperator.zero(space)
+        K = project_span(rng.normal(size=(rank, n)), space) if rank else KernelOperator(space, np.zeros((n, n)))
     elif kind == "contraction":
         K = _random_contraction(rng, n)
     else:
@@ -362,7 +350,7 @@ def test_dense_route_matches_one_chain_rule_per_kept_set(D, seeds, count, block)
 def test_sampler_output_shape_at_count_and_rank_zero(kind, count):
     space = GroundSpace.uniform_cells(0.0, 1.0, 5)
     K = {
-        "zero": KernelOperator.zero(space),
+        "zero": KernelOperator(space, np.zeros((space.n, space.n))),
         "rank-0 projection": Projection(space, np.zeros((5, 0))),
         "contraction": _random_contraction(_rng(23), 5),
         "projection": project_span(np.ones((1, 5)), space),
@@ -500,7 +488,7 @@ def test_sampler_goodness_of_fit():
     expected = brute_force_distribution(D)
     stat, dof, p = chi_square_gof(samples, dict(enumerate(expected)))
     assert p > 1e-3
-    emp = empirical_distribution(samples)
+    emp = np.bincount(samples.bitmasks, minlength=16) / len(samples)
     assert total_variation(emp, expected) < 0.05
 
 
@@ -511,8 +499,9 @@ def test_intensity_matches_sampled_counts():
     samples = sample(D, 5, 4000)
     counts = samples.occupancy.mean(axis=0)
     # 4 standard errors of a Bernoulli proportion
-    se = np.sqrt(np.maximum(xi.atoms * (1 - xi.atoms), 1e-4) / len(samples))
-    assert np.all(np.abs(counts - xi.atoms) < 4 * se + 1e-3)
+    assert xi.shape == (5,)
+    se = np.sqrt(np.maximum(xi * (1 - xi), 1e-4) / len(samples))
+    assert np.all(np.abs(counts - xi) < 4 * se + 1e-3)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -523,7 +512,7 @@ def test_projection_diagnostics_match_the_dense_forms(P, data):
     f = WeightFunction(P.space, _rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.0, 2.0, P.n), role="f")
     D, D_dense = DppDistribution(P), DppDistribution(dense)
     assert correlation(D, A) == pytest.approx(correlation(D_dense, A), abs=1e-12)
-    assert np.allclose(intensity(D).atoms, intensity(D_dense).atoms, rtol=0.0, atol=1e-14)
+    assert np.allclose(intensity(D), intensity(D_dense), rtol=0.0, atol=1e-14)
     assert np.allclose(_weighted_diagonal(P, f), _weighted_diagonal(dense, f), rtol=0.0, atol=1e-14)
 
 
@@ -532,7 +521,7 @@ def test_projection_diagnostics_do_not_build_the_counting_form():
     space = GroundSpace.uniform_cells(0.0, 1.0, 2**16)
     P = project_span(np.vander(space.points, 3, increasing=True).T, space)
     D = DppDistribution(P)
-    assert intensity(D).atoms.sum() == pytest.approx(3.0, abs=1e-12)
+    assert intensity(D).sum() == pytest.approx(3.0, abs=1e-12)
     assert "counting" not in P.__dict__
     assert correlation(D, {5}) == pytest.approx(float(np.sum(P.factor[5] ** 2)), abs=1e-15)
     assert correlation(D, {0, 1, 2, 3}) == pytest.approx(0.0, abs=1e-15)  # more points than the rank
@@ -542,8 +531,3 @@ def test_projection_diagnostics_do_not_build_the_counting_form():
     assert "counting" not in P.__dict__
     assert tightness_report([P], f, [Window.full(space)]).rows[0].trace == pytest.approx(6.0, abs=1e-11)
     assert "counting" not in P.__dict__
-
-
-def test_configurations_of_size():
-    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
-    assert sum(1 for _ in configurations_of_size(space, 2)) == 6

@@ -66,12 +66,10 @@ def test_indices_in():
     assert np.array_equal(idx, range(5))
 
 
-def test_window_from_interval_and_complement():
+def test_window_from_interval_and_full():
     space = GroundSpace.uniform_cells(0.0, 1.0, 10)
     w = Window.from_interval(space, 0.0, 0.3, "left")
     assert np.array_equal(w.index_set, (0, 1, 2))
-    comp = w.complement(space)
-    assert set(comp.index_set) == set(range(3, 10))
     full = Window.full(space)
     assert len(full) == 10
 
@@ -96,8 +94,6 @@ def test_window_matches_set_forms(idx, n, lo, width):
     assert w.index_set.tolist() == sorted(set(idx))
     assert len(w) == len(set(idx))
     space = GroundSpace.uniform_cells(0.0, 1.0, n)
-    inside = [i for i in idx if i < n]
-    assert Window(inside).complement(space).index_set.tolist() == sorted(set(range(n)) - set(inside))
     hi = lo + width
     expected = [i for i, x in enumerate(space.points) if lo <= x <= hi]
     assert Window.from_interval(space, lo, hi).index_set.tolist() == expected

@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import permutation_splits
+from dense_reference import energy_distance, permutation_splits
 from dpplab.conditioning import WeightFunction, check_inducibility
-from dpplab.dpp import Configuration, DppDistribution, Samples, sample
+from dpplab.dpp import DppDistribution, Samples, sample
 from dpplab.errors import ContractError, DimensionError
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
     TIE_TOLERANCE,
-    FiniteMeasure,
     _split_table,
     chebyshev_mass_bound_check,
-    energy_distance,
-    int_phi,
     linear_statistics,
     permutation_energy_test,
     sigma_f,
@@ -31,25 +28,13 @@ def _rng(seed):
 def test_embedding_places_f_mass_on_occupied_points():
     space = GroundSpace.uniform_cells(0.0, 1.0, 5)
     f = WeightFunction(space, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), role="f")
-    X = Configuration(space, frozenset({1, 3}))
-    eta = sigma_f(X, f)
-    assert eta.atoms.tolist() == [0.0, 2.0, 0.0, 4.0, 0.0]
-    assert eta.total_mass == 6.0
-    assert eta.mass_on(Window((3, 4))) == 4.0
-
-
-def test_int_phi_is_linear():
-    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
-    eta = FiniteMeasure(space, np.array([1.0, 0.0, 2.0, 0.5]))
-    phi = np.array([1.0, -1.0, 0.5, 2.0])
-    assert int_phi(eta, phi) == pytest.approx(1.0 + 1.0 + 1.0)
-    assert int_phi(eta, 3.0 * phi) == pytest.approx(3.0 * int_phi(eta, phi))
-
-
-def test_measure_rejects_negative_atoms():
-    space = GroundSpace.uniform_cells(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        FiniteMeasure(space, np.array([1.0, -0.5]))
+    samples = Samples(space, [[False, True, False, True, False], [False] * 5])
+    atoms = sigma_f(samples, f)
+    assert atoms.tolist() == [[0.0, 2.0, 0.0, 4.0, 0.0], [0.0] * 5]
+    assert atoms.sum(axis=1).tolist() == [6.0, 0.0]
+    assert atoms[0, Window((3, 4)).index_set].sum() == 4.0
+    with pytest.raises(DimensionError):
+        sigma_f(samples, WeightFunction.constant(GroundSpace.uniform_cells(0.0, 2.0, 5), 1.0, role="f"))
 
 
 def test_tightness_verdicts():
@@ -135,8 +120,7 @@ def test_one_point_window_at_index_zero():
     vs = rng.normal(size=(1, 6))
     assert local_trace_norm(P, w0, w0) == pytest.approx(P.counting[0, 0], rel=1e-12)
     assert projection_distance(P, Q, w0) == pytest.approx(abs(P.counting[0, 0] - Q.counting[0, 0]), rel=1e-10)
-    atoms = rng.uniform(0.0, 1.0, 6)
-    assert FiniteMeasure(space, atoms).mass_on(w0) == atoms[0]
+    assert sigma_f(Samples(space, np.ones((1, 6), dtype=bool)), f)[:, w0.index_set].sum() == f.values[0]
     assert WeightFunction.indicator(space, w0).values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     row = tightness_report([P], f, [w0], extra_vectors=[vs]).rows[0]
     assert row.tail_traces == (np.sum(P.factor[0] ** 2) * f.values[0],)  # a projection's diagonal is its row norms
@@ -206,7 +190,9 @@ def test_linear_statistics_match_embedding_loop():
     phis = rng.normal(size=(3, 7))
     samples = Samples(space, [rng.random(7) < q for q in (0.0, 0.3, 0.6, 1.0) * 5])
     stats = linear_statistics(samples, f, phis)
-    loop = np.array([[int_phi(sigma_f(X, f), phi) for phi in phis] for X in samples])
+    loop = np.array(
+        [[sum(f.values[i] * phi[i] for i in np.flatnonzero(row)) for phi in phis] for row in samples.occupancy]
+    )
     np.testing.assert_allclose(stats, loop, rtol=1e-13, atol=1e-13)
     assert linear_statistics(Samples(space, np.zeros((0, 7), dtype=bool)), f, phis).shape == (0, 3)
 

@@ -55,17 +55,8 @@ def test_non_finite_entries_rejected(bad):
 
 def test_identity_kernel_counting_is_identity():
     space = GroundSpace(np.array([1.0, 2.0, 4.0]), np.array([0.5, 2.0, 1.5]))
-    I = KernelOperator.identity(space)
+    I = KernelOperator(space, np.diag(1.0 / space.weights))  # K(x, y) = delta_xy / w_x
     assert np.allclose(I.counting, np.eye(3), atol=1e-14)
-
-
-def test_arithmetic_and_apply():
-    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
-    K = KernelOperator(space, project_span(np.ones((1, 4)), space).entries)
-    v = np.arange(4.0)
-    # projection onto constants reproduces the weighted mean
-    mean = np.sum(v * space.weights) / space.weights.sum()
-    assert np.allclose(K.apply(v), mean)
 
 
 def test_project_span_is_projection_with_correct_rank():
@@ -118,7 +109,7 @@ def test_local_trace_norm_window_monotone():
 
 def test_local_trace_norm_empty_window_warns():
     space = GroundSpace.uniform_cells(0.0, 1.0, 3)
-    K = KernelOperator.identity(space)
+    K = KernelOperator.from_counting(space, np.eye(3))
     with pytest.warns(UserWarning):
         assert local_trace_norm(K, Window(()), Window((0,))) == 0.0
 
@@ -191,7 +182,8 @@ def test_convergence_report_columns_and_csv():
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "n,window_id,distance"
     assert len(csv.splitlines()) == 9
-    assert np.all(rep.column("half") <= rep.column("all"))
+    assert rep.window_ids == ("all", "half")
+    assert np.all(rep.distances[:, 1] <= rep.distances[:, 0])
 
 
 def test_convergence_report_shape_check():

@@ -2,9 +2,10 @@
 
 A projection process reweighted by psi_g = prod_{x in X} g(x) has total
 mass det(1 + (g-1)P) and, renormalized, is the determinantal process of
-the induced kernel.  Every check compares with a plain psi_g loop over
-the brute-force law of the projection, and the inducibility norms with
-two ``np.linalg.norm(., 2)`` calls.
+the induced kernel.  Every check compares with psi_g over the batch of
+all 2^n configurations, weighted by the brute-force law of the
+projection, and the inducibility norms with two ``np.linalg.norm(., 2)``
+calls.
 """
 
 import numpy as np
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 from dpplab.conditioning import (
     WeightFunction,
     check_inducibility,
-    induced_distribution,
+    induced_kernel,
     normalization_constant,
     psi_g,
     reweighted_distribution,
 )
-from dpplab.dpp import Configuration, DppDistribution, brute_force_distribution
+from dpplab.dpp import DppDistribution, Samples, brute_force_distribution, occupancy_table
 from dpplab.ground import GroundSpace
 from dpplab.operators import project_span
 
@@ -51,8 +52,8 @@ def reweighting_cases(draw):
     return P, g
 
 
-def _loop_weights(g, probs):
-    return np.array([psi_g(g, Configuration.from_bitmask(g.space, m)) * p for m, p in enumerate(probs)])
+def _psi_weights(g, probs):
+    return psi_g(g, Samples(g.space, occupancy_table(g.space.n))) * probs
 
 
 def _base_law(P):
@@ -64,7 +65,7 @@ def _base_law(P):
 def test_reweighted_table_matches_psi_g_loop(case):
     P, g = case
     probs = _base_law(P)
-    weights = _loop_weights(g, probs)
+    weights = _psi_weights(g, probs)
     law, total = reweighted_distribution(g, probs)
     assert total == weights.sum()
     assert np.array_equal(law, weights / weights.sum())
@@ -85,7 +86,7 @@ def test_inducibility_norms_match_two_norm_calls(case):
 @given(reweighting_cases())
 def test_normalization_constant_is_reweighted_mass(case):
     P, g = case
-    mass = _loop_weights(g, _base_law(P)).sum()
+    mass = _psi_weights(g, _base_law(P)).sum()
     assert normalization_constant(g, P) == pytest.approx(mass, abs=1e-10)
 
 
@@ -93,6 +94,6 @@ def test_normalization_constant_is_reweighted_mass(case):
 @given(reweighting_cases())
 def test_induced_law_is_reweighted_law(case):
     P, g = case
-    weights = _loop_weights(g, _base_law(P))
-    induced = brute_force_distribution(induced_distribution(g, P))
+    weights = _psi_weights(g, _base_law(P))
+    induced = brute_force_distribution(DppDistribution(induced_kernel(g, P)))
     assert 0.5 * np.abs(induced - weights / weights.sum()).sum() < 1e-9

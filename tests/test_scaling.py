@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dense_reference import is_projection
+from dense_reference import cd_kernel_closed, is_projection
 from dpplab.errors import SpecialFunctionRangeError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import is_positive_contraction
@@ -14,7 +14,6 @@ from dpplab.scaling import (
     bessel_j,
     bessel_j_prime,
     bessel_kernel,
-    cd_kernel_closed,
     cd_kernel_sum,
     gauss_jacobi,
     heine_mehler_suite,
