@@ -17,12 +17,13 @@ part of the space, is harmless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dpp import Samples, _check_law_size
-from .errors import ConditioningImpossibleError, DimensionError, InducibilityError
+from .errors import ConditioningImpossibleError, ContractError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
 from .operators import Projection, _check_same_space
 
@@ -39,16 +40,17 @@ class WeightFunction:
     role: str = "g"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.space.n,):
             raise DimensionError(f"weight function needs {self.space.n} values")
         if self.role not in ("g", "f"):
             raise ValueError("role must be 'g' or 'f'")
-        if not np.isfinite(values).all():
+        lo, hi = values.min(), values.max()  # a NaN is both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weight-function values must be finite")
-        if (values < 0).any():
+        if lo < 0:
             raise ValueError("weight-function values must be nonnegative")
-        if self.role == "g" and (values > 1.0).any():
+        if self.role == "g" and hi > 1.0:
             raise ValueError("conditioning weights must not exceed 1")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -98,14 +100,17 @@ def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
 
     Since U has orthonormal columns, ||D U U^T|| = ||D U||: both norms are
     spectral norms of n x r matrices, the largest singular values of
-    (1-g) U and sqrt(1-g) U.  One stacked SVD call gives both, bit for bit
-    the values of two ``np.linalg.norm(., 2)`` calls, which run the same
-    LAPACK routine per matrix.  Raises :class:`DimensionError` when g and P
-    live on different ground spaces.
+    (1-g) U and sqrt(1-g) U.  Both products are written into one
+    preallocated (2, n, r) array, and one SVD call on it gives both norms,
+    bit for bit the values of two ``np.linalg.norm(., 2)`` calls, which run
+    the same LAPACK routine per matrix.  Raises :class:`DimensionError` when
+    g and P live on different ground spaces.
     """
     _check_same_space(g.space, P.space)
     one_minus_g = 1.0 - g.values
-    scaled = np.stack([one_minus_g[:, None] * P.factor, np.sqrt(one_minus_g)[:, None] * P.factor])
+    scaled = np.empty((2, *P.factor.shape))
+    np.multiply(one_minus_g[:, None], P.factor, out=scaled[0])
+    np.multiply(np.sqrt(one_minus_g)[:, None], P.factor, out=scaled[1])
     norm_full, sqrt_norm = np.linalg.svd(scaled, compute_uv=False)[:, 0].tolist()
     margin = 1.0 - sqrt_norm
     return InducibilityCheck(norm_full, sqrt_norm, margin, margin > MARGIN_TOLERANCE)
@@ -159,13 +164,17 @@ def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float
     ``psi_g(g, Samples(g.space, occupancy_table(n)))`` bit for bit.
     The law's size is checked before anything is allocated: a law whose
     length is not 2^n raises :class:`DimensionError`, and n above
-    ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.
+    ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.  A law
+    with a negative, NaN or infinite entry raises :class:`ContractError`.
     """
     n = g.space.n
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (2**n,):
         raise DimensionError(f"a configuration law on {n} points has {2**n} entries")
     _check_law_size(n)
+    lo, hi = probs.min(), probs.max()  # a NaN is both
+    if not (lo >= 0.0 and hi < math.inf):
+        raise ContractError(f"not a configuration law: its entries range over [{lo:.6g}, {hi:.6g}]")
     weighted = np.empty(2**n)
     weighted[0] = 1.0
     for i, gi in enumerate(g.values):

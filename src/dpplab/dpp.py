@@ -124,7 +124,8 @@ class DppDistribution:
     def __init__(self, kernel: KernelOperator | Projection):
         self.kernel = kernel
         if isinstance(kernel, Projection):
-            self.eigenvalues = (np.arange(kernel.n) >= kernel.n - kernel.rank).astype(float)
+            self.eigenvalues = np.zeros(kernel.n)
+            self.eigenvalues[kernel.n - kernel.rank :] = 1.0
             self.eigenvectors = None
             return
         eigvals, eigvecs = np.linalg.eigh(kernel.counting)
@@ -220,7 +221,7 @@ def brute_force_distribution(D: DppDistribution) -> np.ndarray:
     probs = _subset_law(K.factor) if isinstance(K, Projection) else _block_identity_law(K.counting)
     if probs.min() < -1e-12:
         raise ContractError(f"negative configuration probability {probs.min():.3e}")
-    np.clip(probs, 0.0, None, out=probs)
+    np.maximum(probs, 0.0, out=probs)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise ContractError(f"configuration probabilities sum to {total!r}")

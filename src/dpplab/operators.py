@@ -14,6 +14,7 @@ n x n form is built only when it is read.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +46,7 @@ def _check_same_space(a: GroundSpace, b: GroundSpace) -> None:
 def _measure_entries(space: GroundSpace, counting: np.ndarray) -> np.ndarray:
     """The kernel relative to the measure, W^{-1/2} Khat W^{-1/2}, of a counting form Khat."""
     inv = 1.0 / space.sqrt_weights
-    return counting * np.outer(inv, inv)
+    return counting * (inv[:, None] * inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +79,20 @@ class KernelOperator:
     def counting(self) -> np.ndarray:
         """The symmetrized counting form W^{1/2} K W^{1/2}."""
         sw = self.space.sqrt_weights
-        counting = self.entries * np.outer(sw, sw)
+        counting = self.entries * (sw[:, None] * sw)
         counting.flags.writeable = False
         return counting
 
     @classmethod
     def from_counting(cls, space: GroundSpace, counting: np.ndarray) -> "KernelOperator":
         return cls(space, _measure_entries(space, np.asarray(counting, dtype=float)))
+
+
+def _orthonormality_residual(U: np.ndarray) -> float:
+    """max|U^T U - I| of an n x r factor, 0 when r = 0."""
+    gram = U.T @ U
+    gram.flat[:: U.shape[1] + 1] -= 1.0
+    return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +113,7 @@ class Projection:
         factor = np.array(self.factor, dtype=float)  # a copy in the memory order of the input
         if factor.ndim != 2 or factor.shape[0] != self.space.n:
             raise DimensionError(f"projection factor must have {self.space.n} rows")
-        residual = float(np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1])), initial=0.0))
+        residual = _orthonormality_residual(factor)
         if not residual < PROJECTION_TOLERANCE:
             raise ContractError(f"projection factor is not orthonormal: max|U^T U - I| = {residual:.3e}")
         factor.flags.writeable = False
@@ -209,8 +217,14 @@ def projection_distance(P: Projection, Q: Projection, A: Window) -> float:
         warnings.warn("empty window in projection_distance, returning 0", stacklevel=2)
         return 0.0
     R = np.linalg.qr(np.hstack([P.factor[A.index_set], Q.factor[A.index_set]]), mode="r")
-    signs = np.concatenate([np.ones(P.rank), -np.ones(Q.rank)])
+    signs = np.ones(P.rank + Q.rank)
+    signs[P.rank :] = -1.0
     return float(np.sum(np.abs(np.linalg.eigvalsh((R * signs) @ R.T))))
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float array: sqrt(x . x), as ``np.linalg.norm`` takes it."""
+    return math.sqrt(x.dot(x))
 
 
 def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -220,15 +234,16 @@ def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     is divided by the least power of two above its max-abs entry and the
     norm is taken again.  Dividing by a power of two is exact (only entries
     below 2^-1022 times the peak lose bits), so ratios of norms, and every
-    result built from them, do not depend on the vector's scale.
+    result built from them, do not depend on the vector's scale.  The norm
+    is finite exactly when ``v`` is.
     """
     with np.errstate(over="ignore"):  # an overflow shows as inf and is handled below
-        norm = float(np.linalg.norm(v))
+        norm = _norm(v)
     if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
         return v, norm
     _, exponent = np.frexp(np.abs(v).max())
     v = np.ldexp(v, -exponent)
-    return v, float(np.linalg.norm(v))
+    return v, _norm(v)
 
 
 def _gram_schmidt(rows: list, hat: np.ndarray, angles: bool = False):
@@ -238,16 +253,19 @@ def _gram_schmidt(rows: list, hat: np.ndarray, angles: bool = False):
     appending; a caller rejects v by raising.  With r the residual of two passes and norms
     by :func:`scaled_norm`, ``ratio`` is ||r|| / ||v|| and ``angle``, computed only when
     ``angles`` is set, is arctan2(||r||, ||v - r||), exact near 0 and pi/2.  A zero v gives 0, 0.
+    A v with a NaN or infinite entry raises ``ValueError`` naming its index k.
     """
     for k, v in enumerate(hat):
         v, original = scaled_norm(v)
+        if not math.isfinite(original):
+            raise ValueError(f"vector {k} has a non-finite entry")
         r = v.copy()
         for _ in range(2):  # second pass restores orthogonality at near-collinearity
             for q in rows:
-                r -= np.dot(q, r) * q
-        residual = np.linalg.norm(r)
+                r -= q.dot(r) * q
+        residual = _norm(r)
         ratio = residual / original if original else 0.0
-        ang = float(np.arctan2(residual, np.linalg.norm(v - r))) if angles else None
+        ang = float(np.arctan2(residual, _norm(v - r))) if angles else None
         yield k, ratio, ang
         rows.append(r / residual)
 

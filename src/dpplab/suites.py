@@ -151,7 +151,7 @@ def conditioning_oracle_battery(
         tv = total_variation(reweighted, brute_force_distribution(DppDistribution(B)))
         norm_err = abs(normalization_constant(g, P) - mean_psi)
         direct = project_span(basis * g.sqrt, space)
-        proj_err = float(np.max(np.abs(B.entries - direct.entries)))
+        proj_err = float(np.abs(B.entries - direct.entries).max())
         results.append(OracleTrial(trial, n, rank, tv, norm_err, proj_err))
     return OracleBatteryReport(tuple(results))
 

@@ -11,7 +11,11 @@ rule served every kept set of a block, ``gram_schmidt`` is
 ``orthonormalize``'s loop as it ran before the package's other
 Gram-Schmidt callers came to share it, and ``permutation_splits`` the
 permutation test's splits as they were drawn before one ``permuted`` call
-drew them all.  Two oracles the package itself never calls live here too:
+drew them all.  ``linalg_scaled_norm``, ``gram_schmidt_steps``,
+``eye_residual``, ``outer_measure_entries``, ``outer_counting``,
+``stacked_inducibility_norms`` and ``clipped_law`` are the package's
+projection primitives as they were written before their numpy calls were
+cut, so the tests can check that the cut changed no bit.  Two oracles the package itself never calls live here too:
 ``energy_distance``, which the permutation test scores split by split
 from count vectors, and ``cd_kernel_closed``, the two-point closed form
 of the Christoffel-Darboux sum.
@@ -23,7 +27,7 @@ import numpy as np
 
 from dpplab.errors import AngleDegeneracyError, DegenerateBasisError
 from dpplab.measures import _pairwise
-from dpplab.operators import _RESIDUAL_RATIO_LIMIT, PROJECTION_TOLERANCE, scaled_norm
+from dpplab.operators import _RESIDUAL_RATIO_LIMIT, PROJECTION_TOLERANCE, SAFE_NORM_RANGE
 from dpplab.scaling import jacobi_polynomials, jacobi_recurrence
 
 
@@ -72,11 +76,66 @@ def extend_counting(phat: np.ndarray, vs_hat: np.ndarray, min_angle: float) -> n
     return phat
 
 
+def linalg_scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``operators.scaled_norm`` with its norms taken by ``np.linalg.norm``."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
+        return v, norm
+    _, exponent = np.frexp(np.abs(v).max())
+    v = np.ldexp(v, -exponent)
+    return v, float(np.linalg.norm(v))
+
+
+def gram_schmidt_steps(rows: list, hat: np.ndarray, angles: bool = False):
+    """``operators._gram_schmidt`` with its norms taken by ``np.linalg.norm``: the same yields and rows."""
+    for k, v in enumerate(hat):
+        v, original = linalg_scaled_norm(v)
+        r = v.copy()
+        for _ in range(2):
+            for q in rows:
+                r -= np.dot(q, r) * q
+        residual = np.linalg.norm(r)
+        ratio = residual / original if original else 0.0
+        ang = float(np.arctan2(residual, np.linalg.norm(v - r))) if angles else None
+        yield k, ratio, ang
+        rows.append(r / residual)
+
+
+def eye_residual(U: np.ndarray) -> float:
+    """max|U^T U - I| with the identity built by ``np.eye``."""
+    return float(np.max(np.abs(U.T @ U - np.eye(U.shape[1])), initial=0.0))
+
+
+def outer_measure_entries(sqrt_weights: np.ndarray, counting: np.ndarray) -> np.ndarray:
+    """W^{-1/2} Khat W^{-1/2}, scaled by ``np.outer``."""
+    inv = 1.0 / sqrt_weights
+    return counting * np.outer(inv, inv)
+
+
+def outer_counting(sqrt_weights: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """W^{1/2} K W^{1/2}, scaled by ``np.outer``."""
+    return entries * np.outer(sqrt_weights, sqrt_weights)
+
+
+def stacked_inducibility_norms(g: np.ndarray, U: np.ndarray) -> tuple[float, float]:
+    """||(1-g) U|| and ||sqrt(1-g) U|| from one SVD call on the ``np.stack`` of the two products."""
+    one_minus_g = 1.0 - g
+    scaled = np.stack([one_minus_g[:, None] * U, np.sqrt(one_minus_g)[:, None] * U])
+    norm_full, sqrt_norm = np.linalg.svd(scaled, compute_uv=False)[:, 0].tolist()
+    return norm_full, sqrt_norm
+
+
+def clipped_law(probs: np.ndarray) -> np.ndarray:
+    """A configuration law with its negative rounding noise clipped by ``np.clip(probs, 0.0, None)``."""
+    return np.clip(probs, 0.0, None)
+
+
 def gram_schmidt(hat: np.ndarray) -> np.ndarray:
     """Two-pass modified Gram-Schmidt of counting-coordinate rows, returning the orthonormal rows."""
     rows = []
     for k, v in enumerate(hat):
-        v, original = scaled_norm(v)
+        v, original = linalg_scaled_norm(v)
         if original == 0.0:
             raise DegenerateBasisError(k, f"basis vector {k} is zero")
         r = v.copy()

@@ -22,7 +22,7 @@ from dpplab.dpp import (
     sample,
     total_variation,
 )
-from dpplab.errors import DimensionError, EnumerationSizeError, InducibilityError
+from dpplab.errors import ContractError, DimensionError, EnumerationSizeError, InducibilityError
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import project_span
 
@@ -90,7 +90,7 @@ def test_weight_function_validation():
     WeightFunction(space, np.array([0.5, 1.2, 0.3]), role="f")  # f may exceed 1
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("role", ["g", "f"])
 def test_weight_function_rejects_non_finite_values(bad, role):
     space = GroundSpace.uniform_cells(0.0, 1.0, 3)
@@ -144,6 +144,21 @@ def test_reweighted_distribution_checks_the_law_size_first():
     # a zero-stride law of the right length, beyond the enumeration limit
     g = WeightFunction.constant(GroundSpace.uniform_cells(0.0, 1.0, 21), 0.5)
     _raises_before_allocating(g, np.broadcast_to(2.0**-21, (2**21,)), EnumerationSizeError)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        [-0.5, 1.0, 0.25, 0.25],  # a negative "probability"; reweighted, it read -1.33
+        [np.nan, 1.0, 0.0, 0.0],
+        [0.0, 0.0, np.inf, 0.0],  # at a configuration whose weight is 0
+        [np.inf, 0.0, 0.0, 0.0],
+    ],
+)
+def test_reweighted_distribution_rejects_a_table_that_is_not_a_law(law):
+    g = WeightFunction(GroundSpace.uniform_cells(0.0, 1.0, 2), np.array([0.5, 0.0]))
+    with pytest.raises(ContractError, match="not a configuration law"):
+        reweighted_distribution(g, np.array(law))
 
 
 def test_normalization_equals_mean_multiplicative_functional():

@@ -64,6 +64,14 @@ def test_extend_projection_angle_guard():
         extend_projection(P, tilted[None, :], min_angle=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extend_projection_names_a_non_finite_vector(bad):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    P = project_span([[1.0, 1.0, 0.0, 0.0]], space)
+    with pytest.raises(ValueError, match="vector 1 has a non-finite entry"):
+        extend_projection(P, [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, bad, 1.0]])
+
+
 def test_model_validates_independence_at_construction():
     rng = _rng(33)
     space = _space(rng, 6)

@@ -156,6 +156,26 @@ def test_vectors_of_extreme_scale():
         project_span([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], space)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_span_names_a_non_finite_vector(bad):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="vector 1 has a non-finite entry"):
+        project_span([[1.0, 0.0, 0.0], [0.0, bad, 1.0]], space)
+
+
+def test_angle_of_a_non_finite_vector_raises():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    P = project_span([[1.0, 0.0, 0.0]], space)
+    with pytest.raises(ValueError, match="vector 0 has a non-finite entry"):
+        angle(np.array([0.0, np.nan, 1.0]), P)
+
+
+def test_subspace_angle_with_a_non_finite_vector_raises():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="vector 0 has a non-finite entry"):
+        subspace_angle([[1.0, 1.0, 0.0]], [[np.nan, 1.0, 0.0]], space)
+
+
 def test_subspace_angle_orthogonal_vectors():
     space = GroundSpace(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     a = np.array([[1.0, 0.0]])
