@@ -49,7 +49,6 @@ from .errors import (
     EmptyWindowError,
     EnumerationSizeError,
     InducibilityError,
-    SpecialFunctionRangeError,
 )
 from .ground import GroundSpace, Window, weighted_inner, weighted_norm
 from .measures import (
@@ -80,11 +79,8 @@ from .operators import (
 )
 from .scaling import (
     ScalingReport,
-    bessel_j,
-    bessel_j_prime,
     bessel_kernel,
     cd_kernel_sum,
-    gauss_jacobi,
     heine_mehler_suite,
     jacobi_cd_kernel,
     jacobi_polynomials,

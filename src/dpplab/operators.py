@@ -193,14 +193,13 @@ def is_positive_contraction(K: KernelOperator | Projection) -> bool:
     return bool(eigvals[0] >= -1e-8 and eigvals[-1] <= 1.0 + 1e-8)
 
 
-def local_trace_norm(K: KernelOperator, A: Window, B: Window) -> float:
-    """Trace norm of the counting-form block chi_A Khat chi_B."""
+def local_trace_norm(K: KernelOperator, A: Window) -> float:
+    """Trace norm of the counting-form block chi_A Khat chi_A."""
     A.validate(K.space)
-    B.validate(K.space)
-    if len(A) == 0 or len(B) == 0:
+    if len(A) == 0:
         warnings.warn("empty window in local_trace_norm, returning 0", stacklevel=2)
         return 0.0
-    block = K.counting[np.ix_(A.index_set, B.index_set)]
+    block = K.counting[np.ix_(A.index_set, A.index_set)]
     return float(np.sum(np.linalg.svd(block, compute_uv=False)))
 
 
@@ -370,5 +369,5 @@ def convergence_report(
             table[i] = [projection_distance(K, target, w) for w in windows]
         else:
             diff = KernelOperator(K.space, K.entries - target.entries)
-            table[i] = [local_trace_norm(diff, w, w) for w in windows]
+            table[i] = [local_trace_norm(diff, w) for w in windows]
     return ConvergenceReport(steps, window_labels(windows, "w"), table)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
+from scipy import special
 
 from .conditioning import WeightFunction, induced_kernel, normalization_constant, reweighted_distribution
 from .deformations import DEFAULT_MIN_ANGLE, DeformationModel, ExhaustionReport, exhaustion_suite
@@ -26,15 +27,7 @@ from .measures import (
     tightness_report,
     weak_convergence_test,
 )
-from .scaling import (
-    BESSEL_CROSSOVER,
-    ScalingReport,
-    _asymptotic_bessel_j,
-    _series_bessel_j,
-    gauss_jacobi,
-    heine_mehler_suite,
-    jacobi_polynomials,
-)
+from .scaling import ScalingReport, heine_mehler_suite, jacobi_polynomials
 from .tables import csv_text
 
 #: Largest total-variation, normalization and elementwise projection errors the oracle battery passes with.
@@ -44,9 +37,6 @@ ORACLE_PROJECTION_TOLERANCE = 1e-9
 
 #: The windows (label, lo, hi) of the scripted perturbation suite on (0, 1].
 PERTURBATION_WINDOWS = (("full", 0.0, 1.0), ("left", 0.0, 0.5))
-
-#: Bessel orders compared at ``BESSEL_CROSSOVER`` by ``bessel_crossover_gap``.
-CROSSOVER_ORDERS = (-0.5, 0.0, 0.5, 1.0, 2.0)
 
 #: Draws per kernel and base seed of ``scripted_chebyshev_checks``.
 CHEBYSHEV_SAMPLES = 2000
@@ -265,21 +255,14 @@ def scripted_scaling_suite(
 
 
 def jacobi_orthonormality_residual(s: float, degree: int) -> float:
-    """Max |<p_i, p_j> - delta_ij| up to ``degree`` under the exact (degree + 1)-point Gauss rule for (1-u)^s."""
-    nodes, qweights = gauss_jacobi(s, degree + 1)
+    """Max |<p_i, p_j> - delta_ij| up to ``degree`` under the exact (degree + 1)-point Gauss rule for (1-u)^s.
+
+    The rule is ``scipy.special.roots_jacobi``'s, so the check does not share the recurrence it tests.
+    """
+    nodes, qweights = special.roots_jacobi(degree + 1, s, 0.0)
     vals = jacobi_polynomials(s, degree + 1, nodes)
     gram = (vals * qweights) @ vals.T
     return float(np.max(np.abs(gram - np.eye(degree + 1))))
-
-
-def bessel_crossover_gap() -> float:
-    """Largest series-vs-asymptotic disagreement at ``BESSEL_CROSSOVER`` over ``CROSSOVER_ORDERS``."""
-    worst = 0.0
-    for s in CROSSOVER_ORDERS:
-        lo = _series_bessel_j(s, BESSEL_CROSSOVER)
-        hi = _asymptotic_bessel_j(s, BESSEL_CROSSOVER)
-        worst = max(worst, abs(lo - hi))
-    return worst
 
 
 # ---------------------------------------------------------------------------

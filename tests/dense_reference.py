@@ -15,14 +15,16 @@ drew them all.  ``linalg_scaled_norm``, ``gram_schmidt_steps``,
 ``eye_residual``, ``outer_measure_entries``, ``outer_counting``,
 ``stacked_inducibility_norms`` and ``clipped_law`` are the package's
 projection primitives as they were written before their numpy calls were
-cut, so the tests can check that the cut changed no bit.  Two oracles the package itself never calls live here too:
+cut, so the tests can check that the cut changed no bit.  Three oracles the package itself never calls live here too:
 ``energy_distance``, which the permutation test scores split by split
-from count vectors, and ``cd_kernel_closed``, the two-point closed form
-of the Christoffel-Darboux sum.
+from count vectors, ``cd_kernel_closed``, the two-point closed form
+of the Christoffel-Darboux sum, and ``bessel_kernel_entries_mp``, entries
+of the Bessel kernel from mpmath's Bessel functions.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from dpplab.errors import AngleDegeneracyError, DegenerateBasisError
@@ -227,3 +229,26 @@ def cd_kernel_closed(s: float, n: int, u, v) -> np.ndarray:
     numer = np.outer(p_u[n], p_v[n - 1]) - np.outer(p_u[n - 1], p_v[n])
     denom = np.subtract.outer(np.atleast_1d(u), np.atleast_1d(v))
     return a_n * numer / denom
+
+
+def bessel_kernel_entries_mp(s: float, points, pairs) -> np.ndarray:
+    """Entries K(x_i, x_j) of the Bessel kernel of parameter s at index pairs (i, j), in 30-digit arithmetic.
+
+    Off the diagonal (J(a) b J'(b) - a J'(a) J(b)) / (2 (x - y)) with a = sqrt(x), b = sqrt(y); on it
+    the same limit as ``bessel_kernel``, (J'(a)^2 + (1 - s^2/x) J(a)^2) / 4.
+    """
+    with mpmath.workdps(30):
+        order = mpmath.mpf(s)
+        values = {}
+        for i in {k for pair in pairs for k in pair}:
+            x = mpmath.mpf(float(points[i]))
+            t = mpmath.sqrt(x)
+            values[i] = (x, t, mpmath.besselj(order, t), mpmath.besselj(order, t, derivative=1))
+        out = []
+        for i, j in pairs:
+            (x, a, ja, dja), (y, b, jb, djb) = values[i], values[j]
+            if i == j:
+                out.append((dja**2 + (1 - order**2 / x) * ja**2) / 4)
+            else:
+                out.append((ja * b * djb - a * dja * jb) / (2 * (x - y)))
+        return np.array([float(v) for v in out])

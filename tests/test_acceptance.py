@@ -8,8 +8,11 @@ import time
 
 import numpy as np
 
+from dense_reference import bessel_kernel_entries_mp
 from dpplab import suites
 from dpplab.dpp import DppDistribution, brute_force_distribution, chi_square_gof, sample
+from dpplab.ground import GroundSpace
+from dpplab.scaling import bessel_kernel
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -97,16 +100,23 @@ def test_criterion_5_hard_edge_scaling_suite(capsys):
     reports = suites.scripted_scaling_suite(s_values=(0.0, 0.5, 2.0), n_list=(8, 16, 32, 64))
     decreasing = all(rep.strictly_decreasing() for rep in reports.values())
     residual = max(suites.jacobi_orthonormality_residual(s, 20) for s in (0.0, 0.5, 2.0))
-    crossover = suites.bessel_crossover_gap()
+    # the Bessel kernel on the suite's 200-point grid against mpmath: the diagonal and row 100
+    grid = GroundSpace.uniform_cells(0.0, 10.0, 200)
+    pairs = [(i, i) for i in range(grid.n)] + [(100, j) for j in range(grid.n) if j != 100]
+    rows, cols = np.array(pairs).T
+    kernel_error = max(
+        np.max(np.abs(bessel_kernel(s, grid).entries[rows, cols] - bessel_kernel_entries_mp(s, grid.points, pairs)))
+        for s in (0.0, 0.5, 2.0)
+    )
     elapsed = time.perf_counter() - start
-    ok = decreasing and residual < 1e-8 and crossover < 1e-9 and elapsed < 120.0
+    ok = decreasing and residual < 1e-8 and kernel_error < 1e-12 and elapsed < 120.0
     _report(
         capsys,
         "criterion 5 (hard-edge scaling suite)",
         ok,
         f"distance columns strictly decreasing for s in (0, 0.5, 2), "
         f"quadrature orthonormality residual {residual:.2e} < 1e-8 up to degree 20, "
-        f"series/asymptotic crossover gap {crossover:.2e} < 1e-9, runtime {elapsed:.1f}s < 120s",
+        f"Bessel kernel vs mpmath max error {kernel_error:.2e} < 1e-12, runtime {elapsed:.1f}s < 120s",
     )
     assert ok
 

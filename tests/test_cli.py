@@ -157,6 +157,16 @@ def test_scaling_rejects_s_values_that_share_a_table(tmp_path, s_values):
     assert not any((tmp_path / "run").iterdir())
 
 
+def test_scaling_at_a_high_order_past_its_turning_point(tmp_path):
+    # J_100 at arguments up to 90 = sqrt(8100): a power series there cancels to a handful of digits
+    cfg = _write(tmp_path / "cfg.json", {"s_values": [100.0], "n_list": [45, 50], "grid_points": 20, "x_max": 8100.0})
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+    with open(tmp_path / "run" / "scaling_s100.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["n"] for row in rows] == ["45", "50"]
+    assert all(np.isfinite(float(row["i1_distance"])) for row in rows)
+
+
 def test_weakconv_sequence_command(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",

@@ -118,7 +118,7 @@ def test_one_point_window_at_index_zero():
     P, Q = (project_span(rng.normal(size=(2, 6)), space) for _ in range(2))
     f = WeightFunction(space, rng.uniform(0.5, 2.0, 6), role="f")
     vs = rng.normal(size=(1, 6))
-    assert local_trace_norm(P, w0, w0) == pytest.approx(P.counting[0, 0], rel=1e-12)
+    assert local_trace_norm(P, w0) == pytest.approx(P.counting[0, 0], rel=1e-12)
     assert projection_distance(P, Q, w0) == pytest.approx(abs(P.counting[0, 0] - Q.counting[0, 0]), rel=1e-10)
     assert sigma_f(Samples(space, np.ones((1, 6), dtype=bool)), f)[:, w0.index_set].sum() == f.values[0]
     assert WeightFunction.indicator(space, w0).values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]

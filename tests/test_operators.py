@@ -104,14 +104,14 @@ def test_local_trace_norm_window_monotone():
     K = KernelOperator(space, A + A.T)
     small = Window(tuple(range(3)))
     big = Window(tuple(range(6)))
-    assert local_trace_norm(K, small, small) <= local_trace_norm(K, big, big) + 1e-12
+    assert local_trace_norm(K, small) <= local_trace_norm(K, big) + 1e-12
 
 
 def test_local_trace_norm_empty_window_warns():
     space = GroundSpace.uniform_cells(0.0, 1.0, 3)
     K = KernelOperator.from_counting(space, np.eye(3))
     with pytest.warns(UserWarning):
-        assert local_trace_norm(K, Window(()), Window((0,))) == 0.0
+        assert local_trace_norm(K, Window(())) == 0.0
 
 
 def test_angle_scale_invariant_and_extremes():
@@ -221,7 +221,7 @@ def test_convergence_report_of_a_projection_against_a_dense_target():
     assert rep.steps == (1, 2) and rep.window_ids == ("all", "w1")
     for P, row in zip(members, rep.distances):
         diff = KernelOperator(space, P.entries - target.entries)
-        assert list(row) == [local_trace_norm(diff, w, w) for w in windows]
+        assert list(row) == [local_trace_norm(diff, w) for w in windows]
 
 
 def test_convergence_report_rejects_another_space_and_mislabelled_steps():

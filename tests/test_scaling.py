@@ -1,21 +1,13 @@
-import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from dense_reference import cd_kernel_closed, is_projection
-from dpplab.errors import SpecialFunctionRangeError
+from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed, is_projection
 from dpplab.ground import GroundSpace, Window
 from dpplab.operators import is_positive_contraction
 from dpplab.scaling import (
-    BESSEL_CROSSOVER,
-    _asymptotic_bessel_j,
-    _series_bessel_j,
-    bessel_j,
-    bessel_j_prime,
     bessel_kernel,
     cd_kernel_sum,
-    gauss_jacobi,
     heine_mehler_suite,
     jacobi_cd_kernel,
     jacobi_polynomials,
@@ -23,48 +15,35 @@ from dpplab.scaling import (
 )
 
 
+def _kernel_error(s, x):
+    """Largest gap between ``bessel_kernel`` and mpmath over all entries on the points x, relative to the largest."""
+    pairs = [(i, j) for i in range(x.size) for j in range(x.size)]
+    rows, cols = np.array(pairs).T
+    ours = bessel_kernel(s, GroundSpace(x, np.ones(x.size))).entries[rows, cols]
+    reference = bessel_kernel_entries_mp(s, x, pairs)
+    return np.max(np.abs(ours - reference)) / np.max(np.abs(reference))
+
+
 def test_bessel_against_multiprecision_oracle():
-    xs = np.concatenate([np.linspace(0.05, 11.0, 40), np.linspace(13.0, 80.0, 30)])
-    for order in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        ours = bessel_j(order, xs)
-        reference = np.array([float(mpmath.besselj(order, x)) for x in xs])
-        assert np.max(np.abs(ours - reference)) < 1e-11
+    x = np.geomspace(0.01, 2500.0, 30)
+    for s in (-0.5, 0.0, 0.5, 2.0, 7.0, 40.0):
+        assert _kernel_error(s, x) < 1e-12, f"s = {s}"
 
 
-def test_bessel_matches_scipy_over_order_argument_grid():
-    xs = np.geomspace(1e-3, 400.0, 150)
-    for order in np.arange(-1.5, 12.25, 0.25):
-        gap = np.max(np.abs(bessel_j(order, xs) - special.jv(order, xs)))
-        assert gap < 1e-8, f"order {order}: gap {gap:.2e}"
-
-
-@pytest.mark.parametrize("order, x", [(8.0, 20.0), (12.0, 40.0), (6.5, 144.5), (12.0, 12.5), (40.0, 30.0)])
-def test_bessel_high_order_against_multiprecision_oracle(order, x):
-    # past the crossover, orders above 3 leave the Hankel expansion's validated range
-    assert bessel_j(order, x) == pytest.approx(float(mpmath.besselj(order, x)), abs=1e-10)
-
-
-def test_bessel_raises_where_no_route_is_accurate():
-    # the series at J_100(90) cancels to a handful of digits; the recurrence is unstable above x
-    with pytest.raises(SpecialFunctionRangeError):
-        bessel_j(100.0, 90.0)
-    with pytest.raises(SpecialFunctionRangeError):
-        bessel_j(100.0, np.array([1.0, 90.0]))
-
-
-def test_bessel_crossover_agreement():
-    for order in (-0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
-        lo = _series_bessel_j(order, BESSEL_CROSSOVER)
-        hi = _asymptotic_bessel_j(order, BESSEL_CROSSOVER)
-        assert abs(lo - hi) < 1e-9
+@pytest.mark.parametrize(
+    "order, t", [(8.0, 20.0), (12.0, 40.0), (6.5, 144.5), (12.0, 12.5), (40.0, 30.0), (100.0, 90.0)]
+)
+def test_bessel_high_order_against_multiprecision_oracle(order, t):
+    # the kernel at s = order on points x = (t/2)^2, (0.9 t)^2, t^2; below its turning point a high order's
+    # power series cancels to a handful of digits (J_100(90)), and jv's relative error grows with the order
+    assert _kernel_error(order, (t * np.array([0.5, 0.9, 1.0])) ** 2) < 1e-11
 
 
 def test_bessel_derivative_against_oracle():
-    xs = np.linspace(0.5, 20.0, 25)
-    for order in (0.0, 0.5, 2.0):
-        ours = bessel_j_prime(order, xs)
-        reference = np.array([float(mpmath.besselj(order, x, derivative=1)) for x in xs])
-        assert np.max(np.abs(ours - reference)) < 1e-10
+    # J_s' enters every entry: the diagonal through J_s'(t)^2, the off-diagonal through t J_s'(t)
+    t = np.linspace(0.5, 20.0, 25)
+    for s in (0.0, 0.5, 2.0):
+        assert _kernel_error(s, t**2) < 1e-10, f"s = {s}"
 
 
 def test_legendre_special_case():
@@ -92,18 +71,9 @@ def test_recurrence_first_coefficients():
     assert beta[0] == pytest.approx(8.0 / 3.0)  # 2^{s+1}/(s+1)
 
 
-def test_gauss_rule_integrates_polynomials_exactly():
-    s = 1.5
-    nodes, weights = gauss_jacobi(s, 6)
-    for degree in range(11):  # exact through degree 2m - 1
-        quad = float(np.sum(weights * nodes**degree))
-        exact = float(mpmath.quad(lambda u: (1 - u) ** s * u**degree, [-1, 1]))
-        assert quad == pytest.approx(exact, abs=1e-12)
-
-
 def test_orthonormality_residual_small():
     for s in (0.0, 0.5, 2.0):
-        nodes, weights = gauss_jacobi(s, 21)
+        nodes, weights = special.roots_jacobi(21, s, 0.0)
         vals = jacobi_polynomials(s, 21, nodes)
         gram = (vals * weights) @ vals.T
         assert np.max(np.abs(gram - np.eye(21))) < 1e-8
@@ -134,8 +104,8 @@ def test_bessel_kernel_diagonal_is_continuous_limit():
     s = 0.5
     for i in (3, 17, 31):
         xi, yi = x[i], x[i] + eps
-        a = lambda t: bessel_j(s, np.sqrt(t))
-        b = lambda t: np.sqrt(t) * bessel_j_prime(s, np.sqrt(t))
+        a = lambda t: special.jv(s, np.sqrt(t))
+        b = lambda t: np.sqrt(t) * special.jvp(s, np.sqrt(t))
         near = (a(xi) * b(yi) - b(xi) * a(yi)) / (2.0 * (xi - yi))
         assert near == pytest.approx(K.entries[i, i], abs=1e-5)
 
