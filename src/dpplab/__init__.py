@@ -69,7 +69,6 @@ from .operators import (
     Projection,
     angle,
     convergence_report,
-    is_positive_contraction,
     local_trace_norm,
     norms,
     orthonormalize,

@@ -3,7 +3,8 @@
 Every command reads a JSON config validated against a strict schema
 (unknown fields are rejected), writes its artifacts plus a run manifest
 into the output directory, and exits with 0 on success, 2 on a
-configuration problem, or 3 on a numerical contract violation.
+configuration problem, or 3 on a failed verdict or a numerical contract
+violation (any :class:`~dpplab.errors.ContractError`).
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ import scipy
 from . import __version__
 from .conditioning import WeightFunction, check_inducibility, induced_kernel, normalization_constant
 from .dpp import DppDistribution, sample
-from .errors import (
-    AngleDegeneracyError,
-    ConditioningImpossibleError,
-    ConfigError,
-    ContractError,
-    DegenerateBasisError,
-    DimensionError,
-    InducibilityError,
-)
+from .errors import ConfigError, ContractError, DimensionError
 from .ground import GroundSpace
 from .operators import project_span
 from .serialization import (
@@ -47,14 +40,6 @@ from . import suites
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_CONTRACT_ERRORS = (
-    ContractError,
-    InducibilityError,
-    ConditioningImpossibleError,
-    AngleDegeneracyError,
-    DegenerateBasisError,
-)
 
 _SPACE_SCHEMA = {
     "type": "object",
@@ -356,7 +341,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         seed, artifacts, text, verdict = _COMMANDS[args.command](config, args.seed)
-    except _CONTRACT_ERRORS as exc:
+    except ContractError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, DimensionError, ValueError, KeyError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditioning import WeightFunction, induced_kernel
-from .errors import AngleDegeneracyError, ContractError, DegenerateBasisError, DimensionError
+from .errors import AngleDegeneracyError, ContractError, DimensionError
 from .ground import GroundSpace, Window
 from .operators import (
     ConvergenceReport,
@@ -170,21 +170,17 @@ def _exhaustion_row(
     space = model.space
     g = WeightFunction.indicator(space, Window(np.concatenate([model.core_window.index_set, window.index_set])))
     chi = g.values
-    nan = float("nan")
+    ang = nan = float("nan")
     try:
         ang = subspace_angle(model.basis * chi, model.extra * chi, space)
-    except DegenerateBasisError:
-        return ExhaustionRow(step, nan, tuple(nan for _ in probe_windows), nan, False, failed=True)
-    angle_ok = ang >= model.min_angle
-    try:
         Qg, Pg = sqrtg_subspace_projection(model, g)
-    except (AngleDegeneracyError, ContractError):
-        return ExhaustionRow(step, ang, tuple(nan for _ in probe_windows), nan, angle_ok, failed=True)
+    except ContractError:
+        return ExhaustionRow(step, ang, (nan,) * len(probe_windows), nan, ang >= model.min_angle, failed=True)
     probe_hat = np.asarray(probe_vector, dtype=float) * space.sqrt_weights
     remainder = Pg.factor[:, Qg.rank :]  # Pg - Qg = E E^T for these orthonormal columns E
     probe_norm = float(np.linalg.norm(remainder.T @ probe_hat))
     distances = tuple(projection_distance(Pg, model.base_projection, w) for w in probe_windows)
-    return ExhaustionRow(step, ang, distances, probe_norm, angle_ok)
+    return ExhaustionRow(step, ang, distances, probe_norm, ang >= model.min_angle)
 
 
 def exhaustion_suite(
@@ -199,8 +195,8 @@ def exhaustion_suite(
     For each window B_n the weight is the indicator of core union B_n; rows
     report the angle between the weighted base and deformation subspaces, the
     windowed trace distances to the base projection, and the remainder's
-    action on the probe vector.  Angle collapse below the model's bound is
-    reported per row and the suite continues.
+    action on the probe vector.  Angle collapse and any :class:`ContractError`
+    are reported per row (NaN distances after an error) and the suite continues.
     """
     steps = step_labels(steps, len(windows))
     probe_vector = np.asarray(probe_vector, dtype=float)

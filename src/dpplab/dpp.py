@@ -23,10 +23,6 @@ from .operators import KernelOperator, Projection, counting_diagonal
 #: (machine noise from spectral factorizations of projections).
 SPECTRUM_TOLERANCE = 1e-10
 
-#: Eigenvalues within this of 1 count as kept in ``DppDistribution.rank``, and
-#: within this of 0 or 1 as a projection's in ``DppDistribution.is_projection``.
-EIGENVALUE_TOLERANCE = 1e-8
-
 #: Fewest expected draws a configuration needs for its own bin in ``chi_square_gof``.
 GOF_MIN_EXPECTED = 5.0
 
@@ -118,7 +114,9 @@ class DppDistribution:
     clipped to [0, 1], and ``eigenvectors`` holds the matching eigenvectors
     as columns.  A rank-r :class:`Projection` is not factorized again: its
     eigenvalues are exactly 0 on n - r entries and 1 on r, and
-    ``eigenvectors`` is None, since the sampler reads the factor.
+    ``eigenvectors`` is None, since the sampler reads the factor.  This is the
+    package's one contraction check: any other spectrum outside [0, 1] by more
+    than ``SPECTRUM_TOLERANCE`` raises :class:`ContractError`.
     """
 
     def __init__(self, kernel: KernelOperator | Projection):
@@ -139,13 +137,6 @@ class DppDistribution:
     @property
     def space(self) -> GroundSpace:
         return self.kernel.space
-
-    def rank(self) -> int:
-        return int(np.sum(self.eigenvalues > 1.0 - EIGENVALUE_TOLERANCE))
-
-    def is_projection(self) -> bool:
-        ev = self.eigenvalues
-        return bool(np.all((ev < EIGENVALUE_TOLERANCE) | (ev > 1.0 - EIGENVALUE_TOLERANCE)))
 
 
 def correlation(D: DppDistribution, A) -> float:

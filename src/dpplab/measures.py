@@ -25,7 +25,6 @@ from .operators import (
     _check_same_space,
     _gram_schmidt,
     counting_diagonal,
-    is_positive_contraction,
 )
 from .tables import csv_text, step_labels, window_labels
 
@@ -88,6 +87,7 @@ def tightness_report(
 ) -> TightnessReport:
     """Screen a family of positive contractions for tightness of the embedded laws.
 
+    A member that fails ``DppDistribution``'s check raises :class:`ContractError` naming it.
     Each row reports tr(sqrt(f) K sqrt(f)) and its compressions to the tail
     windows; optionally the conditioning margin 1 - ||sqrt(1-g) K|| per member and
     the masses/tails of the deformation-vector measures f |v|^2 w and their least angle
@@ -104,8 +104,10 @@ def tightness_report(
     rows = []
     for alpha, K in enumerate(kernels):
         diag = _weighted_diagonal(K, f)
-        if not is_positive_contraction(K):
-            raise ContractError(f"family member {alpha} is not a positive contraction")
+        try:
+            DppDistribution(K)
+        except ContractError as exc:
+            raise ContractError(f"family member {alpha}: {exc}") from exc
         trace = float(diag.sum())
         tails = tuple(float(diag[w.index_set].sum()) for w in tail_windows)
         P = Projection.from_kernel(K) if g is not None or extra_vectors is not None else None

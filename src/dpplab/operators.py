@@ -185,22 +185,14 @@ def counting_diagonal(K: KernelOperator | Projection) -> np.ndarray:
     return np.diag(K.counting)
 
 
-def is_positive_contraction(K: KernelOperator | Projection) -> bool:
-    """Whether the counting form's spectrum lies in [0, 1] up to 1e-8; a :class:`Projection`'s is by construction."""
-    if isinstance(K, Projection):
-        return True
-    eigvals = np.linalg.eigvalsh(K.counting)
-    return bool(eigvals[0] >= -1e-8 and eigvals[-1] <= 1.0 + 1e-8)
-
-
 def local_trace_norm(K: KernelOperator, A: Window) -> float:
-    """Trace norm of the counting-form block chi_A Khat chi_A."""
+    """Trace norm of the counting-form block chi_A Khat chi_A, the sum of its absolute eigenvalues."""
     A.validate(K.space)
     if len(A) == 0:
         warnings.warn("empty window in local_trace_norm, returning 0", stacklevel=2)
         return 0.0
     block = K.counting[np.ix_(A.index_set, A.index_set)]
-    return float(np.sum(np.linalg.svd(block, compute_uv=False)))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(block))))
 
 
 def projection_distance(P: Projection, Q: Projection, A: Window) -> float:

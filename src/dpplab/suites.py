@@ -15,7 +15,7 @@ from scipy import special
 from .conditioning import WeightFunction, induced_kernel, normalization_constant, reweighted_distribution
 from .deformations import DEFAULT_MIN_ANGLE, DeformationModel, ExhaustionReport, exhaustion_suite
 from .deformations import perturbation_convergence_suite
-from .dpp import _BLOCK_BYTES, DppDistribution, brute_force_distribution, sample, sample_batches, total_variation
+from .dpp import DppDistribution, brute_force_distribution, sample, sample_batches, total_variation
 from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, project_span
@@ -343,19 +343,16 @@ def weakconv_calibration(
     """Same-law two-sample p-values; should be close to uniform on [0, 1].
 
     Repetition j compares the batches of sampler seeds seed + 1000 + 2j and
-    seed + 1001 + 2j.  The batches are drawn by ``sample_batches`` in groups
-    of repetitions whose occupancy fits the sampler's byte budget.
+    seed + 1001 + 2j.  All batches come from one ``sample_batches`` call and
+    are held together: 2 * repetitions * batch_size * n bytes of occupancy,
+    480 KB at the default sizes on the 8-point space.
     """
-    space, limit, f, phis = _weakconv_setting()
-    D = DppDistribution(limit)
-    group = max(1, _BLOCK_BYTES // max(1, 2 * batch_size * space.n))
+    _, limit, f, phis = _weakconv_setting()
+    batches = sample_batches(DppDistribution(limit), range(seed + 1000, seed + 1000 + 2 * repetitions), batch_size)
     p_values = np.empty(repetitions)
-    for start in range(0, repetitions, group):
-        stop = min(start + group, repetitions)
-        batches = sample_batches(D, range(seed + 1000 + 2 * start, seed + 1000 + 2 * stop), batch_size)
-        for rep, batch_a, batch_b in zip(range(start, stop), batches[::2], batches[1::2]):
-            report = weak_convergence_test([batch_a], batch_b, f, phis, permutations=permutations, seed=seed + rep)
-            p_values[rep] = report.p_values[0]
+    for rep, (batch_a, batch_b) in enumerate(zip(batches[::2], batches[1::2])):
+        report = weak_convergence_test([batch_a], batch_b, f, phis, permutations=permutations, seed=seed + rep)
+        p_values[rep] = report.p_values[0]
     return p_values
 
 

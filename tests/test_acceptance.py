@@ -12,6 +12,7 @@ from dense_reference import bessel_kernel_entries_mp
 from dpplab import suites
 from dpplab.dpp import DppDistribution, brute_force_distribution, chi_square_gof, sample
 from dpplab.ground import GroundSpace
+from dpplab.operators import Projection
 from dpplab.scaling import bessel_kernel
 
 
@@ -131,9 +132,8 @@ def test_criterion_6_sampler_correctness(capsys):
         _, _, p = chi_square_gof(samples, dict(enumerate(brute_force_distribution(D))))
         ok &= p > 1e-3
         details.append(f"{name} p={p:.3f}")
-        if D.is_projection():
-            rank = D.rank()
-            rigid = bool(np.all(samples.occupancy.sum(axis=1) == rank))
+        if isinstance(K, Projection):
+            rigid = bool(np.all(samples.occupancy.sum(axis=1) == K.rank))
             ok &= rigid
             details.append(f"{name} rank rigidity={rigid}")
     elapsed = time.perf_counter() - start

@@ -14,6 +14,16 @@ from hypothesis import strategies as st
 
 from dpplab import suites
 from dpplab.cli import _COMMANDS, _SCHEMAS, _SUITES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from dpplab.deformations import ExhaustionReport, ExhaustionRow
+from dpplab.errors import (
+    AngleDegeneracyError,
+    ConditioningImpossibleError,
+    ContractError,
+    DegenerateBasisError,
+    EmptyWindowError,
+    EnumerationSizeError,
+    InducibilityError,
+)
 from dpplab.serialization import load_json
 
 
@@ -147,6 +157,41 @@ def test_exhaust_command_on_a_2_14_grid(tmp_path):
     values = row.split(",")
     assert values[0] == "14" and values[-1] == "1"
     assert all(np.isfinite(float(v)) for v in values)  # a failed row carries NaN
+
+
+def test_exhaust_with_a_failed_row_writes_its_table_and_exits_3(tmp_path, monkeypatch):
+    nan = float("nan")
+    report = ExhaustionReport((ExhaustionRow(8, 0.5, (nan, nan), nan, True, failed=True),), ("a", "b"), 0.05)
+    monkeypatch.setitem(_SUITES, ("exhaust", None), lambda: report)
+    cfg = _write(tmp_path / "cfg.json", {})
+    assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+    assert (tmp_path / "run" / "exhaustion.csv").read_text().splitlines()[1] == "8,0.5,nan,nan,nan,1"
+    assert (tmp_path / "run" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ContractError("kernel spectrum is not a contraction"), EXIT_NUMERICAL),
+        (DegenerateBasisError(1), EXIT_NUMERICAL),
+        (AngleDegeneracyError(0, 0.01, 0.05), EXIT_NUMERICAL),
+        (InducibilityError(-1e-3), EXIT_NUMERICAL),
+        (ConditioningImpossibleError("the normalization constant vanishes"), EXIT_NUMERICAL),
+        (EnumerationSizeError("21 points exceed the enumeration limit 20"), EXIT_CONFIG),
+        (EmptyWindowError("no point in the core window"), EXIT_CONFIG),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_exit_code_of_each_error_a_suite_raises(tmp_path, monkeypatch, capsys, error, code):
+    def suite():
+        raise error
+
+    monkeypatch.setitem(_SUITES, ("tightness", None), suite)
+    cfg = _write(tmp_path / "cfg.json", {})
+    assert main(["tightness", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+    prefix = "numerical contract violation" if code == EXIT_NUMERICAL else "config error"
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("s_values", [[0.5, 0.5000001], [2.0, 2.0], [0.0, -0.0]])

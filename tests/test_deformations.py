@@ -10,9 +10,15 @@ from dpplab.deformations import (
     perturbation_convergence_suite,
     sqrtg_subspace_projection,
 )
-from dpplab.errors import AngleDegeneracyError, DimensionError, EmptyWindowError
+from dpplab.errors import (
+    AngleDegeneracyError,
+    DegenerateBasisError,
+    DimensionError,
+    EmptyWindowError,
+    InducibilityError,
+)
 from dpplab.ground import GroundSpace, Window
-from dpplab.operators import angle, project_span
+from dpplab.operators import angle, project_span, subspace_angle
 from dpplab.suites import scripted_exhaustion_study
 
 
@@ -158,6 +164,55 @@ def test_exhaustion_rows_of_a_model_without_deformation_vectors():
     assert [r.step for r in report.rows] == [1, 2]
     for row in report.rows:
         assert (row.angle, row.angle_ok, row.remainder_probe_norm, row.failed) == (np.pi / 2, True, 0.0, False)
+
+
+def _eight_point_rows(basis, extra, windows):
+    """Exhaustion rows on the 8-point grid of (0, 1] with core {6, 7} and the core indicator as probe."""
+    space = GroundSpace.uniform_cells(0.0, 1.0, 8)
+    model = DeformationModel(space, basis, extra, Window([6, 7], "core"))
+    probe = np.where(np.arange(8) >= 6, 1.0, 0.0)
+    return model, exhaustion_suite(model, [Window(w) for w in windows], [Window([6, 7])], probe)
+
+
+def test_an_angle_collapse_gives_a_failed_row_and_the_suite_continues():
+    # v is 1 + 1e-3 on {4, 5} and 1 on the core, so weighted on core + {4, 5} it nearly lies in span{1}
+    v = np.array([4.0, 4.0, 4.0, 4.0, 1.001, 1.001, 1.0, 1.0])
+    model, report = _eight_point_rows(np.ones((1, 8)), v[None, :], [[2, 3, 4, 5], [4, 5], [0, 1, 2, 3, 4, 5]])
+    first, collapsed, last = report.rows
+    assert 0.0 < collapsed.angle < model.min_angle
+    assert collapsed.failed and not collapsed.angle_ok
+    assert np.isnan(collapsed.distances).all() and np.isnan(collapsed.remainder_probe_norm)
+    assert not first.failed and not last.failed and first.angle_ok and last.angle_ok
+    assert last.distances[0] < first.distances[0]
+    assert report.decreasing  # the NaN row is skipped, not compared
+
+
+def _weighted_base_model(eps):
+    """Base {1, c}, c = 4 on points 0-3, 1 on {4, 5} and 1 + eps on the core, deformed by sin 7x."""
+    c = np.array([4.0, 4.0, 4.0, 4.0, 1.0, 1.0, 1.0 + eps, 1.0 + eps])
+    x = GroundSpace.uniform_cells(0.0, 1.0, 8).points
+    return _eight_point_rows(np.vstack([np.ones(8), c]), np.sin(7.0 * x)[None, :], [[4, 5], [0, 1, 2, 3, 4, 5]])
+
+
+def test_a_weighted_base_that_gram_schmidt_refuses_gives_a_failed_row():
+    model, report = _weighted_base_model(1e-6)
+    chi = WeightFunction.indicator(model.space, Window([4, 5, 6, 7])).values
+    with pytest.raises(DegenerateBasisError):
+        subspace_angle(model.basis * chi, model.extra * chi, model.space)
+    refused, after = report.rows
+    assert refused.failed and not refused.angle_ok and np.isnan(refused.angle)
+    assert np.isnan(refused.distances).all()
+    assert not after.failed and np.isfinite(after.distances).all()
+
+
+def test_a_weighted_base_that_the_margin_test_refuses_gives_a_failed_row():
+    model, report = _weighted_base_model(1e-5)
+    with pytest.raises(InducibilityError):
+        sqrtg_subspace_projection(model, WeightFunction.indicator(model.space, Window([4, 5, 6, 7])))
+    refused, after = report.rows
+    assert refused.failed and refused.angle_ok and refused.angle == pytest.approx(0.471, abs=1e-3)
+    assert np.isnan(refused.distances).all() and np.isnan(refused.remainder_probe_norm)
+    assert not after.failed and np.isfinite(after.distances).all()
 
 
 def test_exhaustion_suite_rejects_steps_that_do_not_label_every_window():

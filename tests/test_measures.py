@@ -90,6 +90,16 @@ def test_tightness_rejects_a_deformation_vector_in_the_range(position):
         tightness_report([P], f, [Window.full(space)], extra_vectors=[np.array(vs)])
 
 
+@pytest.mark.parametrize("top", [1.5, 1.0 + 1e-9], ids=["far", "past_the_spectrum_tolerance"])
+def test_tightness_rejects_a_dense_member_that_is_not_a_positive_contraction(top):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 6)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    good = KernelOperator.from_counting(space, np.diag([0.2, 0.4, 0.6, 0.8, 1.0, 0.0]))
+    bad = KernelOperator.from_counting(space, np.diag([0.2, 0.4, 0.6, 0.8, top, 0.0]))
+    with pytest.raises(ContractError, match="family member 1: .* is not a contraction"):
+        tightness_report([good, bad, good], f, [Window.full(space)])
+
+
 @pytest.mark.parametrize("shape", [(1, 5), (7,), (2, 1, 6)])
 def test_tightness_rejects_deformation_vectors_of_another_length(shape):
     space = GroundSpace.uniform_cells(0.0, 1.0, 6)

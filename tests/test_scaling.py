@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed, is_projection
+from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed
+from dpplab.dpp import DppDistribution
 from dpplab.ground import GroundSpace, Window
-from dpplab.operators import is_positive_contraction
 from dpplab.scaling import (
     bessel_kernel,
     cd_kernel_sum,
@@ -92,8 +92,8 @@ def test_scaled_kernels_are_positive_contractions():
     grid = GroundSpace.uniform_cells(0.0, 10.0, 80)
     for s in (0.0, 2.0):
         for n in (8, 16):
-            assert is_positive_contraction(jacobi_cd_kernel(s, n, grid))
-        assert is_positive_contraction(bessel_kernel(s, grid))
+            DppDistribution(jacobi_cd_kernel(s, n, grid))  # raises ContractError unless a positive contraction
+        DppDistribution(bessel_kernel(s, grid))
 
 
 def test_bessel_kernel_diagonal_is_continuous_limit():
@@ -124,7 +124,7 @@ def test_kernel_builders_reject_invalid_parameters():
     with pytest.raises(ValueError):
         bessel_kernel(0.0, bad_grid)
     K = jacobi_cd_kernel(0.0, 6, grid)
-    assert is_projection(K.counting) or is_positive_contraction(K)
+    DppDistribution(K)
 
 
 def test_heine_mehler_distances_decrease():
