@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import Samples, _check_law_size
+from .dpp import Samples, _check_law_size, _law_array
 from .errors import ConditioningImpossibleError, ContractError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
 from .operators import Projection, _check_same_space
@@ -89,31 +89,22 @@ def psi_g(g: WeightFunction, samples: Samples) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InducibilityCheck:
-    norm_1mg_P: float
-    sqrt_norm: float
     margin: float
     invertible: bool
 
 
 def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
-    """Report ||(1-g)P||, the margin 1 - ||sqrt(1-g)P||, and the invertibility verdict.
+    """Report the margin 1 - ||sqrt(1-g)P|| and the invertibility verdict.
 
-    Since U has orthonormal columns, ||D U U^T|| = ||D U||: both norms are
-    spectral norms of n x r matrices, the largest singular values of
-    (1-g) U and sqrt(1-g) U.  Both products are written into one
-    preallocated (2, n, r) array, and one SVD call on it gives both norms,
-    bit for bit the values of two ``np.linalg.norm(., 2)`` calls, which run
-    the same LAPACK routine per matrix.  Raises :class:`DimensionError` when
-    g and P live on different ground spaces.
+    Since U has orthonormal columns, ||D U U^T|| = ||D U||: the norm is the
+    largest singular value of the n x r matrix sqrt(1-g) U, from one SVD
+    call, bit for bit the value of ``np.linalg.norm(., 2)``, which runs the
+    same LAPACK routine.  Raises :class:`DimensionError` when g and P live
+    on different ground spaces.
     """
     _check_same_space(g.space, P.space)
-    one_minus_g = 1.0 - g.values
-    scaled = np.empty((2, *P.factor.shape))
-    np.multiply(one_minus_g[:, None], P.factor, out=scaled[0])
-    np.multiply(np.sqrt(one_minus_g)[:, None], P.factor, out=scaled[1])
-    norm_full, sqrt_norm = np.linalg.svd(scaled, compute_uv=False)[:, 0].tolist()
-    margin = 1.0 - sqrt_norm
-    return InducibilityCheck(norm_full, sqrt_norm, margin, margin > MARGIN_TOLERANCE)
+    margin = 1.0 - float(np.linalg.svd(np.sqrt(1.0 - g.values)[:, None] * P.factor, compute_uv=False)[0])
+    return InducibilityCheck(margin, margin > MARGIN_TOLERANCE)
 
 
 def induced_kernel(g: WeightFunction, P: Projection) -> Projection:
@@ -168,9 +159,7 @@ def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float
     with a negative, NaN or infinite entry raises :class:`ContractError`.
     """
     n = g.space.n
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (2**n,):
-        raise DimensionError(f"a configuration law on {n} points has {2**n} entries")
+    probs = _law_array(probs, n)
     _check_law_size(n)
     lo, hi = probs.min(), probs.max()  # a NaN is both
     if not (lo >= 0.0 and hi < math.inf):

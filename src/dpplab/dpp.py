@@ -164,6 +164,14 @@ def occupancy_table(n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n)) & 1
 
 
+def _law_array(law, n: int) -> np.ndarray:
+    """``law`` as a float array, or :class:`DimensionError` unless it has the 2^n entries of a law on n points."""
+    law = np.asarray(law, dtype=float)
+    if law.shape != (2**n,):
+        raise DimensionError(f"a configuration law on {n} points has {2**n} entries")
+    return law
+
+
 def _check_law_size(n: int) -> None:
     if n > MAX_ENUMERATION_POINTS:
         raise EnumerationSizeError(f"{n} points exceed the enumeration limit {MAX_ENUMERATION_POINTS}")
@@ -226,6 +234,11 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise DimensionError(f"configuration laws of shapes {p.shape} and {q.shape} differ")
     return 0.5 * float(np.abs(p - q).sum())
+
+
+def _philox_generator(seed: int, stream: int) -> np.random.Generator:
+    """A ``Generator`` on the Philox4x64-10 stream keyed (seed, stream), as ``RNG_ALGORITHM`` keys each replica."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _mulhilo(a: np.ndarray, i: int, lo: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
@@ -302,20 +315,34 @@ def _stream_uniforms(seeds: np.ndarray, replicas: np.ndarray, width: int, offset
     return words * 2.0**-53
 
 
-def _kept_sets(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct columns of the bool array ``keep``, as rows, and, for each column, the index of its copy among them.
+def _packed_rows(rows: np.ndarray) -> np.ndarray:
+    """The (count, words) uint64 keys of the rows of a (count, n) bool array, equal exactly where the rows are.
 
-    Columns are grouped by one ``lexsort`` of their bits packed into bytes
-    along the rows.
+    The rows are padded to whole 64-bit words and packed in one ``packbits``
+    pass: column j is bit j % 64 of word j // 64.
     """
-    packed = np.packbits(keep, axis=0)
-    order = np.lexsort(packed)
-    packed = packed[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(packed[:, 1:] != packed[:, :-1], axis=0)
-    index = np.empty(len(order), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return keep[:, order[first]].T, index
+    count, n = rows.shape
+    words = -(-n // 64)
+    padded = np.zeros((count, 64 * words), dtype=bool)
+    padded[:, :n] = rows
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(count, words)
+
+
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal rows of a 2-D key array: its sort order, the starts of its runs, and each row's run.
+
+    ``order`` sorts the rows lexicographically, column 0 first (an ``argsort``
+    of one column, else a ``lexsort``), equal rows in any order.  ``starts[i]``
+    marks a sorted row unequal (by ``!=``: -0.0 equals 0.0, a NaN equals
+    nothing) to the one before it, and ``index[r]`` is row r's run.
+    """
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    index = np.empty(len(keys), dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return order, starts, index
 
 
 def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
@@ -342,11 +369,11 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
     cdf's columns gathered by ``state``.  A replica leaves once it has
     drawn its k_r points.
 
-    New prefixes are numbered in the order of their keys state * n + j, from
-    a presence table over the keys.  Once every replica has a prefix of its
-    own, row i is the i-th replica's and the gathers by ``state`` stop.
-    Each row runs the arithmetic the replica would run alone, so the draws
-    do not depend on how the replicas share prefixes.
+    Kept sets are numbered by ``_group_rows``, new prefixes in the order of
+    their keys state * n + j, from a presence table.  Once every replica has
+    a prefix of its own, row i is the i-th replica's and the gathers by
+    ``state`` stop.  Each row runs the arithmetic the replica would run
+    alone, so the draws depend neither on sharing nor on numbering.
     """
     n, m = V.shape
     B = u.shape[1]
@@ -358,7 +385,8 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
         drawing = np.flatnonzero(keep.any(axis=0))
         if len(drawing) < B:
             live = drawing
-        sets, state = _kept_sets(keep[:, drawing])
+        order, starts, state = _group_rows(_packed_rows(keep[:, drawing].T))
+        sets = keep[:, drawing[order[starts]]].T
         masks, k = sets.astype(float), np.count_nonzero(sets, axis=1)
         d = np.array([np.sum(V[:, kept] ** 2, axis=1) for kept in sets])
     steps = int(k.max(initial=0))  # k holds the points to draw, per prefix

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import WeightFunction, check_inducibility
-from .dpp import DppDistribution, Samples
+from .dpp import DppDistribution, Samples, _group_rows, _philox_generator
 from .errors import ContractError, DimensionError
 from .ground import Window
 from .operators import (
@@ -235,7 +235,7 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     pooled counts, the within-X, cross and within-Y distance sums are
     c'Dc, c'D(t - c) and (t - c)'D(t - c).  That costs O(N + m^2) per
     permutation for N pooled rows, and the N x N distance matrix is never
-    formed.  The distinct rows come from one ``lexsort`` of the pooled
+    formed.  The distinct rows come from ``dpp._group_rows`` on the pooled
     rows, and the count vectors of all splits from one ``add.reduceat``
     over the columns of the split table taken in that order.  The products
     are ``einsum`` calls, which run on the calling thread: a BLAS product
@@ -251,14 +251,11 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     pooled = np.vstack([X, Y])
     n, nx = len(pooled), len(X)
     ny = n - nx
-    # The distinct rows in lexicographic order, as np.unique(axis=0) finds
-    # them: -0.0 equals 0.0 and every row holding a NaN is its own row.
-    order = np.lexsort(pooled.T[::-1])
-    ordered = pooled[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    # The distinct rows in lexicographic order, as np.unique(axis=0) finds them.
+    order, new, _ = _group_rows(pooled)
     starts = np.flatnonzero(new)
-    D = _pairwise(ordered[starts], ordered[starts])
+    distinct = pooled[order[starts]]
+    D = _pairwise(distinct, distinct)
     on_x = _split_table(n, nx, permutations, rng)
     counts = np.add.reduceat(on_x[:, order], starts, axis=1, dtype=np.int32).astype(float)
     pooled_counts = np.diff(starts, append=n).astype(float)
@@ -321,7 +318,7 @@ def weak_convergence_test(
     if len(sizes) != 1:
         raise ValueError("all batches must have equal size")
     limit_stats = linear_statistics(samples_limit, f, phis)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _philox_generator(seed, 0)
     tests = [permutation_energy_test(linear_statistics(b, f, phis), limit_stats, permutations, rng) for b in samples_n]
     statistics, p_values = zip(*tests)
     decreasing = bool(np.all(np.diff(statistics) < 0))  # vacuously true for one batch

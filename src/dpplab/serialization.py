@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .dpp import Samples
+from .dpp import Samples, _group_rows, _law_array, _packed_rows
 from .errors import ConfigError, DimensionError
 from .ground import GroundSpace
 from .operators import KernelOperator
@@ -60,9 +60,7 @@ def kernel_from_dict(payload: dict) -> KernelOperator:
 
 def distribution_to_dict(law: np.ndarray, n_points: int) -> dict:
     """A configuration law held as a (2^n,) array, written with one probability per bitmask."""
-    law = np.asarray(law, dtype=float)
-    if law.shape != (2**n_points,):
-        raise DimensionError(f"a configuration law on {n_points} points has {2**n_points} entries")
+    law = _law_array(law, n_points)
     return {
         "format_version": FORMAT_VERSION,
         "kind": "distribution",
@@ -85,24 +83,12 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
 def samples_to_csv(samples: Samples) -> str:
     """One line per draw: space-separated occupied indices (may be empty); no draws give "".
 
-    Each distinct occupancy row is formatted once.  Rows are padded to
-    whole uint64 words, one word per 64 points, packed along the points in
-    one run over the whole array, and sorted (a lexsort when there are
-    several words); a row differing from its sorted neighbour starts a new
-    line, and every draw maps to its row's.
+    Each distinct occupancy row is formatted once: ``_group_rows`` groups
+    the rows by their ``_packed_rows`` keys, and every draw takes its run's
+    line.
     """
     occupancy = samples.occupancy
-    count, n = occupancy.shape
-    words = -(-n // 64)
-    padded = np.zeros((count, 64 * words), dtype=bool)
-    padded[:, :n] = occupancy
-    keys = np.packbits(padded, bitorder="little").view("<u8").reshape(count, words)
-    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
-    ranked = keys[order]
-    starts = np.ones(count, dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    line_of = np.empty(count, dtype=np.intp)
-    line_of[order] = np.cumsum(starts) - 1
+    order, starts, line_of = _group_rows(_packed_rows(occupancy))
     distinct = occupancy[order[starts]]
     lines = np.array([" ".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in distinct], dtype=object)
     return "".join(lines[line_of].tolist())

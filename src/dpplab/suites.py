@@ -16,6 +16,7 @@ from .conditioning import WeightFunction, induced_kernel, normalization_constant
 from .deformations import DEFAULT_MIN_ANGLE, DeformationModel, ExhaustionReport, exhaustion_suite
 from .deformations import perturbation_convergence_suite
 from .dpp import DppDistribution, brute_force_distribution, sample, sample_batches, total_variation
+from .dpp import _philox_generator
 from .errors import EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, project_span
@@ -41,10 +42,6 @@ PERTURBATION_WINDOWS = (("full", 0.0, 1.0), ("left", 0.0, 0.5))
 #: Draws per kernel and base seed of ``scripted_chebyshev_checks``.
 CHEBYSHEV_SAMPLES = 2000
 CHEBYSHEV_SEED = 97
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def random_ground_space(rng: np.random.Generator, n: int) -> GroundSpace:
@@ -129,7 +126,7 @@ def conditioning_oracle_battery(
     """
     results = []
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        rng = _philox_generator(seed, trial)
         n = int(rng.integers(2, max_points + 1))
         rank = int(rng.integers(1, min(max_rank, n) + 1))
         space = random_ground_space(rng, n)
@@ -230,7 +227,7 @@ def scripted_sampler_kernels() -> dict[str, KernelOperator]:
     proj2 = project_span(np.vstack([np.ones(5), x5]), space5)
 
     space4 = GroundSpace(np.arange(1.0, 5.0), np.full(4, 1.0))
-    contraction = _random_contraction(_trial_rng(71, 0), space4, 1.25)
+    contraction = _random_contraction(_philox_generator(71, 0), space4, 1.25)
 
     space6 = GroundSpace.uniform_cells(0.0, 2.0, 6)
     x6 = space6.points
@@ -306,7 +303,7 @@ def scripted_chebyshev_checks():
     cases.append(("rank1", project_span(np.ones((1, 6)), space)))
     cases.append(("rank2", project_span(np.vstack([np.ones(6), x]), space)))
     cases.append(("rank3", project_span(np.vstack([np.ones(6), x, x**2]), space)))
-    rng = _trial_rng(CHEBYSHEV_SEED, 0)
+    rng = _philox_generator(CHEBYSHEV_SEED, 0)
     cases.append(("contraction_a", _random_contraction(rng, space, 1.5)))
     cases.append(("contraction_b", KernelOperator.from_counting(space, np.diag(rng.uniform(0.1, 0.9, 6)))))
 

@@ -38,13 +38,9 @@ def is_projection(khat: np.ndarray, tol: float = PROJECTION_TOLERANCE) -> bool:
     return float(np.max(np.abs(khat @ khat - khat))) < tol
 
 
-def inducibility_norms(g: np.ndarray, phat: np.ndarray) -> tuple[float, float]:
-    """||(1-g) P|| and ||sqrt(1-g) P||, as spectral norms of n x n matrices."""
-    one_minus_g = 1.0 - g
-    return (
-        float(np.linalg.norm(one_minus_g[:, None] * phat, 2)),
-        float(np.linalg.norm(np.sqrt(one_minus_g)[:, None] * phat, 2)),
-    )
+def inducibility_norm(g: np.ndarray, phat: np.ndarray) -> float:
+    """||sqrt(1-g) P||, as the spectral norm of an n x n matrix."""
+    return float(np.linalg.norm(np.sqrt(1.0 - g)[:, None] * phat, 2))
 
 
 def induced_counting(g: np.ndarray, phat: np.ndarray) -> np.ndarray:

@@ -76,6 +76,13 @@ def test_induce_command(tmp_path):
     assert entries[0, 0] == pytest.approx(2.0 / 3.0)
 
 
+def test_induce_basis_of_the_wrong_width_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {**_INDUCE_CONFIG, "basis": [[1.0, 1.0, 1.0]]})
+    assert main(["induce", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "basis vectors must match the number of grid points" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_induce_degenerate_weight_exits_3(tmp_path):
     # the range of the projection is supported inside {g = 0}
     cfg = _write(
@@ -297,6 +304,14 @@ def test_weakconv_calibration_with_ten_repetitions_rejected(tmp_path):
 def test_weakconv_key_outside_mode_rejected(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"mode": "sequence", "repetitions": 3})
     assert main(["weakconv", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_weakconv_calibration_rejects_an_n_list(tmp_path, capsys):
+    # the schema admits n_list for either mode; the calibration suite takes none
+    cfg = _write(tmp_path / "cfg.json", {"mode": "calibration", "n_list": [1, 2]})
+    assert main(["weakconv", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "weakconv mode 'calibration' takes no n_list" in capsys.readouterr().err
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 

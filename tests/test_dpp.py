@@ -276,6 +276,52 @@ def test_sampler_matches_reference_across_default_block():
     assert [X.occupied for X in sample(D, 3, count)] == _reference_sample(D, 3, count)
 
 
+def test_sampler_matches_reference_with_two_words_of_coins():
+    # 100 eigenvector coins per replica pack into two uint64 words.  Eigenvalues 62-66 are 1/2, the
+    # ones below 0 and the ones above 1, so the kept sets vary in both words and repeat often.
+    n, seed, count = 100, 5, 48
+    rng = _rng(26)
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    spectrum = np.repeat([0.0, 0.5, 1.0], [62, 5, 33])
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    D = DppDistribution(KernelOperator.from_counting(space, (Q * spectrum) @ Q.T))
+    coins = dpp._stream_uniforms(np.full(count, seed, dtype=np.uint64), np.arange(count, dtype=np.uint64), n)
+    kept = dpp._packed_rows((coins < D.eigenvalues[:, None]).T)
+    assert len(np.unique(kept[:, 0])) > 1 and len(np.unique(kept[:, 1])) > 1
+    assert len({tuple(k) for k in kept.tolist()}) < count  # some replicas share their kept set
+    assert [X.occupied for X in sample(D, seed, count)] == _reference_sample(D, seed, count)
+
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two labelings of the same items group them alike."""
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["bool", "float"]))
+def test_group_rows_partitions_rows_as_unique_does(data, kind):
+    rng = _rng(data.draw(st.integers(0, 2**32 - 1)))
+    count = data.draw(st.integers(0, 60))
+    if kind == "bool":
+        # 1-130 columns: keys of one to three uint64 words, from few distinct rows
+        width = data.draw(st.integers(1, 130))
+        patterns = rng.random((data.draw(st.integers(1, 8)), width)) < rng.random()
+        rows = patterns[rng.integers(0, len(patterns), count)]
+        keys = dpp._packed_rows(rows)
+        assert keys.shape == (count, -(-width // 64))
+    else:
+        rows = keys = rng.integers(-2, 3, size=(count, data.draw(st.integers(1, 4)))).astype(float)
+    order, starts, index = dpp._group_rows(keys)
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    assert np.count_nonzero(starts) == len(distinct)
+    assert np.array_equal(index[order], np.cumsum(starts) - 1)  # runs are numbered in sorted order
+    assert _same_partition(index, inverse)
+    if kind == "float":  # both sort the rows lexicographically, column 0 first
+        assert np.array_equal(index, inverse)
+        assert np.array_equal(rows[order[starts]], distinct)
+
+
 def test_projection_distribution_reads_the_factor():
     space = GroundSpace.uniform_cells(0.0, 1.0, 6)
     P = project_span(_rng(18).normal(size=(2, 6)), space)

@@ -18,7 +18,14 @@ from dpplab.measures import (
     tightness_report,
     weak_convergence_test,
 )
-from dpplab.operators import KernelOperator, local_trace_norm, project_span, projection_distance, subspace_angle
+from dpplab.operators import (
+    KernelOperator,
+    Projection,
+    local_trace_norm,
+    project_span,
+    projection_distance,
+    subspace_angle,
+)
 
 
 def _rng(seed):
@@ -75,6 +82,21 @@ def test_tightness_margin_and_vector_angles():
         assert row.vector_masses == pytest.approx(tuple((vs**2 * space.weights).sum(axis=1)))
     assert rep.uniform_margin == min(r.margin for r in rep.rows)
     assert rep.angle_bound == min(r.min_vector_angle for r in rep.rows)
+
+
+def test_tightness_margin_of_a_dense_projection_member():
+    # a member held as a dense kernel is factored by Projection.from_kernel
+    rng = _rng(42)
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, 8)), rng.uniform(0.5, 1.5, 8))
+    P = project_span(rng.normal(size=(3, 8)), space)
+    K = KernelOperator.from_counting(space, P.counting)
+    factored = Projection.from_kernel(K)
+    assert factored.rank == 3
+    assert np.max(np.abs(factored.counting - K.counting)) < 1e-12
+    f = WeightFunction.constant(space, 1.0, role="f")
+    g = WeightFunction(space, rng.uniform(0.3, 1.0, 8))
+    rep = tightness_report([K, P], f, [Window(tuple(range(4, 8)))], g=g)
+    assert rep.rows[0].margin == pytest.approx(rep.rows[1].margin, abs=1e-12)
 
 
 @pytest.mark.parametrize("position", [0, 1], ids=["range_vector_first", "range_vector_last"])

@@ -16,6 +16,7 @@ from dpplab.operators import (
     norms,
     orthonormalize,
     project_span,
+    projection_distance,
     subspace_angle,
 )
 
@@ -112,6 +113,9 @@ def test_local_trace_norm_empty_window_warns():
     K = KernelOperator.from_counting(space, np.eye(3))
     with pytest.warns(UserWarning):
         assert local_trace_norm(K, Window(())) == 0.0
+    P = project_span(np.ones((1, 3)), space)
+    with pytest.warns(UserWarning, match="projection_distance"):
+        assert projection_distance(P, P, Window(())) == 0.0
 
 
 def test_angle_scale_invariant_and_extremes():

@@ -59,7 +59,7 @@ def conditioning_cases(draw):
     if draw(st.booleans()):
         value = st.one_of(st.just(0.0), value)
     g = np.array(draw(st.lists(value, min_size=P.n, max_size=P.n)))
-    assume(1.0 - dense.inducibility_norms(g, P.counting)[1] >= MIN_MARGIN)
+    assume(1.0 - dense.inducibility_norm(g, P.counting) >= MIN_MARGIN)
     return P, WeightFunction(P.space, g)
 
 
@@ -67,11 +67,8 @@ def conditioning_cases(draw):
 @given(conditioning_cases())
 def test_inducibility_norms_match_dense_norms(case):
     P, g = case
-    check = check_inducibility(g, P)
-    norm_full, sqrt_norm = dense.inducibility_norms(g.values, P.counting)
-    assert check.norm_1mg_P == pytest.approx(norm_full, abs=1e-13)
-    assert check.sqrt_norm == pytest.approx(sqrt_norm, abs=1e-13)
-    assert check.margin == pytest.approx(1.0 - sqrt_norm, abs=1e-13)
+    sqrt_norm = dense.inducibility_norm(g.values, P.counting)
+    assert check_inducibility(g, P).margin == pytest.approx(1.0 - sqrt_norm, abs=1e-13)
 
 
 @_SETTINGS

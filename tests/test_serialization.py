@@ -93,12 +93,17 @@ def test_samples_round_trip():
 
 @st.composite
 def occupancy_cases(draw):
-    """Occupancy arrays on 1-70 points (row keys of one or two uint64 words), 0-60 draws, from few distinct rows."""
-    n = draw(st.integers(1, 70))
+    """Occupancy arrays on 1-130 points (row keys of one to three uint64 words), 0-60 draws, from few distinct rows.
+
+    In some cases the rows other than the first share their first 64 points, so only their later words differ.
+    """
+    n = draw(st.integers(1, 130))
     count = draw(st.integers(0, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patterns = rng.random((draw(st.integers(1, 8)), n)) < rng.random()
     patterns[0] = draw(st.booleans())  # an all-empty or all-full row
+    if draw(st.booleans()):
+        patterns[1:, :64] = patterns[-1, :64]
     return Samples(GroundSpace.uniform_cells(0.0, 1.0, n), patterns[rng.integers(0, len(patterns), count)])
 
 
