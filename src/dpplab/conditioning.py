@@ -25,7 +25,7 @@ import numpy as np
 from .dpp import Samples, _check_law_size, _law_array
 from .errors import ConditioningImpossibleError, ContractError, DimensionError, InducibilityError
 from .ground import GroundSpace, Window
-from .operators import Projection, _check_same_space
+from .operators import Projection, _check_same_space, _gram_schmidt
 
 #: Values of 1 - ||sqrt(1-g) P|| at or below this count as non-invertible.
 MARGIN_TOLERANCE = 1e-10
@@ -99,11 +99,13 @@ def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
     Since U has orthonormal columns, ||D U U^T|| = ||D U||: the norm is the
     largest singular value of the n x r matrix sqrt(1-g) U, from one SVD
     call, bit for bit the value of ``np.linalg.norm(., 2)``, which runs the
-    same LAPACK routine.  Raises :class:`DimensionError` when g and P live
-    on different ground spaces.
+    same LAPACK routine.  A rank-0 projection has norm 0 and margin 1.
+    Raises :class:`DimensionError` when g and P live on different ground
+    spaces.
     """
     _check_same_space(g.space, P.space)
-    margin = 1.0 - float(np.linalg.svd(np.sqrt(1.0 - g.values)[:, None] * P.factor, compute_uv=False)[0])
+    top = np.linalg.svd(np.sqrt(1.0 - g.values)[:, None] * P.factor, compute_uv=False).max(initial=0.0)
+    margin = 1.0 - float(top)
     return InducibilityCheck(margin, margin > MARGIN_TOLERANCE)
 
 
@@ -112,25 +114,23 @@ def induced_kernel(g: WeightFunction, P: Projection) -> Projection:
 
     By Woodbury's identity the resolvent reduces to the r x r system
     1 + U^T (g-1) U = U^T g U, and the kernel is the projection onto
-    sqrt(g) times the range of P.  Its factor comes from CholeskyQR2: with
-    W = sqrt(g) U, the first pass W L^{-T}, where L L^T = W^T W, is
-    orthonormal only to about cond(W^T W) times the rounding unit, and a
-    second Cholesky pass on that result restores orthonormality to the
-    rounding unit.  The margin check keeps W^T W positive definite, also
-    where g has zeros, and raises :class:`DimensionError` when g and P live
-    on different ground spaces.
+    sqrt(g) times the range of P.  Its factor comes from the Gram-Schmidt
+    routine behind ``orthonormalize``, run from no rows over the columns of
+    W = sqrt(g) U.  The margin check keeps that routine from refusing a
+    column, also where g has zeros: W^T W = I - U^T (1-g) U, so with m the
+    margin, sigma_min(W)^2 = 1 - (1-m)^2 = m(2 - m), and each column of W
+    has norm at most 1, so every residual ratio is at least sqrt(m(2 - m)),
+    above 1.4e-5 for any m > ``MARGIN_TOLERANCE``.  Raises
+    :class:`InducibilityError` at a margin at or below that tolerance and
+    :class:`DimensionError` when g and P live on different ground spaces.
     """
     check = check_inducibility(g, P)
     if not check.invertible:
         raise InducibilityError(check.margin)
-    factor = g.sqrt[:, None] * P.factor
-    for _ in range(2):
-        L = np.linalg.cholesky(factor.T @ factor)
-        # Inverting the r x r factor first keeps the n-row product a small
-        # single-threaded one; a triangular solve with n right-hand sides fans
-        # out to the BLAS threads and stalls for milliseconds when they sleep.
-        factor = factor @ np.linalg.inv(L).T
-    return Projection(P.space, factor)
+    rows = []
+    for _ in _gram_schmidt(rows, (g.sqrt[:, None] * P.factor).T):
+        pass
+    return Projection(P.space, np.array(rows).reshape(len(rows), P.n).T)
 
 
 def normalization_constant(g: WeightFunction, P: Projection) -> float:

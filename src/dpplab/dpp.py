@@ -534,11 +534,14 @@ def chi_square_gof(samples: Samples, expected: dict[int, float]):
 
     Categories with expected count below ``GOF_MIN_EXPECTED`` are pooled into
     a single tail bin.  Returns (statistic, dof, p_value).  A draw of a
-    configuration of probability 0 gives statistic inf and p-value 0.
+    configuration of probability 0 gives statistic inf and p-value 0.  An
+    empty batch raises ``ValueError``: no draws give no p-value.
     """
     from scipy import special
 
     n_samples = len(samples)
+    if not n_samples:
+        raise ValueError("no samples to test the fit against: the batch is empty")
     observed = np.bincount(samples.bitmasks, minlength=2**samples.space.n).tolist()
     exp_counts, obs_counts = [], []
     tail_exp = tail_obs = 0.0

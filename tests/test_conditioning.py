@@ -24,7 +24,8 @@ from dpplab.dpp import (
 )
 from dpplab.errors import ContractError, DimensionError, EnumerationSizeError, InducibilityError
 from dpplab.ground import GroundSpace, Window
-from dpplab.operators import project_span
+from dpplab.measures import tightness_report
+from dpplab.operators import KernelOperator, project_span
 
 
 def _rng(seed):
@@ -250,6 +251,22 @@ def test_induced_kernel_orthonormal_on_an_ill_conditioned_input():
     B = induced_kernel(g, P)
     assert np.max(np.abs(B.factor.T @ B.factor - np.eye(2))) < 1e-15
     assert np.max(np.abs(B.counting - np.eye(2))) < 1e-15
+
+
+def test_rank_zero_projection_is_an_ordinary_input():
+    # the empty span has margin 1, induces the empty span and has mass 1;
+    # the tightness margin of the zero kernel reads the same margin
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    P = project_span(np.zeros((0, 4)), space)
+    g = WeightFunction(space, np.array([0.0, 0.5, 1.0, 0.25]))
+    check = check_inducibility(g, P)
+    assert check.margin == 1.0 and check.invertible
+    B = induced_kernel(g, P)
+    assert B.rank == 0 and B.factor.shape == (4, 0)
+    assert normalization_constant(g, P) == 1.0
+    f = WeightFunction.constant(space, 1.0, role="f")
+    row = tightness_report([KernelOperator(space, np.zeros((4, 4)))], f, [Window.full(space)], g=g).rows[0]
+    assert row.margin == 1.0
 
 
 def test_induced_process_on_a_fine_grid_matches_its_moments(capsys):

@@ -154,6 +154,13 @@ def test_chi_square_rejects_draws_of_impossible_configurations():
             chi_square_gof(samples, {1: 0.5, 2: 0.5, mask: 0.0})
 
 
+def test_chi_square_rejects_an_empty_batch():
+    # no draws give no p-value
+    space = GroundSpace.uniform_cells(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="empty"):
+        chi_square_gof(Samples(space, np.zeros((0, 2), dtype=bool)), {1: 0.5, 2: 0.5})
+
+
 def test_correlation_matches_inclusion_sums():
     # rho(A) = det Khat_A must equal the brute-force mass of {S : S >= A}
     rng = _rng(11)
