@@ -8,6 +8,7 @@ array indexed by occupancy bitmask: bit i is set when point i is occupied.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,6 +60,11 @@ MAX_ENUMERATION_POINTS = 20
 
 #: Most matrices the exhaustive oracle stacks into one determinant call.
 _DET_CHUNK = 1 << 14
+
+#: Most (n, r) subset tables the memo of ``_subset_law`` keeps.  It keeps
+#: only tables of at most ``_DET_CHUNK`` int64 entries (C(n, r) * (r + 1),
+#: subsets and masks together, so 128 KiB), so it never holds more than 4 MiB.
+_SUBSET_MEMO_SHAPES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +183,31 @@ def _check_law_size(n: int) -> None:
         raise EnumerationSizeError(f"{n} points exceed the enumeration limit {MAX_ENUMERATION_POINTS}")
 
 
-def _subset_law(U: np.ndarray) -> np.ndarray:
-    """P(X = S) = det(U_S)^2 on the r-subsets S of a rank-r projection with factor U (n x r), else 0."""
-    n, r = U.shape
+def _subsets(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (C(n, r), r) array of r-subsets of range(n) in ``combinations`` order and their bitmasks, both read-only."""
     count = math.comb(n, r)
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), r)), dtype=np.intp, count=count * r)
     subsets = subsets.reshape(count, r)
     masks = (1 << subsets).sum(axis=1)
+    subsets.flags.writeable = False
+    masks.flags.writeable = False
+    return subsets, masks
+
+
+#: ``_subsets`` behind a memo of at most ``_SUBSET_MEMO_SHAPES`` tables; ``_subset_law`` asks it for small ones only.
+_memo_subsets = functools.lru_cache(maxsize=_SUBSET_MEMO_SHAPES)(_subsets)
+
+
+def _subset_law(U: np.ndarray) -> np.ndarray:
+    """P(X = S) = det(U_S)^2 on the r-subsets S of a rank-r projection with factor U (n x r), else 0.
+
+    A table of at most ``_DET_CHUNK`` entries comes from the memo, so a
+    repeated shape pays only for its determinants; a larger one is built
+    per call, where its 2^n law and its determinants dominate.
+    """
+    n, r = U.shape
+    count = math.comb(n, r)
+    subsets, masks = (_memo_subsets if count * (r + 1) <= _DET_CHUNK else _subsets)(n, r)
     law = np.zeros(2**n)
     for start in range(0, count, _DET_CHUNK):
         chunk = slice(start, start + _DET_CHUNK)

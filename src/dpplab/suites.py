@@ -17,7 +17,7 @@ from .deformations import DEFAULT_MIN_ANGLE, DeformationModel, ExhaustionReport,
 from .deformations import perturbation_convergence_suite
 from .dpp import DppDistribution, brute_force_distribution, sample, sample_batches, total_variation
 from .dpp import _philox_generator
-from .errors import EmptyWindowError
+from .errors import DegenerateBasisError, EmptyWindowError
 from .ground import GroundSpace, Window, weighted_norm
 from .operators import ConvergenceReport, KernelOperator, project_span
 from .measures import (
@@ -48,12 +48,6 @@ def random_ground_space(rng: np.random.Generator, n: int) -> GroundSpace:
     points = np.cumsum(rng.uniform(0.1, 1.0, size=n))
     weights = rng.uniform(0.5, 1.5, size=n)
     return GroundSpace(points, weights)
-
-
-def random_projection(rng: np.random.Generator, space: GroundSpace, rank: int):
-    """A random rank-r projection together with the spanning vectors used."""
-    basis = rng.normal(size=(rank, space.n))
-    return project_span(basis, space), basis
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,12 @@ def conditioning_oracle_battery(
     renormalized brute-force law of the base projection, and checks the
     closed-form normalization determinant and the weighted-span projection
     identity.  The report judges them against the ``ORACLE_*`` tolerances.
+
+    Trial t reads the Philox stream keyed (seed, t): n, the rank, the
+    space, then a Gaussian basis and g.  While ``project_span`` rejects the
+    basis or its sqrt(g)-weighted copy as numerically dependent, the trial
+    draws its basis and g again from the same stream, so a trial that
+    needs no redraw keeps its draws.
     """
     results = []
     for trial in range(trials):
@@ -130,14 +130,20 @@ def conditioning_oracle_battery(
         n = int(rng.integers(2, max_points + 1))
         rank = int(rng.integers(1, min(max_rank, n) + 1))
         space = random_ground_space(rng, n)
-        P, basis = random_projection(rng, space, rank)
-        g = WeightFunction(space, rng.uniform(g_low, 1.0, size=n))
+        while True:
+            basis = rng.normal(size=(rank, n))
+            g = WeightFunction(space, rng.uniform(g_low, 1.0, size=n))
+            try:
+                P = project_span(basis, space)
+                direct = project_span(basis * g.sqrt, space)
+            except DegenerateBasisError:
+                continue
+            break
 
         reweighted, mean_psi = reweighted_distribution(g, brute_force_distribution(DppDistribution(P)))
         B = induced_kernel(g, P)
         tv = total_variation(reweighted, brute_force_distribution(DppDistribution(B)))
         norm_err = abs(normalization_constant(g, P) - mean_psi)
-        direct = project_span(basis * g.sqrt, space)
         proj_err = float(np.abs(B.entries - direct.entries).max())
         results.append(OracleTrial(trial, n, rank, tv, norm_err, proj_err))
     return OracleBatteryReport(tuple(results))

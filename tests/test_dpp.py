@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -102,6 +103,38 @@ def test_projection_law_at_rank_zero_and_full_rank(rank):
     expected = np.zeros(16)
     expected[(1 << rank) - 1] = 1.0  # the empty set at rank 0, all four points at rank 4
     assert np.allclose(law, expected, rtol=0.0, atol=1e-14)
+
+
+def test_memoized_subset_tables_are_the_combinations_and_their_bitmasks():
+    for n in range(13):
+        for r in range(n + 1):
+            subsets, masks = dpp._memo_subsets(n, r)
+            expected = list(combinations(range(n), r))  # one empty subset at r = 0
+            assert subsets.shape == (len(expected), r)
+            assert subsets.tolist() == [list(S) for S in expected]
+            assert masks.tolist() == [sum(1 << i for i in S) for S in expected]
+            assert not subsets.flags.writeable and not masks.flags.writeable
+            with pytest.raises(ValueError):
+                masks[0] = 1
+
+
+def test_subset_memo_holds_at_most_its_bound():
+    info = dpp._memo_subsets.cache_info()
+    assert info.maxsize == dpp._SUBSET_MEMO_SHAPES == 32
+    for n in range(13):
+        for r in range(n + 1):
+            dpp._memo_subsets(n, r)
+            assert dpp._memo_subsets.cache_info().currsize <= dpp._SUBSET_MEMO_SHAPES
+    # a kept table has at most _DET_CHUNK int64 entries; the widest kept ones on 20 points fit
+    for r in (3, 18):
+        assert sum(a.nbytes for a in dpp._memo_subsets(20, r)) <= 8 * dpp._DET_CHUNK
+    # C(14, 7) * 8 entries exceed _DET_CHUNK, so that table is built per call and never kept
+    before = dpp._memo_subsets.cache_info()
+    P = Projection(GroundSpace.uniform_cells(0.0, 1.0, 14), np.linalg.qr(_rng(3).normal(size=(14, 7)))[0])
+    law = brute_force_distribution(DppDistribution(P))
+    after = dpp._memo_subsets.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert np.count_nonzero(law) == len(dpp._subsets(14, 7)[0])
 
 
 def test_total_variation_of_laws():
