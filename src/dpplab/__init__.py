@@ -79,11 +79,9 @@ from .operators import (
 from .scaling import (
     ScalingReport,
     bessel_kernel,
-    cd_kernel_sum,
     heine_mehler_suite,
     jacobi_cd_kernel,
     jacobi_polynomials,
-    jacobi_recurrence,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

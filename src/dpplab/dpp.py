@@ -241,7 +241,11 @@ def brute_force_distribution(D: DppDistribution) -> np.ndarray:
     n = D.space.n
     _check_law_size(n)
     K = D.kernel
-    probs = _subset_law(K.factor) if isinstance(K, Projection) else _block_identity_law(K.counting)
+    # The LU factorization inside np.linalg.det can raise the divide-by-zero flag at a pivot that is 0
+    # or subnormal, yet the determinant it returns is right (0 or the tiny product), so the flag says
+    # nothing about the law; the checks below judge it.
+    with np.errstate(divide="ignore"):
+        probs = _subset_law(K.factor) if isinstance(K, Projection) else _block_identity_law(K.counting)
     if probs.min() < -1e-12:
         raise ContractError(f"negative configuration probability {probs.min():.3e}")
     np.maximum(probs, 0.0, out=probs)

@@ -7,14 +7,13 @@ Christoffel-Darboux kernels converge to the Bessel kernel of parameter s
 on (0, infinity); the suite below measures that convergence in windowed
 trace norms.
 
-The Bessel function J_s and its derivative come from ``scipy.special``
-(``jv`` and ``jvp``); the polynomials come from their own three-term
-recurrence, which fixes the orthonormal convention of the kernels.
+The special functions come from ``scipy.special``: the Bessel function
+J_s and its derivative from ``jv`` and ``jvp``, the polynomials from
+``eval_jacobi`` divided by their closed-form norms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,53 +24,23 @@ from .operators import ConvergenceReport, KernelOperator, convergence_report
 from .tables import csv_text
 
 
-def jacobi_recurrence(s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Three-term recurrence coefficients (alpha, beta) for the weight (1-u)^s.
+def jacobi_polynomials(s: float, n: int, u) -> np.ndarray:
+    """Values of the first n orthonormal polynomials for the weight (1-u)^s, shape (n, len(u)).
 
-    Orthonormal convention: sqrt(beta_{k+1}) p_{k+1} = (u - alpha_k) p_k
-    - sqrt(beta_k) p_{k-1}, with beta_0 the total mass of the weight.
+    p_k is ``scipy.special.eval_jacobi(k, s, 0, u)``, the Jacobi polynomial
+    P_k^(s, 0), divided by its norm sqrt(2^(s+1) / (2k + s + 1)).  An integer
+    k selects scipy's integer-degree recurrence in (u - 1), accurate near the
+    hard edge u = 1.
     """
     if s <= -1:
         raise ValueError("the weight exponent must exceed -1")
     if n < 1:
-        raise ValueError("need at least one coefficient")
-    k = np.arange(n, dtype=float)
-    alpha = np.empty(n)
-    alpha[0] = -s / (s + 2.0)
-    kk = k[1:]
-    alpha[1:] = -(s * s) / ((2 * kk + s) * (2 * kk + s + 2.0))
-    beta = np.empty(n)
-    beta[0] = 2.0 ** (s + 1.0) / (s + 1.0)
-    beta[1:] = 4.0 * kk**2 * (kk + s) ** 2 / ((2 * kk + s) ** 2 * ((2 * kk + s) ** 2 - 1.0))
-    return alpha, beta
-
-
-def jacobi_polynomials(s: float, n: int, u):
-    """Values of the first n orthonormal polynomials for the weight (1-u)^s.
-
-    Returns shape (n,) for scalar u and (n, len(u)) for array input.
-    """
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(np.abs(uu) > 1.0 + 1e-12):
+        raise ValueError("need at least one polynomial")
+    u = np.asarray(u, dtype=float)
+    if np.any(np.abs(u) > 1.0 + 1e-12):
         raise ValueError("arguments must lie in [-1, 1]")
-    alpha, beta = jacobi_recurrence(s, n)
-    values = np.zeros((n, uu.size))
-    values[0] = 1.0 / math.sqrt(beta[0])
-    if n > 1:
-        values[1] = (uu - alpha[0]) * values[0] / math.sqrt(beta[1])
-    for k in range(1, n - 1):
-        values[k + 1] = ((uu - alpha[k]) * values[k] - math.sqrt(beta[k]) * values[k - 1]) / math.sqrt(
-            beta[k + 1]
-        )
-    return values[:, 0] if scalar else values
-
-
-def cd_kernel_sum(s: float, n: int, u, v=None) -> np.ndarray:
-    """Degree-sum Christoffel-Darboux kernel sum_{k<n} p_k(u) p_k(v)."""
-    pu = jacobi_polynomials(s, n, np.atleast_1d(u))
-    pv = pu if v is None else jacobi_polynomials(s, n, np.atleast_1d(v))
-    return pu.T @ pv
+    k = np.arange(n)[:, None]
+    return special.eval_jacobi(k, s, 0.0, u) * np.sqrt((2 * k + s + 1) / 2.0 ** (s + 1))
 
 
 def jacobi_cd_kernel(s: float, n: int, grid: GroundSpace) -> KernelOperator:
@@ -92,7 +61,8 @@ def jacobi_cd_kernel(s: float, n: int, grid: GroundSpace) -> KernelOperator:
     c = 2.0 * n * n
     u = 1.0 - x / c
     folded = (x / c) ** (s / 2.0)
-    entries = (1.0 / c) * np.outer(folded, folded) * cd_kernel_sum(s, n, u)
+    p = jacobi_polynomials(s, n, u)
+    entries = (1.0 / c) * np.outer(folded, folded) * (p.T @ p)
     return KernelOperator(grid, entries)
 
 

@@ -15,11 +15,13 @@ drew them all.  ``linalg_scaled_norm``, ``gram_schmidt_steps``,
 ``eye_residual``, ``outer_measure_entries``, ``outer_counting``,
 ``stacked_inducibility_norms`` and ``clipped_law`` are the package's
 projection primitives as they were written before their numpy calls were
-cut, so the tests can check that the cut changed no bit.  Three oracles the package itself never calls live here too:
+cut, so the tests can check that the cut changed no bit.  Four oracles the package itself never calls live here too:
 ``energy_distance``, which the permutation test scores split by split
 from count vectors, ``cd_kernel_closed``, the two-point closed form
-of the Christoffel-Darboux sum, and ``bessel_kernel_entries_mp``, entries
-of the Bessel kernel from mpmath's Bessel functions.
+of the Christoffel-Darboux sum, ``jacobi_polynomials_mp``, the orthonormal
+Jacobi polynomials from their recurrence in mpmath, and
+``bessel_kernel_entries_mp``, entries of the Bessel kernel from mpmath's
+Bessel functions.
 """
 
 import math
@@ -30,7 +32,7 @@ import numpy as np
 from dpplab.errors import AngleDegeneracyError, DegenerateBasisError
 from dpplab.measures import _pairwise
 from dpplab.operators import _RESIDUAL_RATIO_LIMIT, PROJECTION_TOLERANCE, SAFE_NORM_RANGE
-from dpplab.scaling import jacobi_polynomials, jacobi_recurrence
+from dpplab.scaling import jacobi_polynomials
 
 
 def is_projection(khat: np.ndarray, tol: float = PROJECTION_TOLERANCE) -> bool:
@@ -217,14 +219,45 @@ def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def cd_kernel_closed(s: float, n: int, u, v) -> np.ndarray:
-    """Two-point closed form of the Christoffel-Darboux kernel (off-diagonal)."""
-    _, beta = jacobi_recurrence(s, n + 1)
-    a_n = math.sqrt(beta[n])
+    """Two-point closed form of the Christoffel-Darboux kernel (off-diagonal).
+
+    sqrt(beta_n) = 2n(n + s) / ((2n + s) sqrt((2n + s)^2 - 1)) is the n-th off-diagonal
+    coefficient of the orthonormal three-term recurrence.
+    """
+    a_n = 2 * n * (n + s) / ((2 * n + s) * math.sqrt((2 * n + s) ** 2 - 1))
     p_u = jacobi_polynomials(s, n + 1, np.atleast_1d(u))
     p_v = jacobi_polynomials(s, n + 1, np.atleast_1d(v))
     numer = np.outer(p_u[n], p_v[n - 1]) - np.outer(p_u[n - 1], p_v[n])
     denom = np.subtract.outer(np.atleast_1d(u), np.atleast_1d(v))
     return a_n * numer / denom
+
+
+def jacobi_polynomials_mp(s: float, n: int, u) -> np.ndarray:
+    """The first n orthonormal polynomials for the weight (1-u)^s at the points u, in 40-digit arithmetic.
+
+    P_k^(s, 0) from the standard three-term recurrence, starting at P_0 = 1 and
+    P_1 = (s + 1) + (s + 2)(u - 1)/2,
+        2(k+1)(k+s+1)(2k+s) P_{k+1} = (2k+s+1)((2k+s+2)(2k+s) u + s^2) P_k - 2(k+s) k (2k+s+2) P_{k-1},
+    each divided by its norm sqrt(2^(s+1) / (2k + s + 1)).  ``mpmath.jacobi`` is not used: its
+    hypergeometric sum fails to converge at this precision near u = 1.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(s)
+        out = np.empty((n, len(u)))
+        for j, x in enumerate(u):
+            x = mpmath.mpf(float(x))
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(n):
+                out[k, j] = float(cur * mpmath.sqrt((2 * k + a + 1) / 2 ** (a + 1)))
+                if k == 0:
+                    prev, cur = cur, (a + 1) + (a + 2) * (x - 1) / 2
+                else:
+                    c = 2 * k + a
+                    nxt = ((c + 1) * ((c + 2) * c * x + a**2) * cur - 2 * (k + a) * k * (c + 2) * prev) / (
+                        2 * (k + 1) * (k + a + 1) * c
+                    )
+                    prev, cur = cur, nxt
+        return out
 
 
 def bessel_kernel_entries_mp(s: float, points, pairs) -> np.ndarray:

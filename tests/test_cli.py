@@ -209,6 +209,13 @@ def test_scaling_rejects_s_values_that_share_a_table(tmp_path, s_values):
     assert not any((tmp_path / "run").iterdir())
 
 
+def test_scaling_rejects_an_n_list_that_does_not_increase(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"n_list": [16, 8], "grid_points": 20})
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: n_list must be increasing\n"
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_scaling_at_a_high_order_past_its_turning_point(tmp_path):
     # J_100 at arguments up to 90 = sqrt(8100): a power series there cancels to a handful of digits
     cfg = _write(tmp_path / "cfg.json", {"s_values": [100.0], "n_list": [45, 50], "grid_points": 20, "x_max": 8100.0})

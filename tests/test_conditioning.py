@@ -22,7 +22,13 @@ from dpplab.dpp import (
     sample,
     total_variation,
 )
-from dpplab.errors import ContractError, DimensionError, EnumerationSizeError, InducibilityError
+from dpplab.errors import (
+    ConditioningImpossibleError,
+    ContractError,
+    DimensionError,
+    EnumerationSizeError,
+    InducibilityError,
+)
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import tightness_report
 from dpplab.operators import KernelOperator, project_span
@@ -160,6 +166,14 @@ def test_reweighted_distribution_rejects_a_table_that_is_not_a_law(law):
     g = WeightFunction(GroundSpace.uniform_cells(0.0, 1.0, 2), np.array([0.5, 0.0]))
     with pytest.raises(ContractError, match="not a configuration law"):
         reweighted_distribution(g, np.array(law))
+
+
+def test_reweighted_distribution_rejects_a_law_that_g_annihilates():
+    # the projection onto point 0 of two points always occupies it, where g vanishes
+    space = GroundSpace(np.array([0.0, 1.0]), np.ones(2))
+    law = brute_force_distribution(DppDistribution(project_span(np.array([[1.0, 0.0]]), space)))
+    with pytest.raises(ConditioningImpossibleError, match="vanishing total mass"):
+        reweighted_distribution(WeightFunction(space, np.array([0.0, 1.0])), law)
 
 
 def test_normalization_equals_mean_multiplicative_functional():

@@ -70,6 +70,34 @@ def test_enumeration_size_guard():
         brute_force_distribution(D)
 
 
+def test_brute_force_raises_on_a_probability_below_its_clip_tolerance():
+    # a one-point kernel 1 + 5e-11 is within the spectrum tolerance, but P(empty) = -5e-11 is past the
+    # -1e-12 that the law clips to 0
+    D = DppDistribution(KernelOperator.from_counting(GroundSpace(np.array([1.0]), np.ones(1)), [[1.0 + 5e-11]]))
+    with pytest.raises(ContractError, match="negative configuration probability -5.000e-11"):
+        brute_force_distribution(D)
+
+
+def test_projection_law_with_subnormal_entries_raises_no_warning():
+    # det([[0, 1], [5.7e-318, -2.4e-318]]) meets a subnormal pivot; warnings are errors in this suite
+    space = GroundSpace(np.arange(1.0, 5.0), np.ones(4))
+    P = Projection(space, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [5.7e-318, -2.4e-318]])
+    expected = np.zeros(16)
+    expected[0b0011] = 1.0
+    assert np.array_equal(brute_force_distribution(DppDistribution(P)), expected)
+
+
+def test_dense_law_with_subnormal_spectrum_raises_no_warning():
+    # eigenvalues 1.5e-300 and twice 5e-324: LU pivots underflow to 0 inside det
+    V = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    counting = (V * [1.5e-300, 5e-324, 5e-324]) @ V.T
+    space = GroundSpace(np.arange(3.0), np.ones(3))
+    law = brute_force_distribution(DppDistribution(KernelOperator.from_counting(space, counting)))
+    assert law[0] == 1.0
+    assert np.allclose(law[[0b001, 0b010, 0b100]], np.diag(counting), rtol=1e-12, atol=0.0)
+    assert np.all(law[[0b011, 0b101, 0b110, 0b111]] == 0.0)
+
+
 @st.composite
 def factored_projections(draw, max_points=10):
     """A random space of 1..max_points points and a projection of any rank 0..n on it, held as a factor."""

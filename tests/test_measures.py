@@ -368,6 +368,16 @@ def test_weak_convergence_requires_disjoint_supports():
         weak_convergence_test([batch], batch, f, phis)
 
 
+def test_weak_convergence_requires_batches_of_equal_size():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    f = WeightFunction.constant(space, 1.0, role="f")
+    phis = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    batch = Samples(space, [[True, False, True, False]] * 4)
+    short = Samples(space, [[True, False, True, False]] * 3)
+    with pytest.raises(ValueError, match="equal size"):
+        weak_convergence_test([batch, short], batch, f, phis)
+
+
 def test_weak_convergence_same_law_verdict():
     rng = _rng(44)
     space = GroundSpace.uniform_cells(0.0, 1.0, 6)

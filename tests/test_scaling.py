@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed
+from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed, jacobi_polynomials_mp
 from dpplab.dpp import DppDistribution
 from dpplab.ground import GroundSpace, Window
 from dpplab.scaling import (
     bessel_kernel,
-    cd_kernel_sum,
     heine_mehler_suite,
     jacobi_cd_kernel,
     jacobi_polynomials,
-    jacobi_recurrence,
 )
 
 
@@ -54,21 +52,25 @@ def test_legendre_special_case():
     assert np.allclose(vals[1], np.sqrt(1.5) * u, atol=1e-13)
 
 
-def test_polynomials_match_scipy_jacobi():
-    # orthonormal version of P_k^{(s,0)}: norm^2 = 2^{s+1} / (2k + s + 1)
-    u = np.linspace(-0.99, 0.99, 17)
+def test_polynomials_match_the_multiprecision_recurrence():
+    # degrees 0..64 on points crowding the hard edge u = 1, where the scaling limit lives; the error is
+    # relative to the largest value max_k |p_k(1)|
+    u = 1.0 - np.concatenate([np.geomspace(1e-6, 1.0, 9), [1.5, 1.99]])
     for s in (0.0, 0.5, 2.0):
-        vals = jacobi_polynomials(s, 8, u)
-        for k in range(8):
-            scale = np.sqrt((2 * k + s + 1) / 2 ** (s + 1))
-            reference = special.eval_jacobi(k, s, 0.0, u) * scale
-            assert np.max(np.abs(vals[k] - reference)) < 1e-10
+        reference = jacobi_polynomials_mp(s, 65, u)
+        scale = np.max(np.abs(jacobi_polynomials_mp(s, 65, [1.0])))
+        assert np.max(np.abs(jacobi_polynomials(s, 65, u) - reference)) < 5e-15 * scale, f"s = {s}"
 
 
-def test_recurrence_first_coefficients():
-    alpha, beta = jacobi_recurrence(2.0, 4)
-    assert alpha[0] == pytest.approx(-0.5)  # -s/(s+2)
-    assert beta[0] == pytest.approx(8.0 / 3.0)  # 2^{s+1}/(s+1)
+def test_polynomials_reject_invalid_arguments():
+    u = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="exceed -1"):
+        jacobi_polynomials(-1.0, 4, u)
+    with pytest.raises(ValueError, match="at least one"):
+        jacobi_polynomials(0.0, 0, u)  # eval_jacobi would return an empty table
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        jacobi_polynomials(0.0, 4, np.array([0.0, 1.0 + 1e-9]))
+    assert jacobi_polynomials(0.0, 4, np.array([-1.0 - 1e-13, 1.0 + 1e-13])).shape == (4, 2)
 
 
 def test_orthonormality_residual_small():
@@ -84,7 +86,7 @@ def test_cd_closed_form_matches_sum():
     v = u + 0.013
     for s in (0.0, 0.5, 2.0):
         closed = np.diag(cd_kernel_closed(s, 10, u, v))
-        summed = np.array([cd_kernel_sum(s, 10, ui, vi) for ui, vi in zip(u, v)]).ravel()
+        summed = np.sum(jacobi_polynomials(s, 10, u) * jacobi_polynomials(s, 10, v), axis=0)
         assert np.max(np.abs(closed - summed)) < 1e-9
 
 
