@@ -71,6 +71,12 @@ class WeightFunction:
         return cls(space, values, role)
 
 
+def _check_conditioning_weight(g: WeightFunction) -> None:
+    """Raise ``ValueError`` unless g is a conditioning weight (role 'g', so 0 <= g <= 1)."""
+    if g.role != "g":
+        raise ValueError(f"a weight of role {g.role!r} was given where a conditioning weight (role 'g') is expected")
+
+
 def psi_g(g: WeightFunction, samples: Samples) -> np.ndarray:
     """The multiplicative functional prod_{x in X} g(x) of each draw X; the empty product is 1.
 
@@ -78,8 +84,7 @@ def psi_g(g: WeightFunction, samples: Samples) -> np.ndarray:
     ``np.multiply.at`` over the occupied entries, so no (count, n) float
     array is formed.
     """
-    if g.role != "g":
-        raise ValueError("psi_g expects a conditioning weight (role 'g')")
+    _check_conditioning_weight(g)
     _check_same_space(g.space, samples.space)
     draws, points = np.nonzero(samples.occupancy)
     values = np.ones(len(samples))
@@ -100,9 +105,10 @@ def check_inducibility(g: WeightFunction, P: Projection) -> InducibilityCheck:
     largest singular value of the n x r matrix sqrt(1-g) U, from one SVD
     call, bit for bit the value of ``np.linalg.norm(., 2)``, which runs the
     same LAPACK routine.  A rank-0 projection has norm 0 and margin 1.
-    Raises :class:`DimensionError` when g and P live on different ground
-    spaces.
+    Raises ``ValueError`` unless g has role 'g', and :class:`DimensionError`
+    when g and P live on different ground spaces.
     """
+    _check_conditioning_weight(g)
     _check_same_space(g.space, P.space)
     top = np.linalg.svd(np.sqrt(1.0 - g.values)[:, None] * P.factor, compute_uv=False).max(initial=0.0)
     margin = 1.0 - float(top)
@@ -121,8 +127,9 @@ def induced_kernel(g: WeightFunction, P: Projection) -> Projection:
     margin, sigma_min(W)^2 = 1 - (1-m)^2 = m(2 - m), and each column of W
     has norm at most 1, so every residual ratio is at least sqrt(m(2 - m)),
     above 1.4e-5 for any m > ``MARGIN_TOLERANCE``.  Raises
-    :class:`InducibilityError` at a margin at or below that tolerance and
-    :class:`DimensionError` when g and P live on different ground spaces.
+    :class:`InducibilityError` at a margin at or below that tolerance, and
+    the errors of :func:`check_inducibility` for a weight without role 'g'
+    or on another ground space.
     """
     check = check_inducibility(g, P)
     if not check.invertible:
@@ -137,8 +144,10 @@ def normalization_constant(g: WeightFunction, P: Projection) -> float:
     """det(1 + (g-1) P): the mass of the reweighted, unnormalized process.
 
     By Sylvester's identity this is det(1 + U^T (g-1) U) = det(U^T g U).
-    Raises :class:`DimensionError` when g and P live on different ground spaces.
+    Raises ``ValueError`` unless g has role 'g', and :class:`DimensionError`
+    when g and P live on different ground spaces.
     """
+    _check_conditioning_weight(g)
     _check_same_space(g.space, P.space)
     return float(np.linalg.det(P.factor.T @ (g.values[:, None] * P.factor)))
 
@@ -153,11 +162,13 @@ def reweighted_distribution(g: WeightFunction, probs) -> tuple[np.ndarray, float
     multiplies the weights of each configuration in increasing index
     order, as :func:`psi_g` does, so it equals
     ``psi_g(g, Samples(g.space, occupancy_table(n)))`` bit for bit.
-    The law's size is checked before anything is allocated: a law whose
-    length is not 2^n raises :class:`DimensionError`, and n above
+    A weight without role 'g' raises ``ValueError``.  The law's size is
+    checked before anything is allocated: a law whose length is not 2^n
+    raises :class:`DimensionError`, and n above
     ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.  A law
     with a negative, NaN or infinite entry raises :class:`ContractError`.
     """
+    _check_conditioning_weight(g)
     n = g.space.n
     probs = _law_array(probs, n)
     _check_law_size(n)

@@ -376,11 +376,13 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """Points drawn from the projection DPPs onto spans of columns of V (n x m), one column per replica.
 
-    Replica r spans the columns ``keep[:, r]`` of V, or every column when
-    ``keep`` is None, and so draws k_r = |keep[:, r]| points, point t from
-    ``u[t, r]``.  Column r of the returned (max k_r, B) array lists them in
-    the order drawn, padded with -1.  Every per-replica array holds the
-    replicas on its contiguous axis.
+    Replica r spans the columns ``keep[:, r]`` of V, and so draws
+    k_r = |keep[:, r]| points, point t from ``u[t, r]``.  ``keep`` None is
+    one kept set of every column, shared by all replicas (a projection's
+    coins all keep), whose intensity is read from V directly.  Column r of
+    the returned (max k_r, B) array lists the points in the order drawn,
+    padded with -1.  Every per-replica array holds the replicas on its
+    contiguous axis.
 
     Gram-Schmidt form of the chain rule, advanced in lockstep over the
     replicas.  After t steps a replica's conditional intensity depends only
@@ -392,10 +394,10 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
     (V[j] * K) @ V.T less its projections on the columns before it, and
     ``state[i]`` is the prefix of the i-th replica still drawing.  Step t
     picks point j with probability d_j / (k_p - t) by inverse CDF on
-    ``u[t]``, as ``Generator.choice`` does: j counts the entries of its
-    prefix's cdf at or below its uniform, summed along the points of the
-    cdf's columns gathered by ``state``.  A replica leaves once it has
-    drawn its k_r points.
+    ``u[t]``, as ``Generator.choice`` does, by one rule for every replica:
+    j counts the entries of its prefix's cdf at or below its uniform,
+    summed along the points of the cdf's columns gathered by ``state``.
+    A replica leaves once it has drawn its k_r points.
 
     Kept sets are numbered by ``_group_rows``, new prefixes in the order of
     their keys state * n + j, from a presence table.  Once every replica has
@@ -407,7 +409,7 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
     B = u.shape[1]
     live = slice(None)  # the replicas still drawing
     if keep is None:
-        masks, state, k = None, np.zeros(B, dtype=np.intp), np.array([m])
+        sets, state = np.ones((1, m), dtype=bool), np.zeros(B, dtype=np.intp)
         d = np.sum(V**2, axis=1)[None, :]
     else:
         drawing = np.flatnonzero(keep.any(axis=0))
@@ -415,8 +417,8 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
             live = drawing
         order, starts, state = _group_rows(_packed_rows(keep[:, drawing].T))
         sets = keep[:, drawing[order[starts]]].T
-        masks, k = sets.astype(float), np.count_nonzero(sets, axis=1)
         d = np.array([np.sum(V[:, kept] ** 2, axis=1) for kept in sets])
+    masks, k = sets.astype(float), np.count_nonzero(sets, axis=1)
     steps = int(k.max(initial=0))  # k holds the points to draw, per prefix
     chosen = np.full((steps, B), -1, dtype=np.intp)
     if not B or not steps:
@@ -428,11 +430,7 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
         cdf /= cdf.sum(axis=1, keepdims=True)
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        ut = u[t, live]
-        if len(cdf) == 1:
-            j = np.searchsorted(cdf[0], ut, side="right")
-        else:
-            j = np.add.reduce((cdf.T if state is None else np.take(cdf.T, state, axis=1)) <= ut, axis=0)
+        j = np.add.reduce((cdf.T if state is None else np.take(cdf.T, state, axis=1)) <= u[t, live], axis=0)
         chosen[t, live] = j
         if t == steps - 1:
             break
@@ -456,9 +454,7 @@ def _chain_rule(V: np.ndarray, u: np.ndarray, keep: np.ndarray | None = None) ->
         rows = np.arange(len(point))
         if parent is not None:
             C, d, k, kset = C[parent], d[parent], k[parent], kset[parent]
-        lead = V[point]
-        if masks is not None:
-            lead *= masks[kset]
+        lead = V[point] * masks[kset]
         if len(lead) == 1 and B > 1:
             # matmul runs a lone row as a gemv, whose last bits differ from the gemm rows of a larger block
             lead = np.repeat(lead, 2, axis=0)
@@ -502,10 +498,12 @@ def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
     reproducible and merge-order free: batch b is ``sample(D, seeds[b], count)``.
 
     The replicas of all batches are drawn together in blocks, which may
-    span batches, and each block runs one chain rule.  A rank-r
-    :class:`Projection` keeps every coin, so only words n .. n + r - 1 of
-    each stream are enciphered and every replica spans the factor.  For any
-    other kernel each replica spans the eigenvectors it keeps.  Raises
+    span batches, and each block enciphers its words and runs one chain
+    rule.  A rank-r :class:`Projection` is the kernel whose n coins all
+    keep: V is its factor and it reads no coin words, so only words
+    n .. n + r - 1 of each stream are enciphered and every replica spans
+    the factor.  For any other kernel V holds the eigenvectors and each
+    replica spans the ones its n coins keep.  Raises
     ``ValueError`` before any stream work when a seed lies outside
     [0, 2^64).
     """
@@ -516,24 +514,18 @@ def sample_batches(D: DppDistribution, seeds, count: int) -> list[Samples]:
     n = space.n
     occupancy = np.zeros((len(seeds) * count, n), dtype=bool)
     seed_words = np.array(seeds, dtype=np.uint64)
-    factor = D.kernel.factor if isinstance(D.kernel, Projection) else None
-    if factor is not None:
-        rank = factor.shape[1]
-        block = _block_replicas(n, n, rank, rank)
-    else:
-        block = _block_replicas(n, 0, 2 * n, n)
+    # a projection's coins all keep, so its replicas read no coin words
+    V, coins = (D.kernel.factor, 0) if isinstance(D.kernel, Projection) else (D.eigenvectors, n)
+    m = V.shape[1]
+    block = _block_replicas(n, n - coins, coins + m, m)
     for first in range(0, len(occupancy), block):
         rows = np.arange(first, min(first + block, len(occupancy)))
         batch, replica = np.divmod(rows, count)
-        if factor is not None:
-            V, keep = factor, None
-            u = _stream_uniforms(seed_words[batch], replica, rank, offset=n)
-        else:
-            u = _stream_uniforms(seed_words[batch], replica, 2 * n)
-            V, keep, u = D.eigenvectors, u[:n] < D.eigenvalues[:, None], u[n:]
+        u = _stream_uniforms(seed_words[batch], replica, coins + m, offset=n - coins)
+        keep = u[:coins] < D.eigenvalues[:, None] if coins else None
         # point j of replica r sets flat entry (n + 1) r + j + 1; a -1 pad marks the row's spare first column
         hits = np.zeros((len(rows), n + 1), dtype=bool)
-        np.put(hits, _chain_rule(V, u, keep) + np.arange(1, (n + 1) * len(rows), n + 1), True)
+        np.put(hits, _chain_rule(V, u[coins:], keep) + np.arange(1, (n + 1) * len(rows), n + 1), True)
         occupancy[first : first + len(rows)] = hits[:, 1:]
     return [Samples(space, occupancy[b * count : (b + 1) * count]) for b in range(len(seeds))]
 

@@ -25,9 +25,8 @@ from .errors import ContractError, DegenerateBasisError, DimensionError
 from .ground import GroundSpace, Window
 from .tables import csv_text, step_labels, window_labels
 
-#: Gram condition number beyond which a spanning set counts as degenerate.
-GRAM_CONDITION_LIMIT = 1e12
-#: Residual-norm ratio matching the Gram condition limit (sqrt(1/limit)).
+#: Residual-norm ratio below which a spanning vector counts as dependent on its
+#: predecessors: a Gram condition number above 1e12 (the ratio's inverse square).
 _RESIDUAL_RATIO_LIMIT = 1e-6
 #: Norms in this open range are taken from a vector as it is (see ``scaled_norm``):
 #: their squares, and those of residuals down to _RESIDUAL_RATIO_LIMIT times them,
@@ -265,8 +264,9 @@ def orthonormalize(basis, space: GroundSpace) -> np.ndarray:
     """Orthonormal rows in counting coordinates spanning the basis, by :func:`_gram_schmidt`.
 
     The result does not depend on the vectors' scales.  Raises :class:`DegenerateBasisError`
-    when a vector is zero or numerically dependent on its predecessors, i.e. when the Gram
-    conditioning would exceed ``GRAM_CONDITION_LIMIT``.
+    when a vector is zero or numerically dependent on its predecessors: its residual ratio
+    falls below ``_RESIDUAL_RATIO_LIMIT`` = 1e-6, i.e. the Gram condition number would
+    exceed 1e12.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.shape[1] != space.n:

@@ -311,3 +311,30 @@ def test_induced_process_on_a_fine_grid_matches_its_moments(capsys):
     with capsys.disabled():
         print(f"\n[induced 2^{k}] E {mean:.6f}, Var {var:.6f}: z(mean) = {z_mean:+.2f}, z(var) = {z_var:+.2f}")
     assert abs(z_mean) < 4.0 and abs(z_var) < 4.0
+
+
+def test_a_weight_needs_role_g_or_f():
+    with pytest.raises(ValueError, match="role must be 'g' or 'f'"):
+        WeightFunction(GroundSpace.uniform_cells(0.0, 1.0, 2), [0.5, 1.0], role="h")
+
+
+def _embedding_weight_case():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    P = project_span(np.vstack([np.ones(4), space.points]), space)
+    return P, WeightFunction(space, [0.5, 2.0, 1.0, 0.3], role="f")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, P: check_inducibility(f, P),
+        lambda f, P: induced_kernel(f, P),
+        lambda f, P: normalization_constant(f, P),
+        lambda f, P: reweighted_distribution(f, brute_force_distribution(DppDistribution(P))),
+    ],
+    ids=["check_inducibility", "induced_kernel", "normalization_constant", "reweighted_distribution"],
+)
+def test_conditioning_rejects_an_embedding_weight(call):
+    P, f = _embedding_weight_case()
+    with pytest.raises(ValueError, match="conditioning weight \\(role 'g'\\)"):
+        call(f, P)

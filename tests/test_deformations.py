@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dense_reference import is_projection
+from dpplab import deformations
 from dpplab.conditioning import WeightFunction, induced_kernel
 from dpplab.deformations import (
     DeformationModel,
@@ -12,6 +13,7 @@ from dpplab.deformations import (
 )
 from dpplab.errors import (
     AngleDegeneracyError,
+    ContractError,
     DegenerateBasisError,
     DimensionError,
     EmptyWindowError,
@@ -226,3 +228,44 @@ def test_empty_perturbation_suite_is_an_empty_operator_sequence():
     P = project_span(np.ones((1, 4)), space)
     with pytest.raises(ValueError, match="empty operator sequence"):
         perturbation_convergence_suite([], [], P, np.eye(4)[:1], [Window.full(space)])
+
+
+def _two_plus_one_model():
+    rng = _rng(36)
+    space = _space(rng, 6)
+    return DeformationModel(space, rng.normal(size=(2, 6)), rng.normal(size=(1, 6)), Window((0, 1), "core"))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda m: DeformationModel(m.space, m.basis, m.extra[:, :5], m.core_window),
+            DimensionError,
+            "deformation vectors must have one value",
+        ),
+        (lambda m: DeformationModel(m.space, m.basis, m.extra, m.core_window, min_angle=0), ValueError, "positive"),
+        (lambda m: extend_projection(m.base_projection, m.extra[:, :5]), DimensionError, "operator's space"),
+        (
+            lambda m: perturbation_convergence_suite(
+                [m.base_projection] * 2, [m.extra], m.base_projection, m.extra, [Window.full(m.space)]
+            ),
+            DimensionError,
+            "one vector list per projection",
+        ),
+    ],
+    ids=["vector length", "zero min_angle", "extension length", "one vector list short"],
+)
+def test_malformed_deformation_inputs_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build(_two_plus_one_model())
+
+
+def test_weighted_projection_cross_check_rejects_a_disagreeing_direct_span(monkeypatch):
+    model = _two_plus_one_model()
+    g = WeightFunction(model.space, np.full(model.space.n, 0.5))
+    exact = deformations.project_span
+    # the direct span loses the deformation row, so its rank falls short of the extension's
+    monkeypatch.setattr(deformations, "project_span", lambda basis, space: exact(basis[: len(model.basis)], space))
+    with pytest.raises(ContractError, match="direct span computation"):
+        sqrtg_subspace_projection(model, g)

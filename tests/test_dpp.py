@@ -78,6 +78,15 @@ def test_brute_force_raises_on_a_probability_below_its_clip_tolerance():
         brute_force_distribution(D)
 
 
+def test_brute_force_raises_on_a_law_whose_mass_is_not_one():
+    # a rank-3 factor scaled by 1 + 4.9e-11 passes the 1e-10 orthonormality check (residual 9.8e-11),
+    # but its law sums to (1 + 4.9e-11)^6, past the 1e-10 sum check
+    space = GroundSpace.uniform_cells(0.0, 1.0, 5)
+    U = project_span(np.vstack([np.ones(5), space.points, space.points**2]), space).factor * (1 + 4.9e-11)
+    with pytest.raises(ContractError, match="configuration probabilities sum to"):
+        brute_force_distribution(DppDistribution(Projection(space, U)))
+
+
 def test_projection_law_with_subnormal_entries_raises_no_warning():
     # det([[0, 1], [5.7e-318, -2.4e-318]]) meets a subnormal pivot; warnings are errors in this suite
     space = GroundSpace(np.arange(1.0, 5.0), np.ones(4))

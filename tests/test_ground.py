@@ -114,3 +114,23 @@ def test_weighted_inner_matches_manual_sum():
     u, v = rng.normal(size=(2, 6))
     assert weighted_inner(u, v, space) == pytest.approx(np.sum(u * v * space.weights))
     assert weighted_norm(u, space) == pytest.approx(np.sqrt(np.sum(u**2 * space.weights)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: GroundSpace(np.zeros((2, 2)), np.ones((2, 2))), DimensionError, "one-dimensional"),
+        (lambda: GroundSpace([], []), ValueError, "at least one point"),
+        (lambda: GroundSpace([0.0, 1.0], [1.0]), DimensionError, "equal length"),
+        (lambda: Window([[0, 1]]), DimensionError, "one-dimensional"),
+        (
+            lambda: weighted_inner(np.ones(3), np.ones(2), GroundSpace.uniform_cells(0.0, 1.0, 3)),
+            DimensionError,
+            "length 3",
+        ),
+    ],
+    ids=["2-d points", "no points", "unequal lengths", "2-d window", "inner on a short vector"],
+)
+def test_malformed_ground_inputs_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -401,3 +401,23 @@ def test_weak_convergence_rejects_steps_that_do_not_label_every_batch():
     batch = Samples(space, [[True, False, True, False]] * 4)
     with pytest.raises(DimensionError):
         weak_convergence_test([batch] * 3, batch, f, phis, steps=(5,))
+
+
+def _rank2_on_four_points():
+    space = GroundSpace.uniform_cells(0.0, 1.0, 4)
+    D = DppDistribution(project_span(np.vstack([np.ones(4), space.points]), space))
+    return D, WeightFunction.constant(space, 1.0, role="f")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda D, f: tightness_report([], f, [Window.full(D.space)]), "empty kernel family"),
+        (lambda D, f: chebyshev_mass_bound_check(D, f, 0.0, sample(D, 1, 10)), "must be positive"),
+        (lambda D, f: weak_convergence_test([], sample(D, 1, 10), f, np.eye(4)[:2]), "empty batch sequence"),
+    ],
+    ids=["no kernels", "mass level 0", "no batches"],
+)
+def test_empty_or_degenerate_measure_inputs_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(*_rank2_on_four_points())

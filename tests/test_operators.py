@@ -261,3 +261,20 @@ def test_subspace_angle_to_an_empty_span_is_a_right_angle():
     assert subspace_angle(empty, v, space) == np.pi / 2
     assert subspace_angle(empty, empty, space) == np.pi / 2
     assert angle(v[0], project_span(empty, space)) == pytest.approx(np.pi / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda space, P: KernelOperator(space, np.eye(2)), DimensionError, "3x3"),
+        (lambda space, P: Projection(space, np.eye(2)[:, :1]), DimensionError, "3 rows"),
+        (lambda space, P: orthonormalize(np.ones((1, 2)), space), DimensionError, "one value per"),
+        (lambda space, P: angle(np.ones(2), P), DimensionError, "length 3"),
+        (lambda space, P: angle(np.zeros(3), P), ValueError, "zero vector"),
+    ],
+    ids=["kernel shape", "factor rows", "orthonormalize length", "angle length", "angle of zero"],
+)
+def test_malformed_operator_inputs_raise(build, error, message):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 3)
+    with pytest.raises(error, match=message):
+        build(space, project_span(np.ones((1, 3)), space))
