@@ -251,7 +251,7 @@ def brute_force_distribution(D: DppDistribution) -> np.ndarray:
     np.maximum(probs, 0.0, out=probs)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
-        raise ContractError(f"configuration probabilities sum to {total!r}")
+        raise ContractError(f"configuration probabilities sum to {float(total)!r}")
     return probs
 
 

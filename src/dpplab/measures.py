@@ -10,6 +10,10 @@ test functions, using the energy distance with permutation calibration.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +195,7 @@ def linear_statistics(samples: Samples, f: WeightFunction, phis) -> np.ndarray:
     """Matrix of Int_{phi_i}(sigma_f(X)) over samples; rows are samples.
 
     The product of the atom array with the test functions is an ``einsum``,
-    which runs on the calling thread (see ``permutation_energy_test``).
+    which runs on the calling thread (see ``_energy_test``).
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     if phis.shape[1] != f.space.n:
@@ -220,33 +224,82 @@ def _split_table(n: int, nx: int, permutations: int, rng) -> np.ndarray:
     return on_x
 
 
-def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng) -> tuple[float, float]:
-    """Observed energy distance and its permutation p-value (add-one convention).
+#: The one thread that draws split tables.  A lone worker takes the tables in the order they were
+#: queued, so tables queued on one generator get the draws of a loop of ``_split_table`` calls.
+#: ``permuted`` releases the GIL while it shuffles, so a table is drawn on another core while the
+#: caller samples and scores.
+_SPLIT_DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpplab-splits")
 
-    Each permutation is a shuffle of the pooled rows, X stacked over Y;
-    the rows it sends below ``len(X)`` form the X side.  All of them come
-    from one ``rng.permuted`` call along the rows of a (permutations, N)
-    table, which on numpy 2.4 draws each row as ``rng.permutation(N)``
-    would, one after another: the splits and the generator's end state are
-    those of a loop of ``permutation`` calls.
 
-    A split is scored from its count vector c over the m distinct pooled
-    rows: with D the m x m distance matrix of those rows and t the
-    pooled counts, the within-X, cross and within-Y distance sums are
-    c'Dc, c'D(t - c) and (t - c)'D(t - c).  That costs O(N + m^2) per
-    permutation for N pooled rows, and the N x N distance matrix is never
-    formed.  The distinct rows come from ``dpp._group_rows`` on the pooled
-    rows, and the count vectors of all splits from one ``add.reduceat``
-    over the columns of the split table taken in that order.  The products
-    are ``einsum`` calls, which run on the calling thread: a BLAS product
-    fans out to the BLAS threads and stalls whenever another process holds
-    one of their cores.
+def _check_permutations(permutations: int) -> None:
+    if permutations < 1:
+        raise ValueError(f"a permutation test needs at least 1 permutation, got {permutations}")
+
+
+#: Bytes of split tables that may wait, queued or drawn, ahead of the caller that takes them: all of
+#: criterion 8's 200 calibration tables of 200 x 300 (12 MB), and at least one table at any size.
+_SPLIT_AHEAD_BYTES = 32 * 2**20
+
+
+@contextlib.contextmanager
+def _queued_split_tables(n: int, nx: int, permutations: int, rngs):
+    """Queue ``_split_table(n, nx, permutations, rng)`` per generator on the draw thread; yield the tables' iterator.
+
+    The tables arrive in the order of ``rngs``, and a generator that
+    appears k times gets k tables, drawn in that order.  At most
+    ``_SPLIT_AHEAD_BYTES`` of them are queued at once; each table taken
+    queues the next.  The caller must not use a queued generator until
+    its last table has arrived.  Draws that have not started when the
+    block exits are cancelled, so a caller that raises leaves none
+    behind.  The thread runs only ``_split_table``, which no other module
+    imports, so nothing it calls is a name perfbench's tracer wraps.
+    """
+    _check_permutations(permutations)
+    rngs = iter(rngs)
+    queued = collections.deque()
+
+    def queue(count):
+        for rng in itertools.islice(rngs, count):
+            queued.append(_SPLIT_DRAWS.submit(_split_table, n, nx, permutations, rng))
+
+    def tables():
+        while queued:
+            table = queued[0].result()  # still queued while awaited, so an interrupted wait cancels it
+            queued.popleft()
+            queue(1)
+            yield table
+
+    queue(max(1, _SPLIT_AHEAD_BYTES // ((permutations + 1) * max(n, 1))))
+    try:
+        yield tables()
+    finally:
+        for table in queued:
+            table.cancel()
+
+
+def _energy_test(X: np.ndarray, Y: np.ndarray, on_x: np.ndarray) -> tuple[float, float]:
+    """Observed energy distance of X and Y and its p-value over the splits of a ``_split_table``.
+
+    Row 0 of ``on_x`` marks the observed split of the pooled rows, X
+    stacked over Y, and each further row one permuted split.  A split is
+    scored from its count vector c over the m distinct pooled rows: with
+    D the m x m distance matrix of those rows and t the pooled counts,
+    the within-X, cross and within-Y distance sums are c'Dc, c'D(t - c)
+    and (t - c)'D(t - c).  That costs O(N + m^2) per permutation for N
+    pooled rows, and the N x N distance matrix is never formed.  The
+    distinct rows come from ``dpp._group_rows`` on the pooled rows, and
+    the count vectors of all splits from one ``add.reduceat`` over the
+    columns of the split table taken in that order.  The products are
+    ``einsum`` calls, which run on the calling thread: a BLAS product fans
+    out to the BLAS threads and stalls whenever another process holds one
+    of their cores.
 
     Tie rule: a permuted split counts as a hit when its statistic is at
     least the observed one less ``TIE_TOLERANCE`` times the mean pooled
     distance t'Dt / N^2.  Splits that tie mathematically, such as those
     with the observed count vector or, when len(X) == len(Y), the one that
     swaps the two sides, then count as hits however their sums round.
+    The p-value takes the add-one convention.
     """
     pooled = np.vstack([X, Y])
     n, nx = len(pooled), len(X)
@@ -256,7 +309,6 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     starts = np.flatnonzero(new)
     distinct = pooled[order[starts]]
     D = _pairwise(distinct, distinct)
-    on_x = _split_table(n, nx, permutations, rng)
     counts = np.add.reduceat(on_x[:, order], starts, axis=1, dtype=np.int32).astype(float)
     pooled_counts = np.diff(starts, append=n).astype(float)
     rest = pooled_counts - counts
@@ -269,7 +321,23 @@ def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng
     mean_distance = float(np.einsum("i,i->", pooled_counts, d_pooled)) / (n * n)
     observed = float(statistics[0])
     hits = int(np.count_nonzero(statistics[1:] >= observed - TIE_TOLERANCE * mean_distance))
-    return observed, (hits + 1) / (permutations + 1)
+    return observed, (hits + 1) / len(on_x)
+
+
+def permutation_energy_test(X: np.ndarray, Y: np.ndarray, permutations: int, rng) -> tuple[float, float]:
+    """Observed energy distance and its permutation p-value (add-one convention).
+
+    Each permutation is a shuffle of the pooled rows, X stacked over Y;
+    the rows it sends below ``len(X)`` form the X side.  All of them come
+    from one ``rng.permuted`` call along the rows of a (permutations, N)
+    table (``_split_table``, drawn on the calling thread), which on numpy
+    2.4 draws each row as ``rng.permutation(N)`` would, one after another:
+    the splits and the generator's end state are those of a loop of
+    ``permutation`` calls.  ``_energy_test`` scores the splits.  A count
+    below 1 raises ``ValueError``.
+    """
+    _check_permutations(permutations)
+    return _energy_test(X, Y, _split_table(len(X) + len(Y), len(X), permutations, rng))
 
 
 def _check_disjoint_supports(phis: np.ndarray) -> None:
@@ -305,10 +373,19 @@ def weak_convergence_test(
 
     For each batch, the joint empirical law of the integrals against the
     (disjointly supported) test functions is compared to the limit batch by
-    the energy distance, with a permutation p-value.  Verdict: statistics
-    decrease along the sequence and the last batch's p-value exceeds
-    ``P_VALUE_THRESHOLD``.
+    the energy distance, with a permutation p-value.  The split tables are
+    drawn in batch order from the one Philox generator keyed (seed, 0), on
+    the draw thread.  Verdict: statistics decrease along the sequence and
+    the last batch's p-value exceeds ``P_VALUE_THRESHOLD``.
     """
+    size = len(samples_limit)
+    rngs = [_philox_generator(seed, 0)] * len(samples_n)
+    with _queued_split_tables(2 * size, size, permutations, rngs) as tables:
+        return _weak_convergence_report(samples_n, samples_limit, f, phis, tables, steps)
+
+
+def _weak_convergence_report(samples_n, samples_limit, f, phis, tables, steps) -> WeakConvergenceReport:
+    """The report of ``weak_convergence_test``, scoring the k-th batch on the k-th split table ``tables`` yields."""
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     _check_disjoint_supports(phis)
     if not samples_n:
@@ -318,8 +395,10 @@ def weak_convergence_test(
     if len(sizes) != 1:
         raise ValueError("all batches must have equal size")
     limit_stats = linear_statistics(samples_limit, f, phis)
-    rng = _philox_generator(seed, 0)
-    tests = [permutation_energy_test(linear_statistics(b, f, phis), limit_stats, permutations, rng) for b in samples_n]
+    tests = [
+        _energy_test(linear_statistics(b, f, phis), limit_stats, table)
+        for b, table in zip(samples_n, tables)
+    ]
     statistics, p_values = zip(*tests)
     decreasing = bool(np.all(np.diff(statistics) < 0))  # vacuously true for one batch
     return WeakConvergenceReport(

@@ -23,10 +23,13 @@ from .operators import ConvergenceReport, KernelOperator, project_span
 from .measures import (
     TightnessReport,
     WeakConvergenceReport,
+    _energy_test,
+    _queued_split_tables,
+    _weak_convergence_report,
     _weighted_diagonal,
     chebyshev_mass_bound_check,
+    linear_statistics,
     tightness_report,
-    weak_convergence_test,
 )
 from .scaling import ScalingReport, heine_mehler_suite, jacobi_polynomials
 from .tables import csv_text
@@ -346,16 +349,23 @@ def weakconv_calibration(
     """Same-law two-sample p-values; should be close to uniform on [0, 1].
 
     Repetition j compares the batches of sampler seeds seed + 1000 + 2j and
-    seed + 1001 + 2j.  All batches come from one ``sample_batches`` call and
+    seed + 1001 + 2j on the splits of the Philox generator keyed
+    (seed + j, 0), as ``weak_convergence_test([a], b, ..., seed=seed + j)``
+    would.  The split tables are queued on the draw thread before the
+    sampling starts.  All batches come from one ``sample_batches`` call and
     are held together: 2 * repetitions * batch_size * n bytes of occupancy,
-    480 KB at the default sizes on the 8-point space.
+    480 KB at the default sizes on the 8-point space.  The tables drawn
+    ahead of the scoring take at most ``measures._SPLIT_AHEAD_BYTES``,
+    which holds all 12 MB of them at the default sizes.
     """
     _, limit, f, phis = _weakconv_setting()
-    batches = sample_batches(DppDistribution(limit), range(seed + 1000, seed + 1000 + 2 * repetitions), batch_size)
-    p_values = np.empty(repetitions)
-    for rep, (batch_a, batch_b) in enumerate(zip(batches[::2], batches[1::2])):
-        report = weak_convergence_test([batch_a], batch_b, f, phis, permutations=permutations, seed=seed + rep)
-        p_values[rep] = report.p_values[0]
+    rngs = [_philox_generator(seed + rep, 0) for rep in range(repetitions)]
+    with _queued_split_tables(2 * batch_size, batch_size, permutations, rngs) as tables:
+        batches = sample_batches(DppDistribution(limit), range(seed + 1000, seed + 1000 + 2 * repetitions), batch_size)
+        p_values = np.empty(repetitions)
+        for rep, (batch_a, batch_b, table) in enumerate(zip(batches[::2], batches[1::2], tables)):
+            X, Y = linear_statistics(batch_a, f, phis), linear_statistics(batch_b, f, phis)
+            p_values[rep] = _energy_test(X, Y, table)[1]
     return p_values
 
 
@@ -377,16 +387,20 @@ def weakconv_sequence(
     permutations: int = 199,
     seed: int = 11,
 ) -> WeakConvergenceReport:
-    """Energy statistics against the limit law for a 1/n-perturbed kernel sequence."""
+    """Energy statistics against the limit law for a 1/n-perturbed kernel sequence.
+
+    The report is ``weak_convergence_test``'s at ``seed``; its split tables
+    are queued on the draw thread before the sampling starts.
+    """
     space, limit, f, phis = _weakconv_setting()
     x = space.points
     drift = project_span(np.vstack([np.sin(2.0 * np.pi * x), np.cos(2.0 * np.pi * x)]), space)
-    limit_batch = sample(DppDistribution(limit), seed, batch_size)
-    batches = []
-    for n in n_list:
-        theta = 0.5 / n
-        mixed = KernelOperator(space, (1.0 - theta) * limit.entries + theta * drift.entries)
-        batches.append(sample(DppDistribution(mixed), seed + n, batch_size))
-    return weak_convergence_test(
-        batches, limit_batch, f, phis, permutations=permutations, seed=seed, steps=n_list
-    )
+    rngs = [_philox_generator(seed, 0)] * len(n_list)
+    with _queued_split_tables(2 * batch_size, batch_size, permutations, rngs) as tables:
+        limit_batch = sample(DppDistribution(limit), seed, batch_size)
+        batches = []
+        for n in n_list:
+            theta = 0.5 / n
+            mixed = KernelOperator(space, (1.0 - theta) * limit.entries + theta * drift.entries)
+            batches.append(sample(DppDistribution(mixed), seed + n, batch_size))
+        return _weak_convergence_report(batches, limit_batch, f, phis, tables, n_list)

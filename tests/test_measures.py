@@ -1,15 +1,21 @@
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import energy_distance, permutation_splits
+from dpplab import measures
 from dpplab.conditioning import WeightFunction, check_inducibility
-from dpplab.dpp import DppDistribution, Samples, sample
+from dpplab.dpp import DppDistribution, Samples, _philox_generator, sample
 from dpplab.errors import ContractError, DimensionError
 from dpplab.ground import GroundSpace, Window
 from dpplab.measures import (
     TIE_TOLERANCE,
+    _queued_split_tables,
     _split_table,
     chebyshev_mass_bound_check,
     linear_statistics,
@@ -421,3 +427,111 @@ def _rank2_on_four_points():
 def test_empty_or_degenerate_measure_inputs_raise(build, message):
     with pytest.raises(ValueError, match=message):
         build(*_rank2_on_four_points())
+
+
+def _four_point_batches(count):
+    """A limit batch and ``count`` batches of 200 draws of a rank-2 projection on 4 points, and f and the bins."""
+    D, f = _rank2_on_four_points()
+    batches = [sample(D, seed, 200) for seed in range(count + 1)]
+    return batches[1:], batches[0], f, np.eye(4)[:2]
+
+
+@pytest.mark.parametrize("permutations", [0, -1, -5])
+def test_a_permutation_count_below_one_raises_before_any_draw(permutations, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(measures, "_split_table", lambda *args: drawn.append(args))
+    batches, limit, f, phis = _four_point_batches(1)
+    message = re.escape(f"at least 1 permutation, got {permutations}")
+    X = np.zeros((3, 1))
+    with pytest.raises(ValueError, match=message):
+        permutation_energy_test(X, X, permutations, _rng(0))
+    with pytest.raises(ValueError, match=message):
+        weak_convergence_test(batches, limit, f, phis, permutations=permutations)
+    assert drawn == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    data=st.data(),
+    permutations=st.integers(1, 40),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
+)
+def test_split_tables_queued_on_the_draw_thread_match_calls_on_the_calling_thread(n, data, permutations, seeds):
+    """Tables queued on shared generators, interleaved, are each generator's loop of ``_split_table`` calls."""
+    nx = data.draw(st.integers(0, n))
+    order = data.draw(st.lists(st.integers(0, len(seeds) - 1), min_size=1, max_size=8))
+    rngs, ref_rngs = [_rng(s) for s in seeds], [_rng(s) for s in seeds]
+    ahead = measures._SPLIT_AHEAD_BYTES
+    measures._SPLIT_AHEAD_BYTES = data.draw(st.sampled_from([ahead, 1]))  # all tables queued at once, or one
+    try:
+        with _queued_split_tables(n, nx, permutations, [rngs[i] for i in order]) as tables:
+            drawn = list(tables)
+    finally:
+        measures._SPLIT_AHEAD_BYTES = ahead
+    assert len(drawn) == len(order)
+    for i, table in zip(order, drawn):
+        assert np.array_equal(table, _split_table(n, nx, permutations, ref_rngs[i]))
+    for rng, ref_rng in zip(rngs, ref_rngs):
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def _numbers(report):
+    return report.statistics, report.p_values
+
+
+def _on_the_calling_thread(batches, limit, f, phis, seed):
+    """``weak_convergence_test``'s statistics and p-values, drawn by ``permutation_energy_test`` on this thread."""
+    rng = _philox_generator(seed, 0)
+    limit_stats = linear_statistics(limit, f, phis)
+    tests = [permutation_energy_test(linear_statistics(b, f, phis), limit_stats, 199, rng) for b in batches]
+    return tuple(zip(*tests))
+
+
+def test_concurrent_weak_convergence_tests_each_get_a_lone_calls_numbers():
+    """More callers than cores queue on the one draw thread at once, switching threads every 10 us."""
+    batches, limit, f, phis = _four_point_batches(4)
+    seeds = (5, 6, 7)
+    lone = {seed: _on_the_calling_thread(batches, limit, f, phis, seed) for seed in seeds}
+    start = threading.Barrier(len(seeds))
+    results = {}
+
+    def run(seed):
+        start.wait()
+        results[seed] = _numbers(weak_convergence_test(batches, limit, f, phis, seed=seed))
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == lone
+
+
+class _DrawFailure(RuntimeError):
+    pass
+
+
+def test_an_error_in_a_queued_draw_reaches_the_caller_and_leaves_the_next_call_intact(monkeypatch):
+    batches, limit, f, phis = _four_point_batches(3)
+    expected = _on_the_calling_thread(batches, limit, f, phis, 9)
+    threads = []
+
+    def failing_draw(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise _DrawFailure("second draw")
+        return _split_table(*args)
+
+    monkeypatch.setattr(measures, "_split_table", failing_draw)
+    with pytest.raises(_DrawFailure, match="second draw"):
+        weak_convergence_test(batches, limit, f, phis, seed=9)
+    assert threading.current_thread() not in threads
+    monkeypatch.undo()
+    assert _numbers(weak_convergence_test(batches, limit, f, phis, seed=9)) == expected
