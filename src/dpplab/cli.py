@@ -211,7 +211,7 @@ def _run_suite(command: str, config: dict, seed, mode: str | None = None):
 
 def _cmd_oracle(config: dict, seed):
     report, seed = _run_suite("oracle", config, seed)
-    return seed, {"oracle.csv": report.to_csv()}, report.summary(), report.passed
+    return seed, {"oracle.csv": report.to_csv()}, report.summary(), report.verdict
 
 
 def _cmd_induce(config: dict, seed):
@@ -238,9 +238,8 @@ def _cmd_induce(config: dict, seed):
 
 def _cmd_perturb(config: dict, seed):
     report, seed = _run_suite("perturb", config, seed)
-    flags = report.monotone_flags()
-    text = f"final distances: {report.last_values()}  monotone: {flags}"
-    return seed, {"perturbation.csv": report.to_csv()}, text, all(flags.values())
+    text = f"final distances: {report.last_values()}  monotone: {report.monotone_flags()}"
+    return seed, {"perturbation.csv": report.to_csv()}, text, report.verdict
 
 
 def _cmd_exhaust(config: dict, seed):
@@ -250,7 +249,7 @@ def _cmd_exhaust(config: dict, seed):
         f"final probe norm {last.remainder_probe_norm:.3e}, decreasing={report.decreasing}, "
         f"angles ok: {all(r.angle_ok for r in report.rows)}"
     )
-    return seed, {"exhaustion.csv": report.to_csv()}, text, not any(r.failed for r in report.rows)
+    return seed, {"exhaustion.csv": report.to_csv()}, text, report.verdict
 
 
 def _cmd_scaling(config: dict, seed):
@@ -261,11 +260,11 @@ def _cmd_scaling(config: dict, seed):
     reports, seed = _run_suite("scaling", config, seed)
     artifacts = {f"scaling_s{s:g}.csv": rep.to_csv() for s, rep in reports.items()}
     text = "\n".join(
-        f"s={s:g}: strictly decreasing={rep.strictly_decreasing()}, "
+        f"s={s:g}: strictly decreasing={rep.verdict}, "
         f"last distance {rep.report.distances[-1].max():.3e}"
         for s, rep in reports.items()
     )
-    return seed, artifacts, text, all(rep.strictly_decreasing() for rep in reports.values())
+    return seed, artifacts, text, all(rep.verdict for rep in reports.values())
 
 
 def _cmd_tightness(config: dict, seed):
@@ -275,7 +274,7 @@ def _cmd_tightness(config: dict, seed):
         f"{name}: tight={rep.tight} sup_trace={rep.sup_trace:.6g} sup_tails={rep.sup_tails}"
         for name, rep in reports.items()
     )
-    return seed, artifacts, text, True
+    return seed, artifacts, text, reports.verdict
 
 
 def _cmd_weakconv(config: dict, seed):
@@ -285,7 +284,7 @@ def _cmd_weakconv(config: dict, seed):
         ks = suites.ks_distance_to_uniform(result)
         table = csv_text(("p_value",), ([p] for p in result))
         text = f"calibration KS distance to uniform: {ks:.4f}"
-        return seed, {"calibration_pvalues.csv": table}, text, ks < suites.CALIBRATION_KS_LIMIT
+        return seed, {"calibration_pvalues.csv": table}, text, suites.calibration_verdict(result)
     text = (
         f"statistics decreasing={result.decreasing}, final p={result.final_p_value:.3f}, "
         f"verdict={result.verdict}"
@@ -309,6 +308,8 @@ def _cmd_sample(config: dict, seed):
 
 #: Each command maps a validated config and the ``--seed`` override to the seed
 #: it ran with, its artifacts' text by file name, the text it prints and its verdict.
+#: A suite command's verdict is its report's ``verdict`` (``suites.calibration_verdict``
+#: for calibration p-values); ``induce`` and ``sample`` have no suite and pass.
 _COMMANDS = {
     "oracle": _cmd_oracle,
     "induce": _cmd_induce,

@@ -33,6 +33,10 @@ from .tables import csv_text, step_labels, window_labels
 #: Minimum angle (radians) each deformation vector must keep, unless a model or caller sets its own.
 DEFAULT_MIN_ANGLE = 0.05
 
+#: Growth of a probe distance between exhaustion rows that ``ExhaustionReport.decreasing`` reads as rounding:
+#: the distances are sums of a few eigenvalues of modulus at most 1, each accurate to about 1e-15.
+DECREASING_SLACK = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class DeformationModel:
@@ -150,8 +154,14 @@ class ExhaustionReport:
         """Whether the probe distances never grow along the rows whose angle holds and that did not fail."""
         ok_rows = [r for r in self.rows if r.angle_ok and not r.failed]
         return all(
-            np.all(np.array(b.distances) <= np.array(a.distances) + 1e-12) for a, b in zip(ok_rows, ok_rows[1:])
+            np.all(np.array(b.distances) <= np.array(a.distances) + DECREASING_SLACK)
+            for a, b in zip(ok_rows, ok_rows[1:])
         )
+
+    @property
+    def verdict(self) -> bool:
+        """Whether the distances are ``decreasing`` and every row keeps its angle and did not fail."""
+        return self.decreasing and all(r.angle_ok and not r.failed for r in self.rows)
 
     def to_csv(self) -> str:
         header = ("n", "angle", *(f"distance_{w}" for w in self.window_ids), "probe_norm", "angle_ok")

@@ -338,6 +338,11 @@ class ConvergenceReport:
         """Whether each window's distance column is strictly decreasing."""
         return {w: bool(np.all(np.diff(self.distances[:, j]) < 0)) for j, w in enumerate(self.window_ids)}
 
+    @property
+    def verdict(self) -> bool:
+        """Whether every window's distance column is strictly decreasing."""
+        return all(self.monotone_flags().values())
+
     def to_csv(self) -> str:
         rows = ((n, w, d) for n, ds in zip(self.steps, self.distances) for w, d in zip(self.window_ids, ds))
         return csv_text(("n", "window_id", "distance"), rows)

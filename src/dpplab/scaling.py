@@ -98,8 +98,10 @@ class ScalingReport:
     s: float
     report: ConvergenceReport
 
-    def strictly_decreasing(self) -> bool:
-        return all(self.report.monotone_flags().values())
+    @property
+    def verdict(self) -> bool:
+        """The convergence table's verdict: every distance column strictly decreasing."""
+        return self.report.verdict
 
     def ratios(self) -> np.ndarray:
         d = self.report.distances

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .dpp import Samples, _group_rows, _law_array, _packed_rows
+from .dpp import Samples, _check_law_size, _group_rows, _law_array, _packed_rows
 from .errors import ConfigError, DimensionError
 from .ground import GroundSpace
 from .operators import KernelOperator
@@ -70,12 +70,21 @@ def distribution_to_dict(law: np.ndarray, n_points: int) -> dict:
 
 
 def distribution_from_dict(payload: dict) -> np.ndarray:
-    """The (2^n,) law a distribution payload holds; bitmasks it does not list have probability 0."""
+    """The (2^n,) law a distribution payload holds; bitmasks it does not list have probability 0.
+
+    Before the law is allocated, an ``n_points`` that is not a non-negative
+    integer raises :class:`DimensionError`, and one above
+    ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.
+    """
     _check_version(payload, "distribution")
-    law = np.zeros(2 ** payload["n_points"])
+    n = payload["n_points"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DimensionError(f"n_points must be a non-negative integer, not {n!r}")
+    _check_law_size(n)
+    law = np.zeros(2**n)
     for mask, p in payload["probabilities"].items():
         if not 0 <= int(mask) < len(law):
-            raise DimensionError(f"bitmask {mask} does not fit {payload['n_points']} points")
+            raise DimensionError(f"bitmask {mask} does not fit {n} points")
         law[int(mask)] = p
     return law
 

@@ -82,7 +82,7 @@ class OracleBatteryReport:
         return max(t.projection_error for t in self.trials)
 
     @property
-    def passed(self) -> bool:
+    def verdict(self) -> bool:
         return (
             self.max_tv < ORACLE_TV_TOLERANCE
             and self.max_normalization_error < ORACLE_NORMALIZATION_TOLERANCE
@@ -275,7 +275,16 @@ def jacobi_orthonormality_residual(s: float, degree: int) -> float:
 # Tightness scripts
 
 
-def scripted_tightness_cases() -> dict[str, TightnessReport]:
+class TightnessCases(dict[str, TightnessReport]):
+    """The tightness reports of the scripted families, keyed "drifting" and "fixed"."""
+
+    @property
+    def verdict(self) -> bool:
+        """Whether the drifting family is not tight and the fixed family is."""
+        return not self["drifting"].tight and self["fixed"].tight
+
+
+def scripted_tightness_cases() -> TightnessCases:
     """A drifting family (mass escapes to the right) and a fixed family (tight)."""
     space = GroundSpace.uniform_cells(0.0, 1.0, 20)
     f = WeightFunction.constant(space, 1.0, role="f")
@@ -290,10 +299,10 @@ def scripted_tightness_cases() -> dict[str, TightnessReport]:
         drifting.append(project_span(e[None, :], space))
     fixed_vec = np.where(space.points < 0.3, 1.0, 0.0)
     fixed = [project_span(fixed_vec[None, :], space)] * 5
-    return {
-        "drifting": tightness_report(drifting, f, tails),
-        "fixed": tightness_report(fixed, f, tails),
-    }
+    return TightnessCases(
+        drifting=tightness_report(drifting, f, tails),
+        fixed=tightness_report(fixed, f, tails),
+    )
 
 
 def scripted_chebyshev_checks():
@@ -369,7 +378,7 @@ def weakconv_calibration(
     return p_values
 
 
-#: KS distance to the uniform law below which ``dpplab weakconv``'s calibration p-values pass.
+#: KS distance to the uniform law below which calibration p-values pass (``calibration_verdict``).
 CALIBRATION_KS_LIMIT = 0.05
 
 
@@ -379,6 +388,11 @@ def ks_distance_to_uniform(p_values: np.ndarray) -> float:
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     return float(max(np.max(grid_hi - p), np.max(p - grid_lo)))
+
+
+def calibration_verdict(p_values: np.ndarray) -> bool:
+    """Whether calibration p-values sit at KS distance below ``CALIBRATION_KS_LIMIT`` from the uniform law."""
+    return ks_distance_to_uniform(p_values) < CALIBRATION_KS_LIMIT
 
 
 def weakconv_sequence(

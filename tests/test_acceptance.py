@@ -34,11 +34,7 @@ def _battery():
 
 def test_criterion_1_conditioning_oracle_battery(capsys):
     report, elapsed = _battery()
-    ok = (
-        report.max_tv < 1e-9
-        and report.max_normalization_error < 1e-10
-        and elapsed < 30.0
-    )
+    ok = report.verdict and elapsed < 30.0
     _report(
         capsys,
         "criterion 1 (conditioning oracle battery)",
@@ -52,7 +48,7 @@ def test_criterion_1_conditioning_oracle_battery(capsys):
 
 def test_criterion_2_projection_identity(capsys):
     report, _ = _battery()
-    ok = report.max_projection_error < 1e-9
+    ok = report.max_projection_error < suites.ORACLE_PROJECTION_TOLERANCE
     _report(
         capsys,
         "criterion 2 (projection identity)",
@@ -65,9 +61,8 @@ def test_criterion_2_projection_identity(capsys):
 
 def test_criterion_3_perturbation_suite(capsys):
     report = suites.scripted_perturbation_suite()
-    flags = report.monotone_flags()
     final = max(report.last_values().values())
-    ok = all(flags.values()) and final < 1e-6
+    ok = report.verdict and final < 1e-6
     _report(
         capsys,
         "criterion 3 (finite-rank perturbation suite)",
@@ -83,8 +78,7 @@ def test_criterion_4_exhaustion_suite(capsys):
     report = suites.scripted_exhaustion_study()
     elapsed = time.perf_counter() - start
     final = report.rows[-1]
-    angles_ok = all(r.angle_ok and not r.failed for r in report.rows)
-    ok = report.decreasing and angles_ok and final.remainder_probe_norm < 1e-3 and elapsed < 10.0
+    ok = report.verdict and final.remainder_probe_norm < 1e-3 and elapsed < 10.0
     _report(
         capsys,
         "criterion 4 (exhaustion suite)",
@@ -99,7 +93,7 @@ def test_criterion_4_exhaustion_suite(capsys):
 def test_criterion_5_hard_edge_scaling_suite(capsys):
     start = time.perf_counter()
     reports = suites.scripted_scaling_suite(s_values=(0.0, 0.5, 2.0), n_list=(8, 16, 32, 64))
-    decreasing = all(rep.strictly_decreasing() for rep in reports.values())
+    decreasing = all(rep.verdict for rep in reports.values())
     residual = max(suites.jacobi_orthonormality_residual(s, 20) for s in (0.0, 0.5, 2.0))
     # the Bessel kernel on the suite's 200-point grid against mpmath: the diagonal and row 100
     grid = GroundSpace.uniform_cells(0.0, 10.0, 200)
@@ -148,10 +142,8 @@ def test_criterion_6_sampler_correctness(capsys):
 
 def test_criterion_7_tightness_and_chebyshev(capsys):
     cases = suites.scripted_tightness_cases()
-    verdicts_ok = (not cases["drifting"].tight) and cases["fixed"].tight
     checks = suites.scripted_chebyshev_checks()
-    cheb_ok = all(c.passed for c in checks.values())
-    ok = verdicts_ok and cheb_ok
+    ok = cases.verdict and all(c.passed for c in checks.values())
     _report(
         capsys,
         "criterion 7 (tightness and mass bounds)",
@@ -164,7 +156,11 @@ def test_criterion_7_tightness_and_chebyshev(capsys):
 
 
 def test_criterion_8_weak_convergence_calibration(capsys):
-    """Calibration uniformity and a strictly decreasing perturbed sequence at the acceptance seeds.
+    """Calibration uniformity and the perturbed sequence's verdict at the acceptance seeds.
+
+    The sequence's verdict is strictly decreasing statistics and a final
+    p-value above ``measures.P_VALUE_THRESHOLD``; the final p reads 0.805
+    at seed 11.
 
     "Strictly decreasing" holds for sequence seed 11 but fails on 7 of 29
     other seeds (11 + 1000 s, s = 1..29): the last steps sit inside
@@ -183,7 +179,7 @@ def test_criterion_8_weak_convergence_calibration(capsys):
     ks = suites.ks_distance_to_uniform(p_values)
     sequence = suites.weakconv_sequence()
     elapsed = time.perf_counter() - start
-    ok = ks < 0.05 and sequence.decreasing
+    ok = suites.calibration_verdict(p_values) and sequence.verdict
     _report(
         capsys,
         "criterion 8 (weak-convergence testing)",

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
@@ -25,6 +26,7 @@ from dpplab.errors import (
     InducibilityError,
 )
 from dpplab.serialization import load_json
+from golden.regenerate import CASES
 
 
 def _write(path, payload):
@@ -174,6 +176,45 @@ def test_exhaust_with_a_failed_row_writes_its_table_and_exits_3(tmp_path, monkey
     assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
     assert (tmp_path / "run" / "exhaustion.csv").read_text().splitlines()[1] == "8,0.5,nan,nan,nan,1"
     assert (tmp_path / "run" / "manifest.json").is_file()
+
+
+def test_exhaust_exits_3_when_its_distances_grow(tmp_path, capsys):
+    # the [0.25,1] distance grows from the 2^4 grid to the 2^5 grid
+    cfg = _write(tmp_path / "cfg.json", {"ks": [4, 5, 6, 7, 8]})
+    assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().out == "final probe norm 8.129e-04, decreasing=False, angles ok: True\n"
+    assert len((tmp_path / "run" / "exhaustion.csv").read_text().splitlines()) == 6
+    assert load_json(tmp_path / "run" / "manifest.json")["outputs"] == ["exhaustion.csv"]
+
+
+#: How a suite's result gives its verdict where the result is not one report.
+_RESULT_VERDICTS = {
+    ("scaling", None): lambda reports: all(rep.verdict for rep in reports.values()),
+    ("weakconv", "calibration"): suites.calibration_verdict,
+}
+
+
+@pytest.mark.parametrize(
+    "command, mode, config",
+    [
+        *((command, None, CASES[command]) for command in ("oracle", "perturb", "exhaust", "scaling", "tightness")),
+        ("weakconv", "sequence", CASES["weakconv"]),
+        ("weakconv", "calibration", {"mode": "calibration"}),
+        ("exhaust", None, {"ks": [4, 5, 6, 7, 8]}),  # a failed verdict
+    ],
+)
+def test_each_suite_command_exits_by_its_reports_verdict(tmp_path, monkeypatch, command, mode, config):
+    suite, results = _SUITES[command, mode], []
+
+    @functools.wraps(suite)
+    def recorded(**kwargs):
+        results.append(suite(**kwargs))
+        return results[-1]
+
+    monkeypatch.setitem(_SUITES, (command, mode), recorded)
+    code = main([command, "--config", _write(tmp_path / "cfg.json", config), "--out", str(tmp_path / "run")])
+    verdict = _RESULT_VERDICTS.get((command, mode), lambda report: report.verdict)(*results)
+    assert code == (EXIT_OK if verdict else EXIT_NUMERICAL)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import is_projection
 from dpplab.conditioning import (
@@ -240,6 +242,39 @@ def test_continuity_in_g():
         dists.append(np.abs(induced_kernel(gn, P).entries - target.entries).max())
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 0.1
+
+
+#: Bounds of the conditioning semigroup test: the largest counting-form entry gap and the relative
+#: normalization gap.  2000 random cases of its kind read at most 7.8e-16 and 2.3e-15.
+SEMIGROUP_ENTRY_BOUND = 1e-14
+SEMIGROUP_NORMALIZATION_BOUND = 1e-13
+
+
+@st.composite
+def _semigroup_cases(draw):
+    """A projection of rank 1-5 on 3-39 geometric cells and two weights with values in [0.2, 1]."""
+    n = draw(st.integers(3, 39))
+    rank = draw(st.integers(1, min(5, n)))
+    space = GroundSpace.geometric_cells(1e-4, 1.0, n)
+    P = project_span(_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(rank, n)), space)
+    values = st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)
+    return P, np.array(draw(values)), np.array(draw(values))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_semigroup_cases())
+def test_conditioning_is_a_semigroup(case):
+    # with g where sqrt(g) belongs, induced_kernel still passes the kernel identity (both sides span
+    # g1 g2 range(P)) but fails the normalization chain rule, so a weight that is not an indicator and
+    # both identities are needed
+    P, g1, g2 = case
+    G1, G2, G12 = (WeightFunction(P.space, g) for g in (g1, g2, g1 * g2))
+    P1 = induced_kernel(G1, P)
+    gap = np.abs(induced_kernel(G12, P).counting - induced_kernel(G2, P1).counting).max()
+    assert gap <= SEMIGROUP_ENTRY_BOUND
+    z = normalization_constant(G12, P)
+    chain = normalization_constant(G1, P) * normalization_constant(G2, P1)
+    assert abs(z - chain) <= SEMIGROUP_NORMALIZATION_BOUND * z
 
 
 @pytest.mark.parametrize("g_points", [6, 7], ids=["same_n", "different_n"])

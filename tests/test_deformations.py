@@ -141,7 +141,7 @@ def test_exhaustion_suite_smoke():
     report = exhaustion_suite(model, windows, probes, phi, steps=(1, 2, 3))
     assert len(report.rows) == 3
     assert all(r.angle_ok for r in report.rows)
-    assert report.decreasing
+    assert report.decreasing and report.verdict
     assert report.rows[-1].remainder_probe_norm < report.rows[0].remainder_probe_norm
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("n,angle,distance_probe")
@@ -187,6 +187,7 @@ def test_an_angle_collapse_gives_a_failed_row_and_the_suite_continues():
     assert not first.failed and not last.failed and first.angle_ok and last.angle_ok
     assert last.distances[0] < first.distances[0]
     assert report.decreasing  # the NaN row is skipped, not compared
+    assert not report.verdict
 
 
 def _weighted_base_model(eps):

@@ -203,6 +203,9 @@ def test_convergence_report_columns_and_csv():
     rep = convergence_report(seq, target, windows, steps=(2, 4, 8, 16))
     assert rep.distances.shape == (4, 2)
     assert rep.monotone_flags() == {"all": True, "half": True}
+    assert rep.verdict
+    # one flat column fails the verdict
+    assert not ConvergenceReport((1, 2), ("a", "b"), [[1.0, 1.0], [0.5, 1.0]]).verdict
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "n,window_id,distance"
     assert len(csv.splitlines()) == 9

@@ -133,6 +133,6 @@ def test_heine_mehler_distances_decrease():
     grid = GroundSpace.uniform_cells(0.0, 8.0, 60)
     windows = [Window.full(grid, "all")]
     report = heine_mehler_suite(1.0, (4, 8, 16), windows, grid)
-    assert report.strictly_decreasing()
+    assert report.verdict
     csv = report.to_csv()
     assert csv.splitlines()[0] == "s,n,window_id,i1_distance,ratio_to_previous"

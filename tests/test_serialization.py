@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.dpp import Samples
-from dpplab.errors import ConfigError, DimensionError
+from dpplab.errors import ConfigError, DimensionError, EnumerationSizeError
 from dpplab.ground import GroundSpace
 from dpplab.operators import project_span
 from dpplab.serialization import (
@@ -58,6 +58,17 @@ def test_distribution_payload_lists_masks_sparsely():
         distribution_from_dict(payload)
     with pytest.raises(DimensionError):
         distribution_to_dict(np.ones(4) / 4, 3)
+
+
+@pytest.mark.parametrize(
+    "n_points, error",
+    [(21, EnumerationSizeError), (-1, DimensionError), (2.5, DimensionError), (True, DimensionError)],
+)
+def test_distribution_payload_rejects_an_n_points_it_cannot_hold(n_points, error):
+    # 21 points exceed MAX_ENUMERATION_POINTS; true would otherwise read as 1 point
+    payload = {"format_version": 1, "kind": "distribution", "n_points": n_points, "probabilities": {}}
+    with pytest.raises(error):
+        distribution_from_dict(payload)
 
 
 def test_unknown_version_rejected():
