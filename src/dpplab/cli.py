@@ -247,7 +247,7 @@ def _cmd_exhaust(config: dict, seed):
     last = report.rows[-1]
     text = (
         f"final probe norm {last.remainder_probe_norm:.3e}, decreasing={report.decreasing}, "
-        f"angles ok: {all(r.angle_ok for r in report.rows)}"
+        f"angles ok: {all(r.angle_ok for r in report.rows)}, verdict={report.verdict}"
     )
     return seed, {"exhaustion.csv": report.to_csv()}, text, report.verdict
 
@@ -270,10 +270,11 @@ def _cmd_scaling(config: dict, seed):
 def _cmd_tightness(config: dict, seed):
     reports, seed = _run_suite("tightness", config, seed)
     artifacts = {f"tightness_{name}.csv": rep.to_csv() for name, rep in reports.items()}
-    text = "\n".join(
+    lines = [
         f"{name}: tight={rep.tight} sup_trace={rep.sup_trace:.6g} sup_tails={rep.sup_tails}"
         for name, rep in reports.items()
-    )
+    ]
+    text = "\n".join([*lines, f"verdict={reports.verdict}"])
     return seed, artifacts, text, reports.verdict
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +227,8 @@ def _split_table(n: int, nx: int, permutations: int, rng) -> np.ndarray:
 #: The one thread that draws split tables.  A lone worker takes the tables in the order they were
 #: queued, so tables queued on one generator get the draws of a loop of ``_split_table`` calls.
 #: ``permuted`` releases the GIL while it shuffles, so a table is drawn on another core while the
-#: caller samples and scores.
+#: caller samples and scores.  A caller that waits draws queued tables itself, but only those of a
+#: generator no other queued draw uses (``_queued_split_tables``), so that order still holds.
 _SPLIT_DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpplab-splits")
 
 
@@ -249,23 +250,51 @@ def _queued_split_tables(n: int, nx: int, permutations: int, rngs):
     appears k times gets k tables, drawn in that order.  At most
     ``_SPLIT_AHEAD_BYTES`` of them are queued at once; each table taken
     queues the next.  The caller must not use a queued generator until
-    its last table has arrived.  Draws that have not started when the
-    block exits are cancelled, so a caller that raises leaves none
-    behind.  The thread runs only ``_split_table``, which no other module
-    imports, so nothing it calls is a name perfbench's tracer wraps.
+    its last table has arrived.
+
+    While the next table is not ready, the calling thread draws queued
+    tables itself, last first: each one whose draw has not started
+    (``Future.cancel`` succeeds only then) and whose generator, counted
+    by its bit generator, no other queued draw uses.  So every table is
+    drawn once, from its generator's state after that generator's earlier
+    tables, and the tables and end states are those of a loop of
+    ``_split_table`` calls, whichever thread draws.  With nothing to take
+    it waits for the draw thread; tables queued on one generator are all
+    drawn there.
+
+    Draws that have not started when the block exits are cancelled, so a
+    caller that raises, in its own code or in a draw it took, leaves none
+    behind.  Only ``_split_table`` runs on the draw thread, and no other
+    module imports it, so nothing it calls is a name perfbench's tracer
+    wraps.
     """
     _check_permutations(permutations)
     rngs = iter(rngs)
-    queued = collections.deque()
+    queued = collections.deque()  # (draw, rng) per table, in the order of rngs
+    uses = collections.Counter()  # queued tables per bit generator
 
     def queue(count):
         for rng in itertools.islice(rngs, count):
-            queued.append(_SPLIT_DRAWS.submit(_split_table, n, nx, permutations, rng))
+            queued.append((_SPLIT_DRAWS.submit(_split_table, n, nx, permutations, rng), rng))
+            uses[rng.bit_generator] += 1
+
+    def draw_here():
+        """Draw the last takeable queued table on this thread, as described above; whether there was one."""
+        for i in range(len(queued) - 1, -1, -1):
+            draw, rng = queued[i]
+            if uses[rng.bit_generator] == 1 and draw.cancel():
+                drawn = Future()
+                drawn.set_result(_split_table(n, nx, permutations, rng))
+                queued[i] = (drawn, rng)
+                return True
+        return False
 
     def tables():
         while queued:
-            table = queued[0].result()  # still queued while awaited, so an interrupted wait cancels it
-            queued.popleft()
+            while not queued[0][0].done() and draw_here():
+                pass
+            table = queued[0][0].result()  # still queued while awaited, so an interrupted wait cancels it
+            uses[queued.popleft()[1].bit_generator] -= 1
             queue(1)
             yield table
 
@@ -273,8 +302,8 @@ def _queued_split_tables(n: int, nx: int, permutations: int, rngs):
     try:
         yield tables()
     finally:
-        for table in queued:
-            table.cancel()
+        for draw, _ in queued:
+            draw.cancel()
 
 
 def _energy_test(X: np.ndarray, Y: np.ndarray, on_x: np.ndarray) -> tuple[float, float]:

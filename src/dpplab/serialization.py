@@ -7,11 +7,13 @@ unknown versions instead of guessing.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
 from .dpp import Samples, _check_law_size, _group_rows, _law_array, _packed_rows
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
 from .ground import GroundSpace
 from .operators import KernelOperator
 
@@ -74,7 +76,10 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
 
     Before the law is allocated, an ``n_points`` that is not a non-negative
     integer raises :class:`DimensionError`, and one above
-    ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.
+    ``MAX_ENUMERATION_POINTS`` raises :class:`EnumerationSizeError`.  A key
+    that is not a decimal integer string, or a bitmask of more than
+    ``n_points`` bits, raises :class:`DimensionError`; a probability that
+    is not a finite, non-negative number raises :class:`ContractError`.
     """
     _check_version(payload, "distribution")
     n = payload["n_points"]
@@ -83,8 +88,12 @@ def distribution_from_dict(payload: dict) -> np.ndarray:
     _check_law_size(n)
     law = np.zeros(2**n)
     for mask, p in payload["probabilities"].items():
-        if not 0 <= int(mask) < len(law):
+        if not (isinstance(mask, str) and mask.isascii() and mask.isdigit()):
+            raise DimensionError(f"bitmask key {mask!r} is not a decimal integer")
+        if int(mask) >= len(law):
             raise DimensionError(f"bitmask {mask} does not fit {n} points")
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p < math.inf:
+            raise ContractError(f"probability {p!r} of bitmask {mask} is not a finite, non-negative number")
         law[int(mask)] = p
     return law
 

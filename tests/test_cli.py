@@ -168,12 +168,14 @@ def test_exhaust_command_on_a_2_14_grid(tmp_path):
     assert all(np.isfinite(float(v)) for v in values)  # a failed row carries NaN
 
 
-def test_exhaust_with_a_failed_row_writes_its_table_and_exits_3(tmp_path, monkeypatch):
+def test_exhaust_with_a_failed_row_writes_its_table_and_exits_3(tmp_path, monkeypatch, capsys):
     nan = float("nan")
     report = ExhaustionReport((ExhaustionRow(8, 0.5, (nan, nan), nan, True, failed=True),), ("a", "b"), 0.05)
     monkeypatch.setitem(_SUITES, ("exhaust", None), lambda: report)
     cfg = _write(tmp_path / "cfg.json", {})
     assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+    # decreasing holds over no sound rows, so only the verdict says why the command exits 3
+    assert capsys.readouterr().out == "final probe norm nan, decreasing=True, angles ok: True, verdict=False\n"
     assert (tmp_path / "run" / "exhaustion.csv").read_text().splitlines()[1] == "8,0.5,nan,nan,nan,1"
     assert (tmp_path / "run" / "manifest.json").is_file()
 
@@ -182,7 +184,7 @@ def test_exhaust_exits_3_when_its_distances_grow(tmp_path, capsys):
     # the [0.25,1] distance grows from the 2^4 grid to the 2^5 grid
     cfg = _write(tmp_path / "cfg.json", {"ks": [4, 5, 6, 7, 8]})
     assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
-    assert capsys.readouterr().out == "final probe norm 8.129e-04, decreasing=False, angles ok: True\n"
+    assert capsys.readouterr().out == "final probe norm 8.129e-04, decreasing=False, angles ok: True, verdict=False\n"
     assert len((tmp_path / "run" / "exhaustion.csv").read_text().splitlines()) == 6
     assert load_json(tmp_path / "run" / "manifest.json")["outputs"] == ["exhaustion.csv"]
 

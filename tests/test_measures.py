@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 import sys
 import threading
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpplab
 from dense_reference import energy_distance, permutation_splits
 from dpplab import measures
 from dpplab.conditioning import WeightFunction, check_inducibility
@@ -535,3 +538,84 @@ def test_an_error_in_a_queued_draw_reaches_the_caller_and_leaves_the_next_call_i
     assert threading.current_thread() not in threads
     monkeypatch.undo()
     assert _numbers(weak_convergence_test(batches, limit, f, phis, seed=9)) == expected
+
+
+def _draw_thread_idle():
+    """Wait until every draw queued so far has run or been cancelled: the one draw thread takes them in order."""
+    measures._SPLIT_DRAWS.submit(lambda: None).result(timeout=30)
+
+
+def _held_draws(monkeypatch, on_caller=_split_table):
+    """Patch ``measures._split_table`` so that draw-thread draws wait until the calling thread has drawn a table.
+
+    Returns the (thread, generator) of each draw, in the order the draws
+    started, and the event that releases the draw thread, which the
+    calling thread's first draw sets when it returns.
+    """
+    caller, drawn, caller_drew = threading.current_thread(), [], threading.Event()
+
+    def held_draw(*args):
+        drawn.append((threading.current_thread(), args[3]))
+        if threading.current_thread() is not caller:
+            caller_drew.wait(timeout=10)
+            return _split_table(*args)
+        table = on_caller(*args)
+        caller_drew.set()
+        return table
+
+    monkeypatch.setattr(measures, "_split_table", held_draw)
+    return drawn, caller_drew
+
+
+@pytest.mark.parametrize("views", [False, True], ids=["one generator each", "a generator per table"])
+@pytest.mark.parametrize("order", [[0, 1, 0], [0, 1, 2, 3], [0, 1, 1, 2, 0]], ids=str)
+def test_the_calling_thread_draws_the_last_table_whose_generator_no_other_queued_draw_uses(monkeypatch, order, views):
+    """Tables and end states are the loop's when the caller must take a table: the draw thread is held until it has.
+
+    With ``views`` each table gets its own ``Generator`` over its stream's
+    bit generator, so tables of one stream share no ``Generator`` object.
+    """
+    rngs, ref_rngs = [_rng(s) for s in range(max(order) + 1)], [_rng(s) for s in range(max(order) + 1)]
+    expected = [_split_table(30, 12, 9, ref_rngs[i]) for i in order]
+    drawn, _ = _held_draws(monkeypatch)
+    queue = [np.random.Generator(rngs[i].bit_generator) if views else rngs[i] for i in order]
+    with _queued_split_tables(30, 12, 9, queue) as tables:
+        got = list(tables)
+    _draw_thread_idle()
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == len(order)
+    for rng, ref_rng in zip(rngs, ref_rngs):
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert len(drawn) == len(order)
+    # no table has arrived before the caller's first draw, so every generator queued twice is still shared
+    unshared = [i for i in order if order.count(i) == 1]
+    on_caller = [rng for thread, rng in drawn if thread is threading.current_thread()]
+    assert on_caller and on_caller[0].bit_generator is rngs[unshared[-1]].bit_generator
+
+
+def test_an_error_in_a_draw_the_caller_took_reaches_it_and_cancels_the_queued_draws(monkeypatch):
+    def failing_draw(*args):
+        raise _DrawFailure("drawn on the calling thread")
+
+    drawn, release = _held_draws(monkeypatch, on_caller=failing_draw)
+    rngs = [_rng(s) for s in range(4)]
+    with pytest.raises(_DrawFailure, match="drawn on the calling thread"):
+        with _queued_split_tables(30, 12, 9, rngs) as tables:
+            list(tables)
+    release.set()
+    _draw_thread_idle()
+    caller = threading.current_thread()
+    assert [rng for thread, rng in drawn if thread is caller] == [rngs[-1]]
+    # the draw thread draws at most the first table, if it had started it; the cancelled ones never
+    assert [rng for thread, rng in drawn if thread is not caller] in ([], [rngs[0]])
+    monkeypatch.undo()
+    rngs, ref_rngs = [_rng(s) for s in range(4)], [_rng(s) for s in range(4)]
+    with _queued_split_tables(30, 12, 9, rngs) as tables:
+        got = list(tables)
+    assert all(np.array_equal(a, _split_table(30, 12, 9, ref)) for a, ref in zip(got, ref_rngs))
+
+
+def test_no_module_but_measures_binds_the_split_draw():
+    # perfbench's tracer wraps a private function once another dpplab module binds it, and its span
+    # stack is not thread-safe, while _split_table runs on the draw thread and the calling thread
+    names = [module.name for module in pkgutil.iter_modules(dpplab.__path__)]
+    assert [name for name in names if "_split_table" in vars(importlib.import_module(f"dpplab.{name}"))] == ["measures"]

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.dpp import Samples
-from dpplab.errors import ConfigError, DimensionError, EnumerationSizeError
+from dpplab.errors import ConfigError, ContractError, DimensionError, EnumerationSizeError
 from dpplab.ground import GroundSpace
 from dpplab.operators import project_span
 from dpplab.serialization import (
@@ -58,6 +60,22 @@ def test_distribution_payload_lists_masks_sparsely():
         distribution_from_dict(payload)
     with pytest.raises(DimensionError):
         distribution_to_dict(np.ones(4) / 4, 3)
+
+
+@pytest.mark.parametrize(
+    "probabilities, error, message",
+    [
+        ({"0": -0.5, "1": 1.5}, ContractError, "-0.5 of bitmask 0"),
+        ({"0": float("nan"), "1": 1.0}, ContractError, "nan of bitmask 0"),
+        ({"0.0": 1.0}, DimensionError, "'0.0'"),
+        ({"0": "x", "1": 1.0}, ContractError, "'x' of bitmask 0"),
+    ],
+    ids=["negative", "nan", "float key", "text value"],
+)
+def test_distribution_payload_rejects_a_key_or_probability_it_cannot_hold(probabilities, error, message):
+    payload = {"format_version": 1, "kind": "distribution", "n_points": 1, "probabilities": probabilities}
+    with pytest.raises(error, match=re.escape(message)):
+        distribution_from_dict(payload)
 
 
 @pytest.mark.parametrize(
