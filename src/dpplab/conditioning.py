@@ -18,7 +18,7 @@ part of the space, is harmless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,16 @@ MARGIN_TOLERANCE = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
-    """Per-point nonnegative weights; role 'g' (conditioning, <= 1) or 'f' (embedding)."""
+    """Per-point nonnegative weights; role 'g' (conditioning, <= 1) or 'f' (embedding).
+
+    ``values`` is a read-only copy of the given weights and ``sqrt`` their
+    pointwise square roots, read-only and taken once at construction.
+    """
 
     space: GroundSpace
     values: np.ndarray
     role: str = "g"
+    sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -53,11 +58,10 @@ class WeightFunction:
         if self.role == "g" and hi > 1.0:
             raise ValueError("conditioning weights must not exceed 1")
         values.flags.writeable = False
+        sqrt = np.sqrt(values)
+        sqrt.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def sqrt(self) -> np.ndarray:
-        return np.sqrt(self.values)
+        object.__setattr__(self, "sqrt", sqrt)
 
     @classmethod
     def constant(cls, space: GroundSpace, value: float, role: str = "g") -> "WeightFunction":

@@ -16,7 +16,7 @@ from .errors import DimensionError
 
 
 def _frozen_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -47,7 +47,9 @@ class GroundSpace:
             raise ValueError("all weights must be strictly positive")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sqrt_weights", _frozen_array(np.sqrt(weights)))
+        sqrt_weights = np.sqrt(weights)
+        sqrt_weights.flags.writeable = False
+        object.__setattr__(self, "sqrt_weights", sqrt_weights)
 
     @property
     def n(self) -> int:

@@ -213,7 +213,10 @@ def projection_distance(P: Projection, Q: Projection, A: Window) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    """The Euclidean norm of a 1-D float array: sqrt(x . x), as ``np.linalg.norm`` takes it."""
+    """The Euclidean norm of a 1-D float array: sqrt(x . x), as ``np.linalg.norm`` takes it of a contiguous x.
+
+    BLAS sums a strided x in another order than ``np.linalg.norm``, which copies it first.
+    """
     return math.sqrt(x.dot(x))
 
 
@@ -225,10 +228,13 @@ def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     norm is taken again.  Dividing by a power of two is exact (only entries
     below 2^-1022 times the peak lose bits), so ratios of norms, and every
     result built from them, do not depend on the vector's scale.  The norm
-    is finite exactly when ``v`` is.
+    is finite exactly when ``v`` is.  The first norm comes from ``np.vdot``,
+    the same BLAS dot product as ``_norm``'s, after which numpy checks no
+    floating-point flag: an overflow shows as inf, with no warning, and takes
+    the rescaling branch.  No ``np.errstate`` is entered; on short vectors that
+    would cost more than the dot product itself.
     """
-    with np.errstate(over="ignore"):  # an overflow shows as inf and is handled below
-        norm = _norm(v)
+    norm = math.sqrt(np.vdot(v, v))
     if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
         return v, norm
     _, exponent = np.frexp(np.abs(v).max())

@@ -113,13 +113,24 @@ def samples_to_csv(samples: Samples) -> str:
 
 
 def samples_from_csv(text: str, space: GroundSpace) -> Samples:
+    """The draws of a samples CSV: one line of space-separated occupied indices per draw.
+
+    A token that is not a string of ASCII digits (as ``distribution_from_dict``
+    asks of its keys), an index repeated within one line, or an index outside
+    the space raises :class:`DimensionError` naming the line and the token.
+    """
     lines = text.splitlines()
     occupancy = np.zeros((len(lines), space.n), dtype=bool)
-    for row, line in zip(occupancy, lines):
-        idx = [int(tok) for tok in line.split()]
-        if any(not 0 <= i < space.n for i in idx):
-            raise DimensionError("occupied indices out of bounds")
-        row[idx] = True
+    for number, (row, line) in enumerate(zip(occupancy, lines), start=1):
+        for tok in line.split():
+            if not (tok.isascii() and tok.isdigit()):
+                raise DimensionError(f"line {number}: token {tok!r} is not a decimal index")
+            i = int(tok)
+            if i >= space.n:
+                raise DimensionError(f"line {number}: index {tok!r} is outside a {space.n}-point space")
+            if row[i]:
+                raise DimensionError(f"line {number}: index {tok!r} is repeated")
+            row[i] = True
     return Samples(space, occupancy)
 
 

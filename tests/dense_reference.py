@@ -15,7 +15,9 @@ drew them all.  ``linalg_scaled_norm``, ``gram_schmidt_steps``,
 ``eye_residual``, ``outer_measure_entries``, ``outer_counting``,
 ``stacked_inducibility_norms`` and ``clipped_law`` are the package's
 projection primitives as they were written before their numpy calls were
-cut, so the tests can check that the cut changed no bit.  Four oracles the package itself never calls live here too:
+cut, so the tests can check that the cut changed no bit;
+``errstate_scaled_norm`` is ``scaled_norm`` as it ran before ``np.vdot``
+took its first norm.  Four oracles the package itself never calls live here too:
 ``energy_distance``, which the permutation test scores split by split
 from count vectors, ``cd_kernel_closed``, the two-point closed form
 of the Christoffel-Darboux sum, ``jacobi_polynomials_mp``, the orthonormal
@@ -85,6 +87,22 @@ def linalg_scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     _, exponent = np.frexp(np.abs(v).max())
     v = np.ldexp(v, -exponent)
     return v, float(np.linalg.norm(v))
+
+
+def errstate_scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``operators.scaled_norm`` with its first norm by ``ndarray.dot`` inside ``np.errstate(over="ignore")``.
+
+    Unlike ``np.linalg.norm``, which copies a strided vector before its dot product,
+    ``ndarray.dot`` and ``np.vdot`` run BLAS on the strides as they are, and BLAS sums a
+    strided vector in another order than a contiguous one.
+    """
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(v.dot(v))
+    if SAFE_NORM_RANGE[0] < norm < SAFE_NORM_RANGE[1]:
+        return v, norm
+    _, exponent = np.frexp(np.abs(v).max())
+    v = np.ldexp(v, -exponent)
+    return v, math.sqrt(v.dot(v))
 
 
 def gram_schmidt_steps(rows: list, hat: np.ndarray, angles: bool = False):

@@ -7,10 +7,13 @@ inducibility norms from ``np.stack`` and the law's rounding noise clipped
 by ``np.clip``.  Cases are random weighted spaces of 1-40 points, factors of
 rank 0-6, vectors scaled by 2^e for e up to +-600 or zero, weights g with
 exact 0s and 1s, and coordinate projections, whose dense block-identity laws
-hold -0.0.  Floats are compared by their bytes, so a moved sign of zero
-fails too.
+hold -0.0.  ``scaled_norm`` is also checked on strided views and on rows
+and columns of C- and Fortran-order arrays, against the ``np.errstate``
+form it replaced.  Floats are compared by their bytes, so a moved sign of
+zero fails too.
 """
 
+import warnings
 from itertools import zip_longest
 
 import numpy as np
@@ -77,6 +80,37 @@ def test_scaled_norm_and_gram_schmidt_match_the_linalg_norm_forms(case):
         if ratio < 1e-6:  # a caller rejects this vector, so its residual is never appended
             break
     assert len(got_rows) == len(want_rows) and all(map(_same, got_rows, want_rows))
+
+
+@_SETTINGS
+@given(
+    st.integers(1, 59),
+    st.integers(1, 5),
+    st.sampled_from(["strided view", "column of a C array", "row of a Fortran array", "column of a Fortran array"]),
+    st.sampled_from([-1000, -600, -300, 0, 300, 600, 1000]),
+    st.integers(0, 2**32 - 1),
+)
+def test_scaled_norm_matches_the_errstate_form_on_any_layout_without_a_warning(n, width, layout, exponent, seed):
+    # np.vdot takes the first norm: the bytes of the errstate-guarded ndarray.dot form on every layout,
+    # and at the overflow scales (|v|^2 above 2^1024) an inf that raises no RuntimeWarning.  The
+    # np.linalg.norm form copies a strided vector first and sums it in another order, so it is the
+    # reference on contiguous vectors only.
+    rng = np.random.default_rng(seed)
+    block = np.ldexp(rng.normal(size=(n, width)), exponent)
+    v = {
+        "strided view": block.ravel()[::width],
+        "column of a C array": block[:, -1],
+        "row of a Fortran array": np.asfortranarray(block.T)[-1],
+        "column of a Fortran array": np.asfortranarray(block)[:, -1],
+    }[layout]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_v, got = scaled_norm(v)
+    want_v, want = dense.errstate_scaled_norm(v)
+    assert _same(got_v, want_v) and _same(got, want)
+    if v.flags.contiguous:
+        want_v, want = dense.linalg_scaled_norm(v)
+        assert _same(got_v, want_v) and _same(got, want)
 
 
 @_SETTINGS

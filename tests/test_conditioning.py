@@ -99,6 +99,22 @@ def test_weight_function_validation():
     WeightFunction(space, np.array([0.5, 1.2, 0.3]), role="f")  # f may exceed 1
 
 
+@pytest.mark.parametrize("role", ["g", "f"])
+def test_weight_function_keeps_a_read_only_copy_and_its_square_roots(role):
+    space = GroundSpace.uniform_cells(0.0, 1.0, 30)
+    rng = np.random.default_rng(8)
+    values = np.where(rng.integers(0, 3, 30) == 0, 0.0, rng.uniform(0.0, 1.0, 30))
+    values[-1] = 1.0
+    want = values.copy()
+    g = WeightFunction(space, values, role)
+    values[:] = 0.5  # mutating the caller's array after construction changes nothing
+    assert g.values.tobytes() == want.tobytes()
+    assert g.sqrt.tobytes() == np.sqrt(want).tobytes() and g.sqrt is g.sqrt  # taken once
+    for arr in (g.values, g.sqrt):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.25
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("role", ["g", "f"])
 def test_weight_function_rejects_non_finite_values(bad, role):

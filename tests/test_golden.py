@@ -1,35 +1,18 @@
 """Every CLI command reproduces its golden output (``tests/golden``).
 
-Strings, integers and booleans must match exactly; floats within 1e-9
-relative plus 1e-13 absolute, and numbers inside the printed summary the
-same way; ``samples.csv`` by its sha256, naming the first line that differs.
+Strings, integers and booleans must match exactly; floats within
+``regenerate.REL_TOL`` (1e-9) relative plus ``regenerate.ABS_TOL`` (1e-13)
+absolute, and numbers inside the printed summary the same way; ``samples.csv``
+by its sha256, naming the first line that differs.
 ``tests/golden/regenerate.py`` rewrites the files when an output changes on
-purpose.
+purpose, keeping every number that still matches by this rule.
 """
 
 import json
-import math
-import re
 
 import pytest
 
-from golden.regenerate import CASES, golden_path, run_case
-
-REL_TOL = 1e-9
-ABS_TOL = 1e-13
-
-#: A decimal number as ``repr``, ``.17g`` or a printf format writes it.
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
-
-
-def _close(a: float, b: float) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b or abs(a - b) <= ABS_TOL + REL_TOL * abs(b)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+from golden.regenerate import CASES, _NUMBER, _is_number, _numbers_match, _tokens_match, golden_path, merge, run_case
 
 
 def _compare_text(got: str, want: str, where: str) -> None:
@@ -37,8 +20,7 @@ def _compare_text(got: str, want: str, where: str) -> None:
     got_parts, want_parts = _NUMBER.split(got), _NUMBER.split(want)
     assert got_parts == want_parts, f"{where}: {got!r} != {want!r}"
     for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
-        integers = a.lstrip("+-").isdigit() and b.lstrip("+-").isdigit()
-        assert a == b if integers else _close(float(a), float(b)), f"{where}: {a} != {b} in {got!r}"
+        assert _tokens_match(a, b), f"{where}: {a} != {b} in {got!r}"
 
 
 def _compare(got, want, where: str) -> None:
@@ -50,8 +32,8 @@ def _compare(got, want, where: str) -> None:
         assert isinstance(got, list) and len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
         for i, (a, b) in enumerate(zip(got, want)):
             _compare(a, b, f"{where}[{i}]")
-    elif _is_number(got) and _is_number(want) and float in (type(got), type(want)):
-        assert _close(float(got), float(want)), f"{where}: {got!r} != {want!r}"
+    elif _is_number(got) and _is_number(want):
+        assert _numbers_match(got, want), f"{where}: {got!r} != {want!r}"
     else:
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
@@ -79,3 +61,22 @@ def test_command_output_matches_golden(command):
             _compare_samples(got["artifacts"][name], value, name)
         else:
             _compare(got["artifacts"][name], value, name)
+
+
+def test_merge_keeps_what_a_fresh_run_matches_and_takes_what_moved():
+    recorded = json.loads(golden_path("induce").read_text())
+    fresh = run_case("induce")
+    assert json.dumps(merge(fresh, recorded), indent=1) + "\n" == golden_path("induce").read_text()
+
+    entry = recorded["artifacts"]["induced_kernel.json"]["entries"][0][1]
+    margin = recorded["artifacts"]["induce_summary.json"]["margin"]
+    summary = fresh["printed"]
+    for moved, kept in [(1.0 + 1e-6, False), (1.0 + 1e-12, True)]:
+        fresh["artifacts"]["induced_kernel.json"]["entries"][0][1] = entry * moved
+        fresh["printed"] = summary.replace(repr(margin), repr(margin * moved))
+        assert fresh["printed"] != summary
+        merged = merge(fresh, recorded)
+        assert merged["artifacts"]["induced_kernel.json"]["entries"][0][1] == (entry if kept else entry * moved)
+        assert merged["printed"] == (recorded["printed"] if kept else fresh["printed"])
+    fresh["config"] = {"trials": 1}
+    assert merge(fresh, recorded) is fresh  # a record of another config is replaced whole

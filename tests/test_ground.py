@@ -60,6 +60,22 @@ def test_sqrt_weights_cached():
     assert np.allclose(space.sqrt_weights, [2.0, 3.0])
 
 
+def test_arrays_are_read_only_copies_of_the_callers():
+    rng = np.random.default_rng(5)
+    points, weights = np.cumsum(rng.uniform(0.1, 1.0, 20)), rng.uniform(0.0, 2.0, 20) + 1e-3
+    want_points, want_weights = points.copy(), weights.copy()
+    space = GroundSpace(points, weights)
+    points[:], weights[:] = -1.0, 7.0  # mutating the caller's arrays after construction changes nothing
+    assert space.points.tobytes() == want_points.tobytes() and space.weights.tobytes() == want_weights.tobytes()
+    assert space.sqrt_weights.tobytes() == np.sqrt(want_weights).tobytes()
+    for arr in (space.points, space.weights, space.sqrt_weights):
+        assert arr.dtype == float and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    again = GroundSpace(space.points, [1.0] * 20)  # a read-only array or a list is copied too
+    assert not np.shares_memory(again.points, space.points) and again.weights.dtype == float
+
+
 def test_indices_in():
     space = GroundSpace.uniform_cells(0.0, 1.0, 10)
     idx = space.indices_in(0.0, 0.5)

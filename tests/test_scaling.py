@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from continuum_reference import hard_edge_gap_probability
 from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed, jacobi_polynomials_mp
 from dpplab.dpp import DppDistribution
 from dpplab.ground import GroundSpace, Window
@@ -42,6 +43,19 @@ def test_bessel_derivative_against_oracle():
     t = np.linspace(0.5, 20.0, 25)
     for s in (0.0, 0.5, 2.0):
         assert _kernel_error(s, t**2) < 1e-10, f"s = {s}"
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("x", [1.0, 4.0, 10.0])
+@pytest.mark.parametrize("nodes", [10, 20, 40])
+def test_bessel_gap_probability_matches_the_continuum_closed_form(s, x, nodes):
+    # det(I - Khat) of the kernel on the Gauss-Legendre rule of (0, x) against e^{-x/4} det[I_{j-k}(sqrt x)];
+    # the other convention 4K(4x, 4y), i.e. J_s(2 sqrt x), would give e^{-x} at s = 0
+    t, w = special.roots_legendre(nodes)
+    grid = GroundSpace(x / 2 * (t + 1), x / 2 * w)
+    gap = np.linalg.det(np.eye(nodes) - bessel_kernel(s, grid).counting)
+    reference = hard_edge_gap_probability(s, x)
+    assert abs(gap - reference) < 1e-12 * reference
 
 
 def test_legendre_special_case():

@@ -114,10 +114,26 @@ def test_samples_round_trip():
         assert text == expected
         back = samples_from_csv(text, space)
         assert np.array_equal(back.occupancy, samples.occupancy)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=re.escape(f"line 1: index '{space.n}'")):
         samples_from_csv(f"0 {space.n}\n", space)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=re.escape("line 1: token '-1'")):
         samples_from_csv("-1\n", space)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\n1 1\n", "line 2: index '1' is repeated"),
+        ("1.5\n", "line 1: token '1.5'"),
+        ("0 2\nx\n", "line 2: token 'x'"),
+        ("+1\n", "line 1: token '+1'"),
+    ],
+    ids=["repeated index", "float token", "text token", "signed token"],
+)
+def test_samples_csv_rejects_a_line_it_cannot_hold(text, message):
+    # before, "1 1" loaded as the one-point draw {1}, "+1" as {1}, and "1.5" and "x" raised int()'s ValueError
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        samples_from_csv(text, _space())
 
 
 @st.composite
@@ -139,4 +155,6 @@ def occupancy_cases(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(samples=occupancy_cases())
 def test_samples_to_csv_matches_row_by_row_writer(samples):
-    assert samples_to_csv(samples) == _reference_samples_to_csv(samples)
+    text = samples_to_csv(samples)
+    assert text == _reference_samples_to_csv(samples)
+    assert np.array_equal(samples_from_csv(text, samples.space).occupancy, samples.occupancy)
