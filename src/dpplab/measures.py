@@ -228,7 +228,7 @@ def _split_table(n: int, nx: int, permutations: int, rng) -> np.ndarray:
 #: queued, so tables queued on one generator get the draws of a loop of ``_split_table`` calls.
 #: ``permuted`` releases the GIL while it shuffles, so a table is drawn on another core while the
 #: caller samples and scores.  A caller that waits draws queued tables itself, but only those of a
-#: generator no other queued draw uses (``_queued_split_tables``), so that order still holds.
+#: generator no other table uses (``_queued_split_tables``), so that order still holds.
 _SPLIT_DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpplab-splits")
 
 
@@ -243,24 +243,22 @@ _SPLIT_AHEAD_BYTES = 32 * 2**20
 
 
 @contextlib.contextmanager
-def _queued_split_tables(n: int, nx: int, permutations: int, rngs):
-    """Queue ``_split_table(n, nx, permutations, rng)`` per generator on the draw thread; yield the tables' iterator.
+def _queued_split_tables(n: int, nx: int, permutations: int, seeds):
+    """Queue ``_split_table(n, nx, permutations, rng)`` per seed on the draw thread; yield the tables' iterator.
 
-    The tables arrive in the order of ``rngs``, and a generator that
-    appears k times gets k tables, drawn in that order.  At most
-    ``_SPLIT_AHEAD_BYTES`` of them are queued at once; each table taken
-    queues the next.  The caller must not use a queued generator until
-    its last table has arrived.
+    Each distinct seed gets one generator, ``_philox_generator(seed, 0)``,
+    and a seed that appears k times in ``seeds`` gets k tables, drawn from
+    it in turn, in the order of ``seeds``.  At most ``_SPLIT_AHEAD_BYTES``
+    of them are queued at once; each table taken queues the next.
 
     While the next table is not ready, the calling thread draws queued
     tables itself, last first: each one whose draw has not started
-    (``Future.cancel`` succeeds only then) and whose generator, counted
-    by its bit generator, no other queued draw uses.  So every table is
-    drawn once, from its generator's state after that generator's earlier
-    tables, and the tables and end states are those of a loop of
-    ``_split_table`` calls, whichever thread draws.  With nothing to take
-    it waits for the draw thread; tables queued on one generator are all
-    drawn there.
+    (``Future.cancel`` succeeds only then) and whose seed appears once in
+    ``seeds``, so that no other table uses its generator.  So every table
+    is drawn once, from its generator's state after that generator's
+    earlier tables, and the tables are those of a loop of ``_split_table``
+    calls, whichever thread draws.  With nothing to take it waits for the
+    draw thread; the tables of a repeated seed are all drawn there.
 
     Draws that have not started when the block exits are cancelled, so a
     caller that raises, in its own code or in a draw it took, leaves none
@@ -269,23 +267,23 @@ def _queued_split_tables(n: int, nx: int, permutations: int, rngs):
     wraps.
     """
     _check_permutations(permutations)
-    rngs = iter(rngs)
-    queued = collections.deque()  # (draw, rng) per table, in the order of rngs
-    uses = collections.Counter()  # queued tables per bit generator
+    uses = collections.Counter(seeds)  # tables per seed
+    rngs = {seed: _philox_generator(seed, 0) for seed in uses}
+    pending = iter(seeds)
+    queued = collections.deque()  # (draw, seed) per table, in the order of seeds
 
     def queue(count):
-        for rng in itertools.islice(rngs, count):
-            queued.append((_SPLIT_DRAWS.submit(_split_table, n, nx, permutations, rng), rng))
-            uses[rng.bit_generator] += 1
+        for seed in itertools.islice(pending, count):
+            queued.append((_SPLIT_DRAWS.submit(_split_table, n, nx, permutations, rngs[seed]), seed))
 
     def draw_here():
         """Draw the last takeable queued table on this thread, as described above; whether there was one."""
         for i in range(len(queued) - 1, -1, -1):
-            draw, rng = queued[i]
-            if uses[rng.bit_generator] == 1 and draw.cancel():
+            draw, seed = queued[i]
+            if uses[seed] == 1 and draw.cancel():
                 drawn = Future()
-                drawn.set_result(_split_table(n, nx, permutations, rng))
-                queued[i] = (drawn, rng)
+                drawn.set_result(_split_table(n, nx, permutations, rngs[seed]))
+                queued[i] = (drawn, seed)
                 return True
         return False
 
@@ -294,7 +292,7 @@ def _queued_split_tables(n: int, nx: int, permutations: int, rngs):
             while not queued[0][0].done() and draw_here():
                 pass
             table = queued[0][0].result()  # still queued while awaited, so an interrupted wait cancels it
-            uses[queued.popleft()[1].bit_generator] -= 1
+            queued.popleft()
             queue(1)
             yield table
 
@@ -378,15 +376,36 @@ def _check_disjoint_supports(phis: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class WeakConvergenceReport:
+    """The energy statistic and p-value per step; the verdict is read off them against ``P_VALUE_THRESHOLD``."""
+
     steps: tuple
     statistics: tuple[float, ...]
     p_values: tuple[float, ...]
-    decreasing: bool
-    final_p_value: float
-    verdict: bool
+
+    @property
+    def decreasing(self) -> bool:
+        return bool(np.all(np.diff(self.statistics) < 0))  # vacuously true for one step
+
+    @property
+    def final_p_value(self) -> float:
+        return self.p_values[-1]
+
+    @property
+    def verdict(self) -> bool:
+        return self.decreasing and self.final_p_value > P_VALUE_THRESHOLD
 
     def to_csv(self) -> str:
         return csv_text(("n", "energy_statistic", "p_value"), zip(self.steps, self.statistics, self.p_values))
+
+
+def _energy_tests(pairs, seeds, size: int, permutations: int) -> list[tuple[float, float]]:
+    """``_energy_test`` of the k-th (X, Y) pair, ``size`` rows each, on the split table of the k-th seed.
+
+    The tables are queued before the first pair is taken, so ``pairs`` may
+    be a generator that samples its batches while they are drawn.
+    """
+    with _queued_split_tables(2 * size, size, permutations, seeds) as tables:
+        return [_energy_test(X, Y, table) for (X, Y), table in zip(pairs, tables)]
 
 
 def weak_convergence_test(
@@ -404,37 +423,17 @@ def weak_convergence_test(
     (disjointly supported) test functions is compared to the limit batch by
     the energy distance, with a permutation p-value.  The split tables are
     drawn in batch order from the one Philox generator keyed (seed, 0), on
-    the draw thread.  Verdict: statistics decrease along the sequence and
-    the last batch's p-value exceeds ``P_VALUE_THRESHOLD``.
+    the draw thread, once the inputs are checked.  Verdict: statistics
+    decrease along the sequence and the last p-value exceeds ``P_VALUE_THRESHOLD``.
     """
-    size = len(samples_limit)
-    rngs = [_philox_generator(seed, 0)] * len(samples_n)
-    with _queued_split_tables(2 * size, size, permutations, rngs) as tables:
-        return _weak_convergence_report(samples_n, samples_limit, f, phis, tables, steps)
-
-
-def _weak_convergence_report(samples_n, samples_limit, f, phis, tables, steps) -> WeakConvergenceReport:
-    """The report of ``weak_convergence_test``, scoring the k-th batch on the k-th split table ``tables`` yields."""
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     _check_disjoint_supports(phis)
     if not samples_n:
         raise ValueError("empty batch sequence")
     steps = step_labels(steps, len(samples_n))
-    sizes = {len(b) for b in samples_n} | {len(samples_limit)}
-    if len(sizes) != 1:
+    size = len(samples_limit)
+    if any(len(b) != size for b in samples_n):
         raise ValueError("all batches must have equal size")
     limit_stats = linear_statistics(samples_limit, f, phis)
-    tests = [
-        _energy_test(linear_statistics(b, f, phis), limit_stats, table)
-        for b, table in zip(samples_n, tables)
-    ]
-    statistics, p_values = zip(*tests)
-    decreasing = bool(np.all(np.diff(statistics) < 0))  # vacuously true for one batch
-    return WeakConvergenceReport(
-        steps=steps,
-        statistics=statistics,
-        p_values=p_values,
-        decreasing=decreasing,
-        final_p_value=p_values[-1],
-        verdict=decreasing and p_values[-1] > P_VALUE_THRESHOLD,
-    )
+    pairs = ((linear_statistics(b, f, phis), limit_stats) for b in samples_n)
+    return WeakConvergenceReport(steps, *zip(*_energy_tests(pairs, [seed] * len(samples_n), size, permutations)))

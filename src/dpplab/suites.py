@@ -23,9 +23,7 @@ from .operators import ConvergenceReport, KernelOperator, project_span
 from .measures import (
     TightnessReport,
     WeakConvergenceReport,
-    _energy_test,
-    _queued_split_tables,
-    _weak_convergence_report,
+    _energy_tests,
     _weighted_diagonal,
     chebyshev_mass_bound_check,
     linear_statistics,
@@ -360,22 +358,20 @@ def weakconv_calibration(
     Repetition j compares the batches of sampler seeds seed + 1000 + 2j and
     seed + 1001 + 2j on the splits of the Philox generator keyed
     (seed + j, 0), as ``weak_convergence_test([a], b, ..., seed=seed + j)``
-    would.  The split tables are queued on the draw thread before the
-    sampling starts.  All batches come from one ``sample_batches`` call and
-    are held together: 2 * repetitions * batch_size * n bytes of occupancy,
-    480 KB at the default sizes on the 8-point space.  The tables drawn
-    ahead of the scoring take at most ``measures._SPLIT_AHEAD_BYTES``,
-    which holds all 12 MB of them at the default sizes.
+    would.  All batches come from one ``sample_batches`` call, made while
+    ``measures._energy_tests`` draws the split tables, and are held
+    together: 2 * repetitions * batch_size * n bytes of occupancy, 480 KB
+    at the default sizes on the 8-point space.
     """
     _, limit, f, phis = _weakconv_setting()
-    rngs = [_philox_generator(seed + rep, 0) for rep in range(repetitions)]
-    with _queued_split_tables(2 * batch_size, batch_size, permutations, rngs) as tables:
+
+    def pairs():
         batches = sample_batches(DppDistribution(limit), range(seed + 1000, seed + 1000 + 2 * repetitions), batch_size)
-        p_values = np.empty(repetitions)
-        for rep, (batch_a, batch_b, table) in enumerate(zip(batches[::2], batches[1::2], tables)):
-            X, Y = linear_statistics(batch_a, f, phis), linear_statistics(batch_b, f, phis)
-            p_values[rep] = _energy_test(X, Y, table)[1]
-    return p_values
+        for batch_a, batch_b in zip(batches[::2], batches[1::2]):
+            yield linear_statistics(batch_a, f, phis), linear_statistics(batch_b, f, phis)
+
+    tests = _energy_tests(pairs(), range(seed, seed + repetitions), batch_size, permutations)
+    return np.array([p_value for _, p_value in tests])
 
 
 #: KS distance to the uniform law below which calibration p-values pass (``calibration_verdict``).
@@ -403,18 +399,21 @@ def weakconv_sequence(
 ) -> WeakConvergenceReport:
     """Energy statistics against the limit law for a 1/n-perturbed kernel sequence.
 
-    The report is ``weak_convergence_test``'s at ``seed``; its split tables
-    are queued on the draw thread before the sampling starts.
+    The report is ``weak_convergence_test``'s at ``seed``; the batches are
+    sampled while ``measures._energy_tests`` draws the split tables.
     """
+    if len(n_list) == 0:
+        raise ValueError("empty batch sequence")
     space, limit, f, phis = _weakconv_setting()
     x = space.points
     drift = project_span(np.vstack([np.sin(2.0 * np.pi * x), np.cos(2.0 * np.pi * x)]), space)
-    rngs = [_philox_generator(seed, 0)] * len(n_list)
-    with _queued_split_tables(2 * batch_size, batch_size, permutations, rngs) as tables:
-        limit_batch = sample(DppDistribution(limit), seed, batch_size)
-        batches = []
+
+    def pairs():
+        limit_stats = linear_statistics(sample(DppDistribution(limit), seed, batch_size), f, phis)
         for n in n_list:
             theta = 0.5 / n
             mixed = KernelOperator(space, (1.0 - theta) * limit.entries + theta * drift.entries)
-            batches.append(sample(DppDistribution(mixed), seed + n, batch_size))
-        return _weak_convergence_report(batches, limit_batch, f, phis, tables, n_list)
+            yield linear_statistics(sample(DppDistribution(mixed), seed + n, batch_size), f, phis), limit_stats
+
+    tests = _energy_tests(pairs(), [seed] * len(n_list), batch_size, permutations)
+    return WeakConvergenceReport(tuple(n_list), *zip(*tests))

@@ -17,7 +17,9 @@ drew them all.  ``linalg_scaled_norm``, ``gram_schmidt_steps``,
 projection primitives as they were written before their numpy calls were
 cut, so the tests can check that the cut changed no bit;
 ``errstate_scaled_norm`` is ``scaled_norm`` as it ran before ``np.vdot``
-took its first norm.  Four oracles the package itself never calls live here too:
+took its first norm, and ``gram_schmidt_steps`` takes each vector's first
+norm by it, so that it holds on strided vectors too.  Four oracles the
+package itself never calls live here too:
 ``energy_distance``, which the permutation test scores split by split
 from count vectors, ``cd_kernel_closed``, the two-point closed form
 of the Christoffel-Darboux sum, ``jacobi_polynomials_mp``, the orthonormal
@@ -106,9 +108,14 @@ def errstate_scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def gram_schmidt_steps(rows: list, hat: np.ndarray, angles: bool = False):
-    """``operators._gram_schmidt`` with its norms taken by ``np.linalg.norm``: the same yields and rows."""
+    """``operators._gram_schmidt`` with its later norms taken by ``np.linalg.norm``: the same yields and rows.
+
+    The first norm of each vector is ``errstate_scaled_norm``'s, ``ndarray.dot`` on the strides as
+    given, so the reference holds on strided vectors too, such as the rows of a transposed factor.
+    The later norms are of fresh contiguous arrays, where ``np.linalg.norm`` sums as ``ndarray.dot`` does.
+    """
     for k, v in enumerate(hat):
-        v, original = linalg_scaled_norm(v)
+        v, original = errstate_scaled_norm(v)
         r = v.copy()
         for _ in range(2):
             for q in rows:

@@ -9,7 +9,9 @@ rank 0-6, vectors scaled by 2^e for e up to +-600 or zero, weights g with
 exact 0s and 1s, and coordinate projections, whose dense block-identity laws
 hold -0.0.  ``scaled_norm`` is also checked on strided views and on rows
 and columns of C- and Fortran-order arrays, against the ``np.errstate``
-form it replaced.  Floats are compared by their bytes, so a moved sign of
+form it replaced, and ``induced_kernel``'s Gram-Schmidt steps and factor
+against ``gram_schmidt_steps`` on factors of either order, whose columns
+it reads as strided or contiguous rows.  Floats are compared by their bytes, so a moved sign of
 zero fails too.
 """
 
@@ -17,15 +19,16 @@ import warnings
 from itertools import zip_longest
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from dpplab.conditioning import WeightFunction, check_inducibility
+from dpplab.conditioning import WeightFunction, check_inducibility, induced_kernel
 from dpplab.dpp import DppDistribution, _block_identity_law, _subset_law, brute_force_distribution
 from dpplab.ground import GroundSpace
 from dpplab.operators import (
     KernelOperator,
+    Projection,
     _gram_schmidt,
     _measure_entries,
     _orthonormality_residual,
@@ -80,6 +83,23 @@ def test_scaled_norm_and_gram_schmidt_match_the_linalg_norm_forms(case):
         if ratio < 1e-6:  # a caller rejects this vector, so its residual is never appended
             break
     assert len(got_rows) == len(want_rows) and all(map(_same, got_rows, want_rows))
+
+
+@_SETTINGS
+@given(cases(max_points=60), st.booleans())
+def test_induced_kernel_factor_matches_the_gram_schmidt_reference_on_its_strided_columns(case, c_order):
+    # induced_kernel runs Gram-Schmidt over the columns of sqrt(g) U, strided views when U is held in
+    # C order; its factor reads only the residuals, and the steps' ratios read the first norms as well
+    space, P, _, g = case
+    if c_order:
+        P = Projection(space, np.ascontiguousarray(P.factor))
+    assume(check_inducibility(g, P).invertible)
+    hat = (g.sqrt[:, None] * P.factor).T
+    got_steps = _gram_schmidt([], hat, angles=True)
+    rows = []
+    for got, want in zip_longest(got_steps, dense.gram_schmidt_steps(rows, hat, angles=True)):
+        assert got[0] == want[0] and _same(got[1:], want[1:])
+    assert _same(induced_kernel(g, P).factor, np.array(rows).reshape(len(rows), P.n).T)
 
 
 @_SETTINGS

@@ -453,6 +453,28 @@ def test_a_permutation_count_below_one_raises_before_any_draw(permutations, monk
     assert drawn == []
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda b, limit, f, phis: weak_convergence_test(b, limit, f, np.ones((2, 4))), "disjoint supports"),
+        (lambda b, limit, f, phis: weak_convergence_test([], limit, f, phis), "empty batch sequence"),
+        (lambda b, limit, f, phis: weak_convergence_test(b, limit, f, phis, steps=(1, 2, 3)), "3 step labels"),
+        (
+            lambda b, limit, f, phis: weak_convergence_test([*b, Samples(f.space, limit.occupancy[:10])], limit, f, phis),
+            "equal size",
+        ),
+    ],
+    ids=["overlapping supports", "no batches", "steps", "unequal sizes"],
+)
+def test_weak_convergence_input_errors_raise_before_any_draw_is_queued(call, message, monkeypatch):
+    entered = []
+    queue = measures._queued_split_tables
+    monkeypatch.setattr(measures, "_queued_split_tables", lambda *args: entered.append(args) or queue(*args))
+    with pytest.raises(ValueError, match=message):
+        call(*_four_point_batches(2))
+    assert entered == []
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 300),
@@ -461,22 +483,20 @@ def test_a_permutation_count_below_one_raises_before_any_draw(permutations, monk
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
 )
 def test_split_tables_queued_on_the_draw_thread_match_calls_on_the_calling_thread(n, data, permutations, seeds):
-    """Tables queued on shared generators, interleaved, are each generator's loop of ``_split_table`` calls."""
+    """Tables of repeated seeds, interleaved, are each seed's loop of ``_split_table`` calls on (seed, 0)."""
     nx = data.draw(st.integers(0, n))
-    order = data.draw(st.lists(st.integers(0, len(seeds) - 1), min_size=1, max_size=8))
-    rngs, ref_rngs = [_rng(s) for s in seeds], [_rng(s) for s in seeds]
+    order = data.draw(st.lists(st.sampled_from(seeds), min_size=1, max_size=8))
     ahead = measures._SPLIT_AHEAD_BYTES
     measures._SPLIT_AHEAD_BYTES = data.draw(st.sampled_from([ahead, 1]))  # all tables queued at once, or one
     try:
-        with _queued_split_tables(n, nx, permutations, [rngs[i] for i in order]) as tables:
+        with _queued_split_tables(n, nx, permutations, order) as tables:
             drawn = list(tables)
     finally:
         measures._SPLIT_AHEAD_BYTES = ahead
     assert len(drawn) == len(order)
-    for i, table in zip(order, drawn):
-        assert np.array_equal(table, _split_table(n, nx, permutations, ref_rngs[i]))
-    for rng, ref_rng in zip(rngs, ref_rngs):
-        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+    ref_rngs = {seed: _philox_generator(seed, 0) for seed in seeds}
+    for seed, table in zip(order, drawn):
+        assert np.array_equal(table, _split_table(n, nx, permutations, ref_rngs[seed]))
 
 
 def _numbers(report):
@@ -548,14 +568,15 @@ def _draw_thread_idle():
 def _held_draws(monkeypatch, on_caller=_split_table):
     """Patch ``measures._split_table`` so that draw-thread draws wait until the calling thread has drawn a table.
 
-    Returns the (thread, generator) of each draw, in the order the draws
-    started, and the event that releases the draw thread, which the
-    calling thread's first draw sets when it returns.
+    Returns the (thread, seed) of each draw, in the order the draws
+    started, with the seed read off the key of the draw's generator, and
+    the event that releases the draw thread, which the calling thread's
+    first draw sets when it returns.
     """
     caller, drawn, caller_drew = threading.current_thread(), [], threading.Event()
 
     def held_draw(*args):
-        drawn.append((threading.current_thread(), args[3]))
+        drawn.append((threading.current_thread(), int(args[3].bit_generator.state["state"]["key"][0])))
         if threading.current_thread() is not caller:
             caller_drew.wait(timeout=10)
             return _split_table(*args)
@@ -567,29 +588,20 @@ def _held_draws(monkeypatch, on_caller=_split_table):
     return drawn, caller_drew
 
 
-@pytest.mark.parametrize("views", [False, True], ids=["one generator each", "a generator per table"])
 @pytest.mark.parametrize("order", [[0, 1, 0], [0, 1, 2, 3], [0, 1, 1, 2, 0]], ids=str)
-def test_the_calling_thread_draws_the_last_table_whose_generator_no_other_queued_draw_uses(monkeypatch, order, views):
-    """Tables and end states are the loop's when the caller must take a table: the draw thread is held until it has.
-
-    With ``views`` each table gets its own ``Generator`` over its stream's
-    bit generator, so tables of one stream share no ``Generator`` object.
-    """
-    rngs, ref_rngs = [_rng(s) for s in range(max(order) + 1)], [_rng(s) for s in range(max(order) + 1)]
-    expected = [_split_table(30, 12, 9, ref_rngs[i]) for i in order]
+def test_the_calling_thread_draws_the_last_table_whose_generator_no_other_queued_draw_uses(monkeypatch, order):
+    """Tables are the loop's when the caller must take a table: the draw thread is held until it has."""
+    ref_rngs = {seed: _philox_generator(seed, 0) for seed in order}
+    expected = [_split_table(30, 12, 9, ref_rngs[seed]) for seed in order]
     drawn, _ = _held_draws(monkeypatch)
-    queue = [np.random.Generator(rngs[i].bit_generator) if views else rngs[i] for i in order]
-    with _queued_split_tables(30, 12, 9, queue) as tables:
+    with _queued_split_tables(30, 12, 9, order) as tables:
         got = list(tables)
     _draw_thread_idle()
     assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == len(order)
-    for rng, ref_rng in zip(rngs, ref_rngs):
-        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert len(drawn) == len(order)
-    # no table has arrived before the caller's first draw, so every generator queued twice is still shared
-    unshared = [i for i in order if order.count(i) == 1]
-    on_caller = [rng for thread, rng in drawn if thread is threading.current_thread()]
-    assert on_caller and on_caller[0].bit_generator is rngs[unshared[-1]].bit_generator
+    unshared = [seed for seed in order if order.count(seed) == 1]
+    on_caller = [seed for thread, seed in drawn if thread is threading.current_thread()]
+    assert on_caller and on_caller[0] == unshared[-1]
 
 
 def test_an_error_in_a_draw_the_caller_took_reaches_it_and_cancels_the_queued_draws(monkeypatch):
@@ -597,21 +609,19 @@ def test_an_error_in_a_draw_the_caller_took_reaches_it_and_cancels_the_queued_dr
         raise _DrawFailure("drawn on the calling thread")
 
     drawn, release = _held_draws(monkeypatch, on_caller=failing_draw)
-    rngs = [_rng(s) for s in range(4)]
     with pytest.raises(_DrawFailure, match="drawn on the calling thread"):
-        with _queued_split_tables(30, 12, 9, rngs) as tables:
+        with _queued_split_tables(30, 12, 9, range(4)) as tables:
             list(tables)
     release.set()
     _draw_thread_idle()
     caller = threading.current_thread()
-    assert [rng for thread, rng in drawn if thread is caller] == [rngs[-1]]
+    assert [seed for thread, seed in drawn if thread is caller] == [3]
     # the draw thread draws at most the first table, if it had started it; the cancelled ones never
-    assert [rng for thread, rng in drawn if thread is not caller] in ([], [rngs[0]])
+    assert [seed for thread, seed in drawn if thread is not caller] in ([], [0])
     monkeypatch.undo()
-    rngs, ref_rngs = [_rng(s) for s in range(4)], [_rng(s) for s in range(4)]
-    with _queued_split_tables(30, 12, 9, rngs) as tables:
+    with _queued_split_tables(30, 12, 9, range(4)) as tables:
         got = list(tables)
-    assert all(np.array_equal(a, _split_table(30, 12, 9, ref)) for a, ref in zip(got, ref_rngs))
+    assert all(np.array_equal(a, _split_table(30, 12, 9, _philox_generator(s, 0))) for s, a in zip(range(4), got))
 
 
 def test_no_module_but_measures_binds_the_split_draw():

@@ -4,7 +4,7 @@ from scipy import special
 
 from continuum_reference import hard_edge_gap_probability
 from dense_reference import bessel_kernel_entries_mp, cd_kernel_closed, jacobi_polynomials_mp
-from dpplab.dpp import DppDistribution
+from dpplab.dpp import DppDistribution, sample
 from dpplab.ground import GroundSpace, Window
 from dpplab.scaling import (
     bessel_kernel,
@@ -45,17 +45,60 @@ def test_bessel_derivative_against_oracle():
         assert _kernel_error(s, t**2) < 1e-10, f"s = {s}"
 
 
+def _gauss_legendre_grid(x, nodes):
+    """The Gauss-Legendre rule of (0, x) as a ground space."""
+    t, w = special.roots_legendre(nodes)
+    return GroundSpace(x / 2 * (t + 1), x / 2 * w)
+
+
+def _gap(K):
+    """det(I - Khat): on a Gauss-Legendre grid of (0, x), the probability of no point in (0, x)."""
+    return np.linalg.det(np.eye(K.space.n) - K.counting)
+
+
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 @pytest.mark.parametrize("x", [1.0, 4.0, 10.0])
 @pytest.mark.parametrize("nodes", [10, 20, 40])
 def test_bessel_gap_probability_matches_the_continuum_closed_form(s, x, nodes):
     # det(I - Khat) of the kernel on the Gauss-Legendre rule of (0, x) against e^{-x/4} det[I_{j-k}(sqrt x)];
     # the other convention 4K(4x, 4y), i.e. J_s(2 sqrt x), would give e^{-x} at s = 0
-    t, w = special.roots_legendre(nodes)
-    grid = GroundSpace(x / 2 * (t + 1), x / 2 * w)
-    gap = np.linalg.det(np.eye(nodes) - bessel_kernel(s, grid).counting)
+    gap = _gap(bessel_kernel(s, _gauss_legendre_grid(x, nodes)))
     reference = hard_edge_gap_probability(s, x)
     assert abs(gap - reference) < 1e-12 * reference
+
+
+@pytest.mark.parametrize("x", [4.0, 10.0])
+def test_jacobi_gap_probability_converges_to_the_bessel_gap_at_rate_n_minus_2(x):
+    # s = 0 on the 40-node rule of (0, x): the last log-log slope of |det(I - K_n) - det(I - K_Bessel)| over
+    # n = 8..128 read -2.000 on both windows (errors 2.89e-3 down to 1.12e-5 on (0, 4)).  With c = n^2 in
+    # place of 2 n^2 the kernels miss the limit and the errors stay flat, slope 0.  Only s = 0 has this rate
+    # (see jacobi_cd_kernel).
+    grid = _gauss_legendre_grid(x, 40)
+    limit = _gap(bessel_kernel(0.0, grid))
+    n_list = [8, 16, 32, 64, 128]
+    errors = [abs(_gap(jacobi_cd_kernel(0.0, n, grid)) - limit) for n in n_list]
+    slope = np.log(errors[-1] / errors[-2]) / np.log(n_list[-1] / n_list[-2])
+    assert abs(slope + 2.0) < 0.1, f"errors {errors}, last slope {slope:.3f}"
+
+
+#: Seed and draw count of the end-to-end gap check, fixed before it first ran.
+GAP_SAMPLE_SEED = 2024
+GAP_SAMPLE_DRAWS = 20000
+
+
+def test_sampled_bessel_draws_leave_the_hard_edge_empty_with_probability_e_minus_one():
+    # The s = 0 Bessel process has no point in (0, 4) with probability e^{-4/4}.  The sampler draws the
+    # kernel on 200 cells of (0, 10], and the 80 cells of (0, 4] stay empty with grid probability
+    # det(I - Khat) = 0.3678831 on that block, 4e-6 from e^{-1} and far inside the standard error
+    # sqrt(p(1 - p)/20000) = 0.0034.  z read -0.23.
+    grid = GroundSpace.uniform_cells(0.0, 10.0, 200)
+    window = Window.from_interval(grid, 0.0, 4.0)
+    assert len(window) == 80
+    draws = sample(DppDistribution(bessel_kernel(0.0, grid)), GAP_SAMPLE_SEED, GAP_SAMPLE_DRAWS)
+    empty = np.mean(~draws.occupancy[:, window.index_set].any(axis=1))
+    p = np.exp(-1.0)
+    z = (empty - p) / np.sqrt(p * (1.0 - p) / GAP_SAMPLE_DRAWS)
+    assert abs(z) < 4.0, f"empty fraction {empty}, z = {z:.2f}"
 
 
 def test_legendre_special_case():
