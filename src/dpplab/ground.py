@@ -8,6 +8,7 @@ products in the package are taken with respect to these masses,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +40,17 @@ class GroundSpace:
             raise ValueError("a ground space needs at least one point")
         if points.size != weights.size:
             raise DimensionError("points and weights must have equal length")
-        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+        increasing = (points[1:] > points[:-1]).all()
+        # Increasing points are finite when their end points are, so only other points are scanned;
+        # a NaN weight makes the least and the greatest weight NaN.
+        ends_finite = math.isfinite(points[0]) and math.isfinite(points[-1])
+        finite_points = (increasing and ends_finite) or np.isfinite(points).all()
+        least = weights.min()
+        if not (finite_points and math.isfinite(least) and math.isfinite(weights.max())):
             raise ValueError("points and weights must be finite")
-        if not (points[1:] > points[:-1]).all():
+        if not increasing:
             raise ValueError("points must be strictly increasing")
-        if (weights <= 0).any():
+        if not least > 0:
             raise ValueError("all weights must be strictly positive")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)

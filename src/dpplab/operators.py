@@ -90,7 +90,7 @@ class KernelOperator:
 def _orthonormality_residual(U: np.ndarray) -> float:
     """max|U^T U - I| of an n x r factor, 0 when r = 0."""
     gram = U.T @ U
-    gram.flat[:: U.shape[1] + 1] -= 1.0
+    gram.ravel()[:: U.shape[1] + 1] -= 1.0  # the diagonal, through a view of the fresh C-order Gram
     return float(np.abs(gram).max(initial=0.0))
 
 
@@ -135,8 +135,14 @@ class Projection:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense kernel relative to the measure, as ``KernelOperator.from_counting`` forms it."""
-        entries = _measure_entries(self.space, self.counting)
+        """The dense kernel relative to the measure, as ``KernelOperator.from_counting`` forms it from ``counting``.
+
+        U U^T is formed here rather than read from ``counting``: before Python 3.12 the first read
+        of a ``cached_property`` takes a lock, which costs more than the product at n <= 10.  The
+        bytes are the same either way; a caller reading both forms the product twice, so once
+        the supported floor is Python 3.12 this should read ``counting`` again.
+        """
+        entries = _measure_entries(self.space, self.factor @ self.factor.T)
         entries.flags.writeable = False
         return entries
 

@@ -155,6 +155,38 @@ def test_measure_scaling_matches_the_outer_form(case):
 
 
 @_SETTINGS
+@given(cases(), st.booleans())
+def test_projection_entries_match_the_measure_scaling_of_counting_read_before_or_after(case, counting_first):
+    space, P, _, _ = case
+    P = Projection(space, P.factor)  # fresh, so neither dense form has been read
+    counting = P.counting if counting_first else None
+    entries = P.entries
+    assert _same(entries, _measure_entries(space, P.counting)) and not entries.flags.writeable
+    assert counting is None or counting is P.counting
+
+
+@_SETTINGS
+@given(cases(), st.sampled_from(["C rows", "strided rows"]))
+def test_gram_schmidt_on_a_read_only_hat_matches_the_reference_rows(case, layout):
+    # a first vector with no rows to project out is not copied, yet it is summed as a contiguous copy
+    # would be, and the read-only vectors it reads are left as they were
+    space, P, vectors, _ = case
+    hat = vectors * space.sqrt_weights
+    if layout == "strided rows":
+        hat = np.asfortranarray(hat)
+    hat.flags.writeable = False
+    before = hat.tobytes()
+    got_rows, want_rows = [], []
+    got_steps = _gram_schmidt(got_rows, hat, angles=True)
+    for got, want in zip_longest(got_steps, dense.gram_schmidt_steps(want_rows, hat, angles=True)):
+        assert got[0] == want[0] and _same(got[1:], want[1:])
+        if got[1] < 1e-6:  # a caller rejects this vector, so its residual is never appended
+            break
+    assert len(got_rows) == len(want_rows) and all(map(_same, got_rows, want_rows))
+    assert hat.tobytes() == before
+
+
+@_SETTINGS
 @given(cases())
 def test_inducibility_and_span_norms_match_the_stack_and_norm_forms(case):
     _, P, _, g = case

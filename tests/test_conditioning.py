@@ -293,6 +293,36 @@ def test_conditioning_is_a_semigroup(case):
     assert abs(z - chain) <= SEMIGROUP_NORMALIZATION_BOUND * z
 
 
+#: Relative gap allowed between the two sides of the induced Laplace functional identity.
+LAPLACE_RELATIVE_BOUND = 1e-12
+
+
+@st.composite
+def _laplace_cases(draw):
+    """A projection of rank 1-5 on 3-199 random cells, g in [0.3, 1] with exact 1s, and h = e^{-phi f} in (0, 1]."""
+    n = draw(st.integers(3, 199))
+    rank = draw(st.integers(1, min(5, n)))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    space = GroundSpace(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.uniform(0.5, 1.5, n))
+    P = project_span(rng.normal(size=(rank, n)), space)
+    g = np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), 1.0, rng.uniform(0.3, 1.0, n))
+    return P, g, np.exp(-rng.uniform(0.0, 3.0, n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_laplace_cases())
+def test_induced_kernel_carries_the_laplace_functional_of_the_induced_process(case):
+    # E Psi_g e^{-<phi f, X>} / E Psi_g under the base process is E e^{-<phi f, X>} under the induced one:
+    # det(I - (1 - g h) P) / det(I - (1 - g) P) = det(I - (1 - h) Pi^g), h = e^{-phi f}, by dense determinants.
+    # The span of g U in place of sqrt(g) U, or P in place of Pi^g, misses it by far more than the bound.
+    P, g, h = case
+    eye = np.eye(P.n)
+    ratio = np.linalg.det(eye - (1.0 - g * h)[:, None] * P.counting) / np.linalg.det(eye - (1.0 - g)[:, None] * P.counting)
+    induced = induced_kernel(WeightFunction(P.space, g), P).counting
+    want = np.linalg.det(eye - (1.0 - h)[:, None] * induced)
+    assert abs(ratio - want) <= LAPLACE_RELATIVE_BOUND * want
+
+
 @pytest.mark.parametrize("g_points", [6, 7], ids=["same_n", "different_n"])
 def test_conditioning_rejects_weights_on_another_space(g_points):
     rng = _rng(44)

@@ -49,6 +49,22 @@ def test_non_finite_points_and_weights_rejected(points, weights):
         GroundSpace(np.array(points), np.array(weights))
 
 
+@pytest.mark.parametrize(
+    "points, weights, message",
+    [
+        ([-np.inf, 0.0, np.inf], [1.0, 1.0, 1.0], "must be finite"),  # strictly increasing, infinite end points
+        ([2.0, 1.0, 0.5], [1.0, np.nan, 1.0], "must be finite"),  # not increasing, and a NaN weight
+        ([1.0, np.nan, 0.5], [1.0, 0.0, 1.0], "must be finite"),  # every check fails; finiteness comes first
+        ([0.5, 0.5, 2.0], [1.0, 0.0, 1.0], "strictly increasing"),  # finite, repeated point, zero weight
+        ([0.5, 1.0, 2.0], [1.0, -0.0, 1.0], "strictly positive"),
+    ],
+)
+def test_the_first_failing_check_names_the_error(points, weights, message):
+    # finiteness, then order, then positivity: a space that breaks several rules gets the first one's message
+    with pytest.raises(ValueError, match=message):
+        GroundSpace(np.array(points), np.array(weights))
+
+
 def test_arrays_are_frozen():
     space = GroundSpace.uniform_cells(0.0, 1.0, 3)
     with pytest.raises(ValueError):
